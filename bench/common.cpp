@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "src/citygen/partial_grid_city.h"
@@ -15,6 +16,7 @@
 #include "src/trace/flow_extractor.h"
 #include "src/trace/generator.h"
 #include "src/util/rng.h"
+#include "rap_version.h"
 
 namespace rap::bench {
 namespace {
@@ -133,6 +135,13 @@ void write_bench_json(
     const std::vector<BenchMetric>& metrics) {
   std::map<std::string, std::string> sorted_context(context.begin(),
                                                     context.end());
+  // The host, in every document: bench_compare warns when a baseline was
+  // recorded on a different one.
+  sorted_context.try_emplace(
+      "hardware_concurrency",
+      std::to_string(std::thread::hardware_concurrency()));
+  sorted_context.try_emplace(
+      "build_type", RAP_BUILD_TYPE[0] != '\0' ? RAP_BUILD_TYPE : "(empty)");
   std::ostringstream out;
   out << "{\n  \"schema\": \"" << kBenchSchema << "\",\n  \"bench\": "
       << obs::json_quote(bench) << ",\n  \"context\": {";

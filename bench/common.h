@@ -68,8 +68,10 @@ void run_and_report(const eval::Workload& workload,
 //   }
 //
 // "context" is descriptive only (machine, parameters, notes) — comparers
-// must ignore it for pass/fail. Units drive tolerance classification in
-// bench_compare: wall-clock-derived units (ms, s, x, ratio, req_s) are
+// must ignore it for pass/fail. write_bench_json adds the host's
+// "hardware_concurrency" and "build_type" to every document, and
+// bench_compare warns when either differs from the baseline's. Units
+// drive tolerance classification in bench_compare: wall-clock-derived units (ms, s, x, ratio, req_s) are
 // noisy across machines and get the loose --time-tolerance; anything else
 // (count, bytes) is treated as deterministic and compared strictly.
 // ---------------------------------------------------------------------------

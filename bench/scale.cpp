@@ -1,26 +1,23 @@
 // Metro-scale placement bench (DESIGN.md §13): a ~10^5-intersection grid
-// city with 10^5 corridor flows, priced by the oracle-backed detour engine
-// (ALT oracle + sparse distance cache + parallel warm) and placed with the
-// lazy greedy — end to end without ever materialising the n^2 distance
-// matrix, which at this scale would be ~80 GB.
+// city with 10^5 corridor flows, priced by the shop's two Dijkstra trees
+// (traffic::DetourCalculator) and placed with the lazy greedy — end to end
+// without ever materialising the n^2 distance matrix, which at this scale
+// would be ~80 GB.
 //
 // Writes BENCH_scale.json in the rap.bench.v1 schema (bench/common.h) so
 // tools/bench_compare gates the numbers against bench/baselines/: node and
-// flow counts, the objective, warm/cache accounting and the oracle's
-// preprocessing footprint are deterministic (strict tolerance); wall times
-// and the rss-vs-dense ratio are loose. --max-wall-s / --max-rss-mb turn
-// the run into a hard budget check (exit 1 on breach) — the CI scale-smoke
-// job runs a reduced instance under exactly that contract.
+// flow counts, the objective, gain evaluations and peak RSS (MiB) are
+// strict; wall times and the rss-vs-dense ratio are loose. --max-wall-s /
+// --max-rss-mb turn the run into a hard budget check (exit 1 on breach) —
+// the CI scale-smoke job runs under exactly that contract.
 //
-//   scale [--side=317] [--flows=100000] [--k=8] [--landmarks=8]
-//         [--max-trip=60] [--out=BENCH_scale.json]
-//         [--max-wall-s=0] [--max-rss-mb=0]
+//   scale [--side=317] [--flows=100000] [--k=8] [--max-trip=60]
+//         [--out=BENCH_scale.json] [--max-wall-s=0] [--max-rss-mb=0]
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -30,9 +27,7 @@
 #include "src/citygen/grid_city.h"
 #include "src/core/lazy_greedy.h"
 #include "src/core/problem.h"
-#include "src/graph/oracle.h"
-#include "src/graph/oracle_cache.h"
-#include "src/traffic/oracle_detour.h"
+#include "src/traffic/detour.h"
 #include "src/traffic/utility.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
@@ -124,8 +119,6 @@ int main(int argc, char** argv) {
     const auto flow_count =
         static_cast<std::size_t>(flags.get_int("flows", 100'000));
     const auto k = static_cast<std::size_t>(flags.get_int("k", 8));
-    const auto landmarks =
-        static_cast<std::size_t>(flags.get_int("landmarks", 8));
     const auto max_trip =
         static_cast<std::size_t>(flags.get_int("max-trip", 60));
     const double max_wall_s = flags.get_double("max-wall-s", 0.0);
@@ -140,26 +133,20 @@ int main(int argc, char** argv) {
 
     stage = Clock::now();
     util::Rng rng(1);
-    std::vector<traffic::TrafficFlow> flows =
+    const std::vector<traffic::TrafficFlow> flows =
         corridor_flows(city, flow_count, max_trip, rng);
     const double flows_build_ms = ms_since(stage);
 
     const graph::NodeId shop = city.center_node();
 
-    // Oracle engine: ALT preprocessing (2L Dijkstra tables, O(L*n) memory)
-    // plus a parallel cache warm of every distance the flows will query.
+    // The detour engine: one reverse and one forward Dijkstra from the shop.
     stage = Clock::now();
-    const auto oracle = std::make_shared<graph::AltOracle>(
-        net, graph::AltParams{landmarks, 1});
-    const auto cache = std::make_shared<graph::SparseDistanceCache>();
-    auto engine = std::make_unique<traffic::OracleDetourCalculator>(
-        net, oracle, shop, traffic::DetourMode::kAlongPath, cache);
-    engine->warm(flows);
+    auto engine = std::make_unique<traffic::DetourCalculator>(net, shop);
     const double engine_build_ms = ms_since(stage);
 
     stage = Clock::now();
     const traffic::LinearUtility utility(3'000.0);
-    const core::PlacementProblem problem(net, std::move(flows), shop, utility,
+    const core::PlacementProblem problem(net, flows, shop, utility,
                                          std::move(engine));
     const double problem_build_ms = ms_since(stage);
 
@@ -177,7 +164,6 @@ int main(int argc, char** argv) {
     // far below 1 (i.e. peak RSS sublinear in n^2).
     const double dense_matrix_mb = n * n * 8.0 / (1024.0 * 1024.0);
     const double rss_vs_dense = rss_mb > 0.0 ? rss_mb / dense_matrix_mb : 0.0;
-    const graph::SparseDistanceCache::Stats cache_stats = cache->stats();
 
     std::vector<bench::BenchMetric> metrics;
     metrics.push_back({"scale.nodes", n, "count", false});
@@ -185,16 +171,9 @@ int main(int argc, char** argv) {
                        "count", false});
     metrics.push_back({"scale.customers", placement.customers, "customers",
                        false});
-    metrics.push_back({"scale.warm_pairs",
-                       static_cast<double>(cache_stats.insertions), "count",
-                       false});
     metrics.push_back({"scale.gain_evaluations",
                        static_cast<double>(greedy_stats.gain_evaluations),
                        "count", true});
-    metrics.push_back({"scale.oracle_memory_mb",
-                       static_cast<double>(oracle->memory_bytes()) /
-                           (1024.0 * 1024.0),
-                       "mb", true});
     metrics.push_back({"scale.city_build_ms", city_build_ms, "ms", true});
     metrics.push_back({"scale.flows_build_ms", flows_build_ms, "ms", true});
     metrics.push_back({"scale.engine_build_ms", engine_build_ms, "ms", true});
@@ -202,26 +181,21 @@ int main(int argc, char** argv) {
                        true});
     metrics.push_back({"scale.place_ms", place_ms, "ms", true});
     metrics.push_back({"scale.total_ms", total_ms, "ms", true});
-    // Unit "ratio" (not "mb"): RSS is allocator- and machine-dependent, so
-    // it belongs in bench_compare's loose tolerance class; the
-    // rss_vs_dense_matrix ratio below is the sublinearity contract proper.
-    metrics.push_back({"scale.peak_rss_mb", rss_mb, "ratio", true});
+    metrics.push_back({"scale.peak_rss_mb", rss_mb, "MiB", true});
     metrics.push_back({"scale.rss_vs_dense_matrix", rss_vs_dense, "ratio",
                        true});
     bench::write_bench_json(out, "scale",
                             {{"side", std::to_string(side)},
                              {"flows", std::to_string(flow_count)},
                              {"k", std::to_string(k)},
-                             {"landmarks", std::to_string(landmarks)},
                              {"max_trip", std::to_string(max_trip)},
-                             {"engine", "alt"}},
+                             {"engine", "dijkstra"}},
                             metrics);
 
     std::cout << "scale: " << net.num_nodes() << " nodes, "
               << problem.num_flows() << " flows, k=" << k << "\n"
               << "  city " << city_build_ms << " ms, flows " << flows_build_ms
-              << " ms, engine " << engine_build_ms << " ms (warm "
-              << cache_stats.insertions << " pairs), problem "
+              << " ms, engine " << engine_build_ms << " ms, problem "
               << problem_build_ms << " ms, place " << place_ms << " ms\n"
               << "  objective " << placement.customers << " customers, "
               << greedy_stats.gain_evaluations << " gain evaluation(s)\n"

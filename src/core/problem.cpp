@@ -4,43 +4,49 @@
 #include <stdexcept>
 
 namespace rap::core {
+namespace {
 
-PlacementProblem::PlacementProblem(const graph::RoadNetwork& net,
-                                   std::vector<traffic::TrafficFlow> flows,
-                                   graph::NodeId shop,
-                                   const traffic::UtilityFunction& utility,
-                                   traffic::DetourMode mode)
-    : PlacementProblem(net, std::move(flows), shop, utility,
+const traffic::DetourSource& non_null(
+    const std::unique_ptr<const traffic::DetourSource>& detours) {
+  if (!detours) {
+    throw std::invalid_argument("PlacementProblem: null detour source");
+  }
+  return *detours;
+}
+
+}  // namespace
+
+PlacementProblem::PlacementProblem(
+    const graph::RoadNetwork& net,
+    const std::vector<traffic::TrafficFlow>& flows, graph::NodeId shop,
+    const traffic::UtilityFunction& utility, traffic::DetourMode mode)
+    : PlacementProblem(net, flows, shop, utility,
                        std::make_unique<traffic::DetourCalculator>(
                            net, (net.check_node(shop), shop), mode)) {}
 
 PlacementProblem::PlacementProblem(
-    const graph::RoadNetwork& net, std::vector<traffic::TrafficFlow> flows,
-    graph::NodeId shop, const traffic::UtilityFunction& utility,
+    const graph::RoadNetwork& net,
+    const std::vector<traffic::TrafficFlow>& flows, graph::NodeId shop,
+    const traffic::UtilityFunction& utility,
     std::unique_ptr<const traffic::DetourSource> detours)
     : net_(&net),
-      flows_(std::move(flows)),
       shop_(shop),
       utility_(&utility),
-      detours_(std::move(detours)) {
-  if (!detours_) {
-    throw std::invalid_argument("PlacementProblem: null detour source");
+      incidence_(net, flows, non_null(detours)) {
+  weights_.reserve(flows.size());
+  for (const traffic::TrafficFlow& flow : flows) {
+    weights_.push_back({flow.population(), flow.alpha});
   }
-  for (const traffic::TrafficFlow& flow : flows_) {
-    traffic::validate_flow(net, flow);
-  }
-  incidence_ =
-      std::make_unique<traffic::IncidenceIndex>(net, flows_, *detours_);
 }
 
 double PlacementProblem::customers(traffic::FlowIndex flow,
                                    double detour) const {
-  if (flow >= flows_.size()) {
+  if (flow >= weights_.size()) {
     throw std::out_of_range("PlacementProblem::customers: bad flow index");
   }
   if (std::isinf(detour)) return 0.0;
-  const traffic::TrafficFlow& f = flows_[flow];
-  return utility_->probability(detour, f.alpha) * f.population();
+  const FlowWeight& weight = weights_[flow];
+  return utility_->probability(detour, weight.alpha) * weight.population;
 }
 
 }  // namespace rap::core

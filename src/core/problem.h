@@ -77,19 +77,20 @@ class CoverageModel {
 class PlacementProblem final : public CoverageModel {
  public:
   /// Single-shop problem. `net` and `utility` must outlive the problem;
-  /// flows are copied and validated. Throws std::invalid_argument on a bad
-  /// flow or shop id.
+  /// flows are validated and read only during construction. Throws
+  /// std::invalid_argument on a bad flow or shop id.
   PlacementProblem(const graph::RoadNetwork& net,
-                   std::vector<traffic::TrafficFlow> flows,
+                   const std::vector<traffic::TrafficFlow>& flows,
                    graph::NodeId shop,
                    const traffic::UtilityFunction& utility,
                    traffic::DetourMode mode = traffic::DetourMode::kAlongPath);
 
   /// Generalised constructor with an externally supplied detour source
-  /// (used by the multi-shop extension). `shop` is only used for reporting
-  /// and the Random baseline; pass kInvalidNode when there is no single shop.
+  /// (used by the multi-shop extension), which prices the flows during
+  /// construction only. `shop` is only used for reporting and the Random
+  /// baseline; pass kInvalidNode when there is no single shop.
   PlacementProblem(const graph::RoadNetwork& net,
-                   std::vector<traffic::TrafficFlow> flows,
+                   const std::vector<traffic::TrafficFlow>& flows,
                    graph::NodeId shop,
                    const traffic::UtilityFunction& utility,
                    std::unique_ptr<const traffic::DetourSource> detours);
@@ -107,39 +108,38 @@ class PlacementProblem final : public CoverageModel {
   }
   [[nodiscard]] graph::NodeId shop() const noexcept override { return shop_; }
   [[nodiscard]] std::size_t num_flows() const noexcept override {
-    return flows_.size();
+    return weights_.size();
   }
   [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
       graph::NodeId node) const override {
-    return incidence_->at_node(node);
+    return incidence_.at_node(node);
   }
   [[nodiscard]] double customers(traffic::FlowIndex flow,
                                  double detour) const override;
   [[nodiscard]] double passing_vehicles(graph::NodeId node) const override {
-    return incidence_->passing_vehicles(node);
+    return incidence_.passing_vehicles(node);
   }
   [[nodiscard]] std::size_t passing_flow_count(
       graph::NodeId node) const override {
-    return incidence_->passing_flow_count(node);
+    return incidence_.passing_flow_count(node);
   }
 
-  [[nodiscard]] const std::vector<traffic::TrafficFlow>& flows() const noexcept {
-    return flows_;
-  }
-  [[nodiscard]] const traffic::DetourSource& detours() const noexcept {
-    return *detours_;
-  }
   [[nodiscard]] const traffic::IncidenceIndex& incidence() const noexcept {
-    return *incidence_;
+    return incidence_;
   }
 
  private:
+  /// What customers() needs of a flow: its population() and alpha.
+  struct FlowWeight {
+    double population = 0.0;
+    double alpha = 1.0;
+  };
+
   const graph::RoadNetwork* net_;
-  std::vector<traffic::TrafficFlow> flows_;
   graph::NodeId shop_;
   const traffic::UtilityFunction* utility_;
-  std::unique_ptr<const traffic::DetourSource> detours_;
-  std::unique_ptr<const traffic::IncidenceIndex> incidence_;
+  traffic::IncidenceIndex incidence_;
+  std::vector<FlowWeight> weights_;
 };
 
 }  // namespace rap::core

@@ -4,19 +4,17 @@
 // the placement problem with the shop there, runs the placement algorithm,
 // and ranks candidates by attracted customers.
 //
-// The evaluation loop shares distance state across all candidate shops: a
-// single all-pairs matrix on small cities (the paper's O(|V|^3)
-// preprocessing, amortised — exactly when ApspDetourCalculator beats
-// per-shop Dijkstras), or a shared sparse DistanceOracle + distance cache
-// on metro cities where the n^2 matrix is unaffordable. Rankings are
-// bitwise identical either way (the oracle contract, src/graph/oracle.h).
+// On small cities the evaluation loop shares one all-pairs matrix across all
+// candidate shops (the paper's O(|V|^3) preprocessing, amortised — exactly
+// when ApspDetourCalculator beats per-shop Dijkstras). Above
+// dense_node_limit, where the n^2 matrix is unaffordable, each candidate
+// gets its own DetourCalculator: two shop-rooted Dijkstras, O(n) memory.
 #pragma once
 
 #include <vector>
 
 #include "src/core/problem.h"
 #include "src/graph/apsp.h"
-#include "src/graph/oracle.h"
 
 namespace rap::eval {
 
@@ -32,10 +30,9 @@ struct ShopSitingOptions {
   std::vector<graph::NodeId> candidates;
   /// Keep only the best `top` sites in the result (0 = all).
   std::size_t top = 0;
-  /// Distance backend: "auto" shares one dense matrix below
-  /// oracle.dense_node_limit and one sparse oracle + distance cache above
-  /// it. The ranking is bitwise identical for every backend.
-  graph::OraclePolicy oracle;
+  /// Node count up to which candidates share one dense matrix (2048^2
+  /// doubles = 32 MiB); above it each candidate runs two shop Dijkstras.
+  std::size_t dense_node_limit = 2048;
 };
 
 /// Ranks candidate shop sites by the customers their best placement

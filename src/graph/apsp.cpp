@@ -21,7 +21,8 @@ std::string dense_limit_message(std::size_t nodes, std::size_t limit) {
   return "dense distance matrix refused: " + std::to_string(nodes) +
          " nodes > limit " + std::to_string(limit) + " (n*n doubles = " +
          std::to_string(static_cast<long long>(mib)) +
-         " MiB); use a sparse DistanceOracle backend (src/graph/oracle.h)";
+         " MiB); price detours with the shop's two Dijkstra trees "
+         "(traffic::DetourCalculator)";
 }
 
 }  // namespace

@@ -65,16 +65,10 @@ std::string network_to_csv(const RoadNetwork& net) {
 RoadNetwork network_from_csv(std::string_view text,
                              std::string_view source_name) {
   RoadNetwork net;
-  std::vector<util::CsvRecord> records;
-  try {
-    records = util::parse_csv_records(text);
-  } catch (const std::invalid_argument& error) {
-    throw std::invalid_argument(std::string(source_name) + ": " + error.what());
-  }
-  for (const util::CsvRecord& record : records) {
+  const auto parse_row = [&](const util::CsvRecord& record) {
     const auto& row = record.fields;
     const ParsePosition at{source_name, record.line};
-    if (row.empty()) continue;
+    if (row.empty()) return;
     if (row[0] == "node") {
       if (row.size() != 3) fail(at, "node row needs x,y");
       net.add_node({parse_double(at, row[1]), parse_double(at, row[2])});
@@ -95,6 +89,11 @@ RoadNetwork network_from_csv(std::string_view text,
     } else {
       fail(at, "unknown row kind '" + row[0] + "'");
     }
+  };
+  try {
+    util::for_each_csv_record(text, parse_row);
+  } catch (const util::CsvSyntaxError& error) {
+    throw std::invalid_argument(std::string(source_name) + ": " + error.what());
   }
   return net;
 }

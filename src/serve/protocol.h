@@ -7,10 +7,7 @@
 //   {"schema":"rap.serve.v1","ok":false,"id":...,
 //    "error":{"code":"bad_request","message":"..."}}
 // Stable error codes: bad_request, unknown_op, no_session, bad_scenario,
-// resource_limit, deadline_exceeded, internal. "resource_limit" means the
-// request asked for more than the server will allocate (e.g. a dense
-// distance matrix on a city over the configured node limit — retry with a
-// sparse oracle engine); the server itself stays healthy.
+// deadline_exceeded, internal.
 //
 // This header owns the JSON value model (parse + serialize) and the error
 // vocabulary; src/serve/server.h owns dispatch. The parser is deliberately

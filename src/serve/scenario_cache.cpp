@@ -143,27 +143,23 @@ graph::NodeId pick_shop(const ScenarioSpec& spec, const graph::RoadNetwork& net,
   return pool[rng.next_below(pool.size())];
 }
 
-/// Approximate resident footprint for LRU accounting: network CSR, flow
-/// paths, the two shop shortest-path trees, and the incidence index (one
-/// entry per (flow, path node) pair). Order-of-magnitude is all eviction
-/// needs.
+/// Approximate resident footprint for LRU accounting (DESIGN.md §13): the
+/// network CSR, the base flows with their paths, the shop's two trees, the
+/// problem's per-flow (population, alpha) pair, and the node -> flows
+/// incidence index at one 16-byte entry per distinct (flow, node) pair.
 std::size_t estimate_bytes(const ServeScenario& scenario) {
+  const std::size_t n = scenario.net.num_nodes();
   std::size_t bytes = sizeof(ServeScenario);
-  bytes += scenario.net.num_nodes() * 48;
-  bytes += scenario.net.num_edges() * 24;
-  std::size_t path_nodes = 0;
+  bytes += n * 48 + scenario.net.num_edges() * 24;
   for (const traffic::TrafficFlow& flow : scenario.flows) {
-    path_nodes += flow.path.size();
-    bytes += sizeof(traffic::TrafficFlow);
+    bytes += sizeof(traffic::TrafficFlow) +
+             flow.path.size() * sizeof(graph::NodeId);
   }
-  bytes += path_nodes * sizeof(graph::NodeId);  // the paths themselves
-  bytes += scenario.net.num_nodes() * 2 * 16;   // to-shop + from-shop trees
-  bytes += path_nodes * 2 * 16;                 // incidence index, both axes
-  if (scenario.oracle != nullptr) bytes += scenario.oracle->memory_bytes();
-  if (scenario.oracle_cache != nullptr) {
-    // Post-warm resident entries (key + value + bucket overhead).
-    bytes += scenario.oracle_cache->size() * 24;
-  }
+  bytes += n * 2 * sizeof(double);                      // d', d''
+  bytes += scenario.flows.size() * 2 * sizeof(double);  // weights
+  bytes += scenario.problem->incidence().num_entries() *
+           sizeof(traffic::NodeIncidence);
+  bytes += n * (sizeof(std::uint32_t) + sizeof(double));  // starts, vehicles
   return bytes;
 }
 
@@ -226,9 +222,8 @@ std::uint64_t scenario_key(const ScenarioSpec& spec) {
   return key;
 }
 
-std::shared_ptr<const ServeScenario> build_scenario(
-    const ScenarioSpec& spec, std::uint64_t key,
-    const traffic::DetourEnginePolicy& policy) {
+std::shared_ptr<const ServeScenario> build_scenario(const ScenarioSpec& spec,
+                                                    std::uint64_t key) {
   validate_spec(spec);
   const obs::Span span("serve.scenario_build");
   auto scenario = std::make_shared<ServeScenario>();
@@ -252,12 +247,8 @@ std::shared_ptr<const ServeScenario> build_scenario(
   scenario->utility =
       traffic::make_utility(utility_kind_or_throw(spec.utility), spec.range);
   scenario->shop = pick_shop(spec, scenario->net, scenario->flows);
-  traffic::DetourEngine engine = traffic::make_detour_engine(
-      scenario->net, scenario->shop, scenario->flows, policy);
-  scenario->detours = std::move(engine.detours);
-  scenario->detour_engine = std::move(engine.engine);
-  scenario->oracle = std::move(engine.oracle);
-  scenario->oracle_cache = std::move(engine.cache);
+  scenario->detours = std::make_shared<traffic::DetourCalculator>(
+      scenario->net, scenario->shop);
   scenario->problem = std::make_unique<core::PlacementProblem>(
       scenario->net, scenario->flows, scenario->shop, *scenario->utility,
       std::make_unique<SharedDetours>(scenario->detours));
@@ -266,11 +257,6 @@ std::shared_ptr<const ServeScenario> build_scenario(
                       std::to_string(scenario->net.num_nodes()) +
                       " intersections, " + std::to_string(scenario->flows.size()) +
                       " flows, utility " + scenario->utility->name();
-  // The classic engine keeps the historical summary byte-identical; oracle
-  // engines announce themselves.
-  if (scenario->detour_engine != "dijkstra") {
-    scenario->summary += ", detours " + scenario->detour_engine;
-  }
   return scenario;
 }
 

@@ -1,10 +1,9 @@
 // Scenario loading + content-addressed caching for the placement service.
 //
 // A ServeScenario is a fully built, pinned problem instance: network, base
-// flows, utility, shop, the shop's detour engine (two Dijkstras, or an
-// oracle-backed engine per the server's DetourEnginePolicy) and the base
-// PlacementProblem. Building one is the expensive part of serving a
-// `load` request — city generation or CSV parsing, map matching, the shop
+// flows, utility, shop, the shop's detour engine (two shop-rooted Dijkstra
+// trees) and the base PlacementProblem. Building one is the expensive part
+// of serving a `load` request — city generation or CSV parsing, map matching, the shop
 // Dijkstras, the incidence index — so scenarios are cached behind a 64-bit
 // content key and shared (shared_ptr) between the cache and any live
 // sessions.
@@ -31,13 +30,10 @@
 #include <vector>
 
 #include "src/core/problem.h"
-#include "src/graph/oracle.h"
-#include "src/graph/oracle_cache.h"
 #include "src/graph/road_network.h"
 #include "src/obs/event_log.h"
 #include "src/traffic/detour.h"
 #include "src/traffic/flow.h"
-#include "src/traffic/oracle_detour.h"
 #include "src/traffic/utility.h"
 
 namespace rap::serve {
@@ -97,15 +93,8 @@ struct ServeScenario {
   std::vector<traffic::TrafficFlow> flows;  ///< base flows (pre-delta)
   std::unique_ptr<traffic::UtilityFunction> utility;
   graph::NodeId shop = graph::kInvalidNode;
-  /// The shop detour engine, shared into delta rebuilds via SharedDetours.
-  /// Classic per-shop DetourCalculator or an oracle-backed
-  /// OracleDetourCalculator, per the build policy.
-  std::shared_ptr<const traffic::DetourSource> detours;
-  /// Resolved engine name: "dijkstra" | "dense" | "bidijkstra" | "alt".
-  std::string detour_engine = "dijkstra";
-  /// Oracle state behind an oracle engine (null for "dijkstra").
-  std::shared_ptr<const graph::DistanceOracle> oracle;
-  std::shared_ptr<graph::SparseDistanceCache> oracle_cache;
+  /// The shop's two trees, shared into delta rebuilds via SharedDetours.
+  std::shared_ptr<const traffic::DetourCalculator> detours;
   /// Problem over the base flows (also built on SharedDetours).
   std::unique_ptr<core::PlacementProblem> problem;
   std::size_t bytes = 0;  ///< approximate resident footprint (LRU accounting)
@@ -129,15 +118,10 @@ struct ServeScenario {
 void validate_spec(const ScenarioSpec& spec);
 
 /// Builds the full scenario for `spec` (expensive: generation/parsing,
-/// matching, Dijkstras, incidence). `key` must be scenario_key(spec). The
-/// engine policy is server-level configuration, not scenario content, so it
-/// is deliberately NOT part of the cache key: a server prices every
-/// scenario with its one configured policy. Throws graph::DenseLimitError
-/// (mapped to the "resource_limit" error code by the server) when the
-/// policy forces a dense matrix on a city over its node limit.
+/// matching, the shop's two Dijkstras, incidence). `key` must be
+/// scenario_key(spec).
 [[nodiscard]] std::shared_ptr<const ServeScenario> build_scenario(
-    const ScenarioSpec& spec, std::uint64_t key,
-    const traffic::DetourEnginePolicy& policy = {});
+    const ScenarioSpec& spec, std::uint64_t key);
 
 /// LRU-by-bytes scenario cache. Thread-compatible (the server serializes
 /// access); lookup/insert are O(1) amortised.

@@ -260,7 +260,7 @@ JsonValue Server::handle_load(ClientLock& client,
       // Build outside every lock: concurrent clients racing on the same key
       // both build, and the second insert refreshes the first — benign,
       // content-keyed results are interchangeable.
-      scenario = build_scenario(spec, key, options_.detours);
+      scenario = build_scenario(spec, key);
       {
         const util::MutexLock lock(stats_mutex_);
         ++scenario_builds_;
@@ -273,11 +273,6 @@ JsonValue Server::handle_load(ClientLock& client,
     }
   } catch (const RequestError&) {
     throw;
-  } catch (const graph::DenseLimitError& error) {
-    // A forced dense engine on a city over the matrix node limit: the guard
-    // fires before the n^2 allocation, so the refusal is instant and the
-    // server stays up.
-    throw RequestError("resource_limit", error.what());
   } catch (const std::exception& error) {
     throw RequestError("bad_scenario", error.what());
   }
@@ -288,7 +283,7 @@ JsonValue Server::handle_load(ClientLock& client,
   object.emplace("key", hex_key(scenario->key));
   object.emplace("cached", source == std::string_view("cache"));
   object.emplace("source", source);
-  object.emplace("engine", scenario->detour_engine);
+  object.emplace("engine", "dijkstra");  // kept for rap.serve.v1 clients
   object.emplace("summary", scenario->summary);
   object.emplace("nodes", static_cast<double>(scenario->net.num_nodes()));
   object.emplace("flows", static_cast<double>(scenario->flows.size()));
@@ -449,7 +444,6 @@ JsonValue Server::handle_stats(ClientLock& client, const JsonValue::Object&) {
   if (store_ != nullptr) {
     const ScenarioStore::Stats store = store_->stats();
     store_json.emplace("persisted", static_cast<double>(store.persisted));
-    store_json.emplace("skipped", static_cast<double>(store.skipped));
     store_json.emplace("rehydrated", static_cast<double>(store.rehydrated));
     store_json.emplace("corrupt", static_cast<double>(store.corrupt));
     store_json.emplace("io_errors", static_cast<double>(store.io_errors));

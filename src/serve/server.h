@@ -84,16 +84,10 @@ struct ServerOptions {
   /// Structured JSONL sink for request/cache/warm-start events; nullptr
   /// disables logging. Must outlive the server.
   obs::EventLog* log = nullptr;
-  /// Detour engine policy for every scenario this server builds (rap_serve
-  /// --oracle* flags). The default "auto" keeps the classic per-shop
-  /// Dijkstra engine on small cities and switches to a sparse oracle above
-  /// the node threshold; a forced dense matrix over its node limit turns
-  /// into a "resource_limit" error response.
-  traffic::DetourEnginePolicy detours;
   /// Segment store directory (rap_serve --store-dir); empty disables
   /// persistence. The constructor opens the store and rehydrates the cache
-  /// from it, and every "dijkstra"-engine scenario built afterwards is
-  /// persisted under its content key.
+  /// from it, and every scenario built afterwards is persisted under its
+  /// content key.
   std::string store_dir;
 };
 

@@ -9,7 +9,7 @@
 namespace rap::serve {
 
 Session::Session(std::shared_ptr<const ServeScenario> scenario)
-    : scenario_(std::move(scenario)), flows_(scenario_->flows) {}
+    : scenario_(std::move(scenario)) {}
 
 const core::CoverageModel& Session::model() const noexcept {
   return delta_problem_ != nullptr
@@ -17,49 +17,50 @@ const core::CoverageModel& Session::model() const noexcept {
              : *scenario_->problem;
 }
 
-void Session::rebuild_problem() {
-  // The expensive inputs — network and the shop's two Dijkstra trees — are
-  // shared from the scenario; only the incidence index is rebuilt here.
-  delta_problem_ = std::make_unique<core::PlacementProblem>(
-      scenario_->net, flows_, scenario_->shop, *scenario_->utility,
-      std::make_unique<SharedDetours>(scenario_->detours));
-}
-
 void Session::apply_delta(const DeltaOp& op) {
   const obs::Span span("serve.delta");
+  const std::vector<traffic::TrafficFlow>& current = flows();
   switch (op.kind) {
-    case DeltaOp::Kind::kAddFlow: {
+    case DeltaOp::Kind::kAddFlow:
       traffic::validate_flow(scenario_->net, op.flow);
-      apply_delta_bound(warm_, op, flows_, *scenario_->utility);
-      flows_.push_back(op.flow);
       break;
-    }
-    case DeltaOp::Kind::kRemoveFlow: {
-      if (op.index >= flows_.size()) {
+    case DeltaOp::Kind::kRemoveFlow:
+      if (op.index >= current.size()) {
         throw std::out_of_range("remove_flow: index " +
                                 std::to_string(op.index) + " out of range (" +
-                                std::to_string(flows_.size()) + " flows)");
+                                std::to_string(current.size()) + " flows)");
       }
-      apply_delta_bound(warm_, op, flows_, *scenario_->utility);
-      flows_.erase(flows_.begin() +
-                   static_cast<std::ptrdiff_t>(op.index));
       break;
-    }
-    case DeltaOp::Kind::kScaleFlow: {
-      if (op.index >= flows_.size()) {
+    case DeltaOp::Kind::kScaleFlow:
+      if (op.index >= current.size()) {
         throw std::out_of_range("scale_flow: index " +
                                 std::to_string(op.index) + " out of range (" +
-                                std::to_string(flows_.size()) + " flows)");
+                                std::to_string(current.size()) + " flows)");
       }
       if (!(op.factor > 0.0)) {
         throw std::invalid_argument("scale_flow: factor must be > 0");
       }
-      apply_delta_bound(warm_, op, flows_, *scenario_->utility);
-      flows_[op.index].daily_vehicles *= op.factor;
       break;
-    }
   }
-  rebuild_problem();
+  apply_delta_bound(warm_, op, current, *scenario_->utility);
+  if (!flows_.has_value()) flows_ = scenario_->flows;  // the one copy
+  std::vector<traffic::TrafficFlow>& own = *flows_;
+  switch (op.kind) {
+    case DeltaOp::Kind::kAddFlow:
+      own.push_back(op.flow);
+      break;
+    case DeltaOp::Kind::kRemoveFlow:
+      own.erase(own.begin() + static_cast<std::ptrdiff_t>(op.index));
+      break;
+    case DeltaOp::Kind::kScaleFlow:
+      own[op.index].daily_vehicles *= op.factor;
+      break;
+  }
+  // The expensive inputs — network and the shop's two Dijkstra trees — are
+  // shared from the scenario; only the incidence index is rebuilt here.
+  delta_problem_ = std::make_unique<core::PlacementProblem>(
+      scenario_->net, own, scenario_->shop, *scenario_->utility,
+      std::make_unique<SharedDetours>(scenario_->detours));
   ++stats_.deltas;
   obs::add_counter("serve.deltas_applied");
 }

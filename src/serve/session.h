@@ -2,8 +2,9 @@
 // top of it by delta operations.
 //
 // The session never mutates its (shared, possibly cached) ServeScenario.
-// Delta operations copy-on-write the flow vector and rebuild a private
-// PlacementProblem over it — cheaply, because the scenario's shop detour
+// It reads the scenario's base flows until its first delta, which copies
+// them; every delta then rebuilds a private PlacementProblem over its own
+// flows — cheaply, because the scenario's shop detour
 // engine (two Dijkstras) is shared via SharedDetours and only the incidence
 // index is rebuilt. Between placements the session carries the warm-start
 // state (src/serve/delta.h): the first `place` runs cold and records exact
@@ -15,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,9 +44,11 @@ class Session {
   /// The active coverage model: the scenario's base problem until the first
   /// delta, the private rebuilt problem afterwards.
   [[nodiscard]] const core::CoverageModel& model() const noexcept;
+  /// The current flow set: the scenario's own base flows (shared, not
+  /// copied) until the first delta, the session's private copy afterwards.
   [[nodiscard]] const std::vector<traffic::TrafficFlow>& flows()
       const noexcept {
-    return flows_;
+    return flows_.has_value() ? *flows_ : scenario_->flows;
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   /// Whether the next place() can start from warm round-0 gains.
@@ -71,12 +75,11 @@ class Session {
   [[nodiscard]] double evaluate(std::span<const graph::NodeId> nodes) const;
 
  private:
-  void rebuild_problem();
-
   std::shared_ptr<const ServeScenario> scenario_;
-  std::vector<traffic::TrafficFlow> flows_;  // current (post-delta) flow set
-  /// Private problem over flows_; null while flows_ still equals the
-  /// scenario's base flows (the scenario's own problem serves then).
+  /// Post-delta flow set; empty until the first delta copies the base flows.
+  std::optional<std::vector<traffic::TrafficFlow>> flows_;
+  /// Private problem over flows_; null until the first delta (the
+  /// scenario's own problem serves then).
   std::unique_ptr<core::PlacementProblem> delta_problem_;
   WarmState warm_;
   Stats stats_;

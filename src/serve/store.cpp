@@ -26,8 +26,9 @@ namespace {
 constexpr char kMagic[8] = {'R', 'A', 'P', 'S', 'E', 'G', '1', '\n'};
 /// Fixed header size; every scalar field is 8 bytes except shop/reserved.
 constexpr std::size_t kHeaderBytes = 112;
-/// The only engine whose exact pricing state is O(n) and persistable.
-constexpr const char* kPersistableEngine = "dijkstra";
+/// The engine name field of the segment strings: every scenario is priced
+/// by the shop's two trees.
+constexpr std::string_view kEngine = "dijkstra";
 
 struct SegmentHeader {
   std::uint64_t version = 0;
@@ -150,11 +151,9 @@ traffic::UtilityKind utility_kind_from_name(std::string_view name) {
   throw std::runtime_error("segment names unknown utility");
 }
 
-/// Serializes the scenario (with its extracted d'/d'' arrays) into the
+/// Serializes the scenario (with its shop's d'/d'' arrays) into the
 /// on-disk byte layout.
-std::string serialize_segment(const ServeScenario& scenario,
-                              const std::vector<double>& to_shop,
-                              const std::vector<double>& from_shop) {
+std::string serialize_segment(const ServeScenario& scenario) {
   const std::string utility_name = scenario.utility->name();
   std::string payload;
   payload.reserve(scenario.net.num_nodes() * 32 +
@@ -168,8 +167,12 @@ std::string serialize_segment(const ServeScenario& scenario,
     append_u32(payload, edge.to);
     append_f64(payload, edge.length);
   }
-  for (const double distance : to_shop) append_f64(payload, distance);
-  for (const double distance : from_shop) append_f64(payload, distance);
+  for (const double distance : scenario.detours->to_shop()) {
+    append_f64(payload, distance);
+  }
+  for (const double distance : scenario.detours->from_shop()) {
+    append_f64(payload, distance);
+  }
   for (const traffic::TrafficFlow& flow : scenario.flows) {
     append_u32(payload, flow.origin);
     append_u32(payload, flow.destination);
@@ -180,8 +183,7 @@ std::string serialize_segment(const ServeScenario& scenario,
     for (const graph::NodeId node : flow.path) append_u32(payload, node);
   }
   append_raw(payload, scenario.summary.data(), scenario.summary.size());
-  append_raw(payload, scenario.detour_engine.data(),
-             scenario.detour_engine.size());
+  append_raw(payload, kEngine.data(), kEngine.size());
   append_raw(payload, utility_name.data(), utility_name.size());
 
   std::string out;
@@ -199,7 +201,7 @@ std::string serialize_segment(const ServeScenario& scenario,
   append_u32(out, scenario.shop);
   append_u32(out, 0);  // reserved
   append_u64(out, scenario.summary.size());
-  append_u64(out, scenario.detour_engine.size());
+  append_u64(out, kEngine.size());
   append_u64(out, utility_name.size());
   out += payload;
   return out;
@@ -293,7 +295,9 @@ std::shared_ptr<const ServeScenario> parse_segment(const MappedSegment& map,
     scenario->flows.push_back(std::move(flow));
   }
   scenario->summary = std::string(reader.bytes(header.summary_bytes));
-  scenario->detour_engine = std::string(reader.bytes(header.engine_bytes));
+  if (reader.bytes(header.engine_bytes) != kEngine) {
+    throw std::runtime_error("segment names an unknown detour engine");
+  }
   const std::string utility_name(reader.bytes(header.utility_bytes));
   if (reader.remaining() != 0) {
     throw std::runtime_error("segment has trailing bytes");
@@ -303,8 +307,8 @@ std::shared_ptr<const ServeScenario> parse_segment(const MappedSegment& map,
   scenario->shop = header.shop;
   scenario->utility =
       traffic::make_utility(utility_kind_from_name(utility_name), header.range);
-  scenario->detours = std::make_shared<StoredDetours>(
-      scenario->net, std::move(to_shop), std::move(from_shop));
+  scenario->detours = std::make_shared<traffic::DetourCalculator>(
+      scenario->net, scenario->shop, std::move(to_shop), std::move(from_shop));
   // The problem rebuild below revalidates every flow against the rebuilt
   // network, so a tampered path that survives the checksum still throws.
   scenario->problem = std::make_unique<core::PlacementProblem>(
@@ -346,36 +350,6 @@ std::string key_filename(std::uint64_t key) {
 
 }  // namespace
 
-StoredDetours::StoredDetours(const graph::RoadNetwork& net,
-                             std::vector<double> to_shop,
-                             std::vector<double> from_shop)
-    : net_(&net), to_shop_(std::move(to_shop)), from_shop_(std::move(from_shop)) {
-  if (to_shop_.size() != net.num_nodes() ||
-      from_shop_.size() != net.num_nodes()) {
-    throw std::invalid_argument(
-        "StoredDetours: distance arrays must cover every node");
-  }
-}
-
-std::vector<double> StoredDetours::detours_along_path(
-    const traffic::TrafficFlow& flow) const {
-  // Mirrors DetourCalculator::detours_along_path (kAlongPath mode) term for
-  // term, so rehydrated detours are bitwise identical to freshly priced
-  // ones: d = max(0, d' + d'' - d''').
-  traffic::validate_flow(*net_, flow);
-  const double d2 = from_shop_[flow.destination];  // d''
-  std::vector<double> out(flow.path.size(), graph::kUnreachable);
-  if (d2 == graph::kUnreachable) return out;
-  const std::vector<double> cum = graph::cumulative_lengths(*net_, flow.path);
-  for (std::size_t i = 0; i < flow.path.size(); ++i) {
-    const double direct = cum.back() - cum[i];  // d''' along the driver's route
-    const double d1 = to_shop_[flow.path[i]];   // d'
-    if (d1 == graph::kUnreachable) continue;
-    out[i] = std::max(0.0, d1 + d2 - direct);
-  }
-  return out;
-}
-
 ScenarioStore::ScenarioStore(std::string directory)
     : directory_(std::move(directory)) {
   std::error_code error;
@@ -391,33 +365,7 @@ std::string ScenarioStore::segment_path(std::uint64_t key) const {
 }
 
 bool ScenarioStore::put(const ServeScenario& scenario) {
-  // Extract the shop's d'/d'' arrays from a persistable engine. Rehydrated
-  // scenarios (StoredDetours) re-persist losslessly, e.g. into a new store.
-  const auto* calculator =
-      dynamic_cast<const traffic::DetourCalculator*>(scenario.detours.get());
-  const auto* stored =
-      dynamic_cast<const StoredDetours*>(scenario.detours.get());
-  if (scenario.detour_engine != kPersistableEngine ||
-      (calculator == nullptr && stored == nullptr)) {
-    const util::MutexLock lock(mutex_);
-    ++stats_.skipped;
-    return false;
-  }
-  std::vector<double> to_shop;
-  std::vector<double> from_shop;
-  if (stored != nullptr) {
-    to_shop = stored->to_shop();
-    from_shop = stored->from_shop();
-  } else {
-    const std::size_t n = scenario.net.num_nodes();
-    to_shop.reserve(n);
-    from_shop.reserve(n);
-    for (graph::NodeId node = 0; node < n; ++node) {
-      to_shop.push_back(calculator->distance_to_shop(node));
-      from_shop.push_back(calculator->distance_from_shop(node));
-    }
-  }
-  const std::string bytes = serialize_segment(scenario, to_shop, from_shop);
+  const std::string bytes = serialize_segment(scenario);
 
   const util::MutexLock lock(mutex_);
   const std::string path = segment_path(scenario.key);

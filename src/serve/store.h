@@ -38,11 +38,9 @@
 // reject other versions (counted corrupt), so a downgraded server treats
 // new-format segments as absent and rebuilds — never misreads.
 //
-// Only scenarios priced by the classic "dijkstra" engine are persisted:
-// their d'/d'' arrays are O(n) and fully determine every detour, including
-// detours of flows added later by deltas. Oracle-backed scenarios
-// (bidijkstra/alt/dense) price distances on demand and have no compact
-// exact state to persist; put() skips them (counted in Stats::skipped).
+// The d'/d'' arrays are O(n) and fully determine every detour, including
+// detours of flows added later by deltas; the engine name string is always
+// "dijkstra".
 #pragma once
 
 #include <cstdint>
@@ -60,35 +58,6 @@ namespace rap::serve {
 /// Current segment layout version (header field; see file comment).
 inline constexpr std::uint64_t kStoreFormatVersion = 1;
 
-/// Detour source rebuilt from a segment's stored d'/d'' arrays. Replicates
-/// DetourCalculator's kAlongPath pricing bit-for-bit (same inputs, same
-/// arithmetic), and — like the live calculator — prices ANY flow on the
-/// network, so delta-added flows work on rehydrated scenarios. Safe for
-/// concurrent use (const arrays, const network access).
-class StoredDetours final : public traffic::DetourSource {
- public:
-  /// `net` must outlive the source (the owning ServeScenario pins both).
-  /// The arrays hold one distance per node; kUnreachable where
-  /// disconnected.
-  StoredDetours(const graph::RoadNetwork& net, std::vector<double> to_shop,
-                std::vector<double> from_shop);
-
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override;
-
-  [[nodiscard]] const std::vector<double>& to_shop() const noexcept {
-    return to_shop_;
-  }
-  [[nodiscard]] const std::vector<double>& from_shop() const noexcept {
-    return from_shop_;
-  }
-
- private:
-  const graph::RoadNetwork* net_;
-  std::vector<double> to_shop_;    // d' per node
-  std::vector<double> from_shop_;  // d'' per node
-};
-
 /// The persistent segment store. Thread-safe: transports and the stdio loop
 /// may put/load concurrently (one internal mutex; segment IO is quick
 /// relative to scenario builds).
@@ -96,7 +65,6 @@ class ScenarioStore {
  public:
   struct Stats {
     std::uint64_t persisted = 0;   ///< segments written by put()
-    std::uint64_t skipped = 0;     ///< put() refusals (non-dijkstra engine)
     std::uint64_t rehydrated = 0;  ///< scenarios rebuilt from segments
     std::uint64_t corrupt = 0;     ///< segments rejected by validation
     std::uint64_t io_errors = 0;   ///< write/rename/read failures
@@ -107,8 +75,8 @@ class ScenarioStore {
   explicit ScenarioStore(std::string directory);
 
   /// Persists one built scenario under its content key. Returns true when a
-  /// segment was written; false when the scenario's engine is not
-  /// persistable, the key is already stored, or IO failed (see stats()).
+  /// segment was written; false when the key is already stored or IO failed
+  /// (see stats()).
   bool put(const ServeScenario& scenario) RAP_EXCLUDES(mutex_);
 
   /// Rehydrates one scenario by content key. Returns nullptr when the key

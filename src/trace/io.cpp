@@ -1,6 +1,8 @@
 #include "src/trace/io.h"
 
+#include <algorithm>
 #include <charconv>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -41,12 +43,12 @@ void check_header(const ParsePosition& at, const std::vector<std::string>& row,
   }
 }
 
-std::uint32_t parse_u32(const ParsePosition& at, const std::string& text) {
+std::uint32_t parse_u32(const ParsePosition& at, std::string_view text) {
   std::uint32_t out = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
   if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    fail(at, "not an unsigned integer: '" + text + "'");
+    fail(at, "not an unsigned integer: '" + std::string(text) + "'");
   }
   return out;
 }
@@ -62,13 +64,36 @@ double parse_double(const ParsePosition& at, const std::string& text) {
   }
 }
 
-std::vector<util::CsvRecord> parse_records_or_rethrow(
-    std::string_view text, std::string_view source_name) {
+using RowParser = std::function<void(const ParsePosition&,
+                                     const std::vector<std::string>&)>;
+
+/// Streams the data rows of `text` to `parse_row` after checking its header
+/// row against `header`; CSV syntax errors are re-anchored to `source_name`.
+template <std::size_t N>
+void for_each_data_row(std::string_view text, std::string_view source_name,
+                       const char* const (&header)[N],
+                       const RowParser& parse_row) {
+  bool seen_header = false;
   try {
-    return util::parse_csv_records(text);
-  } catch (const std::invalid_argument& error) {
+    util::for_each_csv_record(text, [&](const util::CsvRecord& record) {
+      const ParsePosition at{source_name, record.line};
+      if (!seen_header) {
+        check_header(at, record.fields, header);
+        seen_header = true;
+        return;
+      }
+      parse_row(at, record.fields);
+    });
+  } catch (const util::CsvSyntaxError& error) {
     throw std::invalid_argument(std::string(source_name) + ": " + error.what());
   }
+  if (!seen_header) fail({source_name, 1}, "missing header");
+}
+
+/// Upper bound on the data rows of `text`: its line breaks (every line but
+/// the header's ends one data row at most).
+std::size_t max_data_rows(std::string_view text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
 }
 
 std::string read_file(const std::filesystem::path& path) {
@@ -113,14 +138,10 @@ std::string records_to_csv(std::span<const TraceRecord> records) {
 
 std::vector<TraceRecord> records_from_csv(std::string_view text,
                                           std::string_view source_name) {
-  const auto rows = parse_records_or_rethrow(text, source_name);
-  if (rows.empty()) fail({source_name, 1}, "missing header");
-  check_header({source_name, rows[0].line}, rows[0].fields, kRecordHeader);
   std::vector<TraceRecord> records;
-  records.reserve(rows.size() - 1);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& row = rows[i].fields;
-    const ParsePosition at{source_name, rows[i].line};
+  records.reserve(max_data_rows(text));
+  const auto parse_row = [&](const ParsePosition& at,
+                             const std::vector<std::string>& row) {
     if (row.size() != 6) fail(at, "ragged row");
     TraceRecord r;
     r.vehicle_id = parse_u32(at, row[0]);
@@ -129,7 +150,8 @@ std::vector<TraceRecord> records_from_csv(std::string_view text,
     r.timestamp = parse_double(at, row[3]);
     r.position = {parse_double(at, row[4]), parse_double(at, row[5])};
     records.push_back(r);
-  }
+  };
+  for_each_data_row(text, source_name, kRecordHeader, parse_row);
   return records;
 }
 
@@ -164,14 +186,10 @@ std::string flows_to_csv(std::span<const traffic::TrafficFlow> flows) {
 std::vector<traffic::TrafficFlow> flows_from_csv(const graph::RoadNetwork& net,
                                                  std::string_view text,
                                                  std::string_view source_name) {
-  const auto rows = parse_records_or_rethrow(text, source_name);
-  if (rows.empty()) fail({source_name, 1}, "missing header");
-  check_header({source_name, rows[0].line}, rows[0].fields, kFlowHeader);
   std::vector<traffic::TrafficFlow> flows;
-  flows.reserve(rows.size() - 1);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& row = rows[i].fields;
-    const ParsePosition at{source_name, rows[i].line};
+  flows.reserve(max_data_rows(text));
+  const auto parse_row = [&](const ParsePosition& at,
+                             const std::vector<std::string>& row) {
     if (row.size() != 6) fail(at, "ragged row");
     traffic::TrafficFlow flow;
     flow.origin = parse_u32(at, row[0]);
@@ -179,8 +197,13 @@ std::vector<traffic::TrafficFlow> flows_from_csv(const graph::RoadNetwork& net,
     flow.daily_vehicles = parse_double(at, row[2]);
     flow.passengers_per_vehicle = parse_double(at, row[3]);
     flow.alpha = parse_double(at, row[4]);
-    for (const std::string& node : util::split(row[5], '|')) {
-      flow.path.push_back(parse_u32(at, node));
+    std::string_view path = row[5];
+    flow.path.reserve(static_cast<std::size_t>(
+                          std::count(path.begin(), path.end(), '|')) + 1);
+    for (std::size_t bar = 0; bar != std::string_view::npos;) {
+      bar = path.find('|');
+      flow.path.push_back(parse_u32(at, path.substr(0, bar)));
+      path.remove_prefix(bar == std::string_view::npos ? path.size() : bar + 1);
     }
     try {
       traffic::validate_flow(net, flow);
@@ -190,7 +213,8 @@ std::vector<traffic::TrafficFlow> flows_from_csv(const graph::RoadNetwork& net,
       fail(at, error.what());
     }
     flows.push_back(std::move(flow));
-  }
+  };
+  for_each_data_row(text, source_name, kFlowHeader, parse_row);
   return flows;
 }
 

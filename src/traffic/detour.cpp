@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "src/graph/path.h"
 
@@ -12,15 +13,36 @@ DetourCalculator::DetourCalculator(const graph::RoadNetwork& net,
     : net_(&net),
       shop_(shop),
       mode_(mode),
-      to_shop_(graph::dijkstra(net, shop, graph::Direction::kReverse)),
-      from_shop_(graph::dijkstra(net, shop, graph::Direction::kForward)) {}
+      to_shop_(graph::dijkstra(net, shop, graph::Direction::kReverse)
+                   .distances()),
+      from_shop_(graph::dijkstra(net, shop, graph::Direction::kForward)
+                     .distances()) {}
+
+DetourCalculator::DetourCalculator(const graph::RoadNetwork& net,
+                                   graph::NodeId shop,
+                                   std::vector<double> to_shop,
+                                   std::vector<double> from_shop)
+    : net_(&net),
+      shop_(shop),
+      mode_(DetourMode::kAlongPath),
+      to_shop_(std::move(to_shop)),
+      from_shop_(std::move(from_shop)) {
+  net.check_node(shop);
+  if (to_shop_.size() != net.num_nodes() ||
+      from_shop_.size() != net.num_nodes()) {
+    throw std::invalid_argument(
+        "DetourCalculator: distance arrays must cover every node");
+  }
+}
 
 double DetourCalculator::distance_to_shop(graph::NodeId node) const {
-  return to_shop_.distance(node);
+  net_->check_node(node);
+  return to_shop_[node];
 }
 
 double DetourCalculator::distance_from_shop(graph::NodeId node) const {
-  return from_shop_.distance(node);
+  net_->check_node(node);
+  return from_shop_[node];
 }
 
 const graph::ShortestPathTree& DetourCalculator::tree_to_destination(
@@ -36,7 +58,7 @@ const graph::ShortestPathTree& DetourCalculator::tree_to_destination(
 std::vector<double> DetourCalculator::detours_along_path(
     const TrafficFlow& flow) const {
   validate_flow(*net_, flow);
-  const double d2 = from_shop_.distance(flow.destination);  // d''
+  const double d2 = from_shop_[flow.destination];  // d''
   std::vector<double> out(flow.path.size(), graph::kUnreachable);
   if (d2 == graph::kUnreachable) return out;
 
@@ -54,7 +76,7 @@ std::vector<double> DetourCalculator::detours_along_path(
   }
 
   for (std::size_t i = 0; i < flow.path.size(); ++i) {
-    const double d1 = to_shop_.distance(flow.path[i]);  // d'
+    const double d1 = to_shop_[flow.path[i]];  // d'
     if (d1 == graph::kUnreachable || direct[i] == graph::kUnreachable) continue;
     out[i] = std::max(0.0, d1 + d2 - direct[i]);
   }

@@ -54,6 +54,13 @@ class DetourCalculator final : public DetourSource {
   DetourCalculator(const graph::RoadNetwork& net, graph::NodeId shop,
                    DetourMode mode = DetourMode::kAlongPath);
 
+  /// A kAlongPath calculator over already computed d' and d'' arrays (one
+  /// distance per node, kUnreachable where disconnected) — the serve
+  /// store's rehydration path. Prices bitwise like the Dijkstra-built one.
+  /// Throws std::invalid_argument unless both arrays cover every node.
+  DetourCalculator(const graph::RoadNetwork& net, graph::NodeId shop,
+                   std::vector<double> to_shop, std::vector<double> from_shop);
+
   [[nodiscard]] graph::NodeId shop() const noexcept { return shop_; }
   [[nodiscard]] DetourMode mode() const noexcept { return mode_; }
 
@@ -61,6 +68,13 @@ class DetourCalculator final : public DetourSource {
   [[nodiscard]] double distance_to_shop(graph::NodeId node) const;
   /// d'' — shortest distance from the shop to `node`.
   [[nodiscard]] double distance_from_shop(graph::NodeId node) const;
+  /// d' and d'' for every node.
+  [[nodiscard]] const std::vector<double>& to_shop() const noexcept {
+    return to_shop_;
+  }
+  [[nodiscard]] const std::vector<double>& from_shop() const noexcept {
+    return from_shop_;
+  }
 
   /// Detour distances at every node of the flow's path, in path order.
   /// The flow must be valid on the network (validate_flow).
@@ -79,8 +93,8 @@ class DetourCalculator final : public DetourSource {
   const graph::RoadNetwork* net_;
   graph::NodeId shop_;
   DetourMode mode_;
-  graph::ShortestPathTree to_shop_;    // reverse Dijkstra from the shop: d'
-  graph::ShortestPathTree from_shop_;  // forward Dijkstra from the shop: d''
+  std::vector<double> to_shop_;    // reverse Dijkstra from the shop: d'
+  std::vector<double> from_shop_;  // forward Dijkstra from the shop: d''
   // kShortestPath mode: per-destination reverse trees, built on demand.
   mutable std::unordered_map<graph::NodeId, graph::ShortestPathTree>
       to_destination_;

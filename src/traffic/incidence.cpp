@@ -7,53 +7,48 @@ namespace rap::traffic {
 
 IncidenceIndex::IncidenceIndex(const graph::RoadNetwork& net,
                                const std::vector<TrafficFlow>& flows,
-                               const DetourSource& detours) {
-  for (const TrafficFlow& flow : flows) validate_flow(net, flow);
+                               const DetourSource& detours)
+    : num_flows_(flows.size()) {
   const std::size_t n = net.num_nodes();
-  vehicles_at_node_.assign(n, 0.0);
+  constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+  std::vector<std::uint32_t> last_flow(n, kUnseen);  // last flow stamped at v
 
-  // First pass: per flow, collapse repeated path nodes to their minimum
-  // detour (the first visit, by Theorem 1, on shortest paths; minimum kept
-  // for robustness on trace paths).
-  flow_start_.assign(flows.size() + 1, 0);
-  std::vector<std::vector<FlowStop>> stops_per_flow(flows.size());
-  std::vector<std::uint32_t> seen_at(n, ~std::uint32_t{0});
-  std::vector<std::uint32_t> stop_slot(n, 0);
+  // Pass 1: count each flow's distinct nodes into node_start_[v + 1] and sum
+  // the passing vehicles, both in ascending flow order.
+  node_start_.assign(n + 1, 0);
+  vehicles_at_node_.assign(n, 0.0);
+  for (FlowIndex f = 0; f < flows.size(); ++f) {
+    const TrafficFlow& flow = flows[f];
+    validate_flow(net, flow);
+    for (const graph::NodeId v : flow.path) {
+      if (last_flow[v] == f) continue;
+      last_flow[v] = f;
+      ++node_start_[v + 1];
+      vehicles_at_node_[v] += flow.daily_vehicles;
+    }
+  }
+  for (std::size_t v = 1; v <= n; ++v) node_start_[v] += node_start_[v - 1];
+
+  // Pass 2: price each flow and fill at per-node cursors. Flows arrive in
+  // ascending order, so every at_node list is sorted by flow, and a repeated
+  // path node finds its entry for this flow at cursor[v] - 1, where it keeps
+  // the minimum detour (the first visit, by Theorem 1, on shortest paths;
+  // the minimum for robustness on trace paths).
+  node_entries_.resize(node_start_.back());
+  std::vector<std::uint32_t> cursor(node_start_.begin(), node_start_.end() - 1);
+  std::fill(last_flow.begin(), last_flow.end(), kUnseen);
   for (FlowIndex f = 0; f < flows.size(); ++f) {
     const TrafficFlow& flow = flows[f];
     const std::vector<double> path_detours = detours.detours_along_path(flow);
-    auto& stops = stops_per_flow[f];
-    stops.reserve(flow.path.size());
-    for (std::uint32_t i = 0; i < flow.path.size(); ++i) {
+    for (std::size_t i = 0; i < flow.path.size(); ++i) {
       const graph::NodeId v = flow.path[i];
-      if (seen_at[v] == f) {
-        FlowStop& existing = stops[stop_slot[v]];
-        existing.detour = std::min(existing.detour, path_detours[i]);
+      if (last_flow[v] == f) {
+        double& detour = node_entries_[cursor[v] - 1].detour;
+        detour = std::min(detour, path_detours[i]);
         continue;
       }
-      seen_at[v] = f;
-      stop_slot[v] = static_cast<std::uint32_t>(stops.size());
-      stops.push_back(FlowStop{v, i, path_detours[i]});
-      vehicles_at_node_[v] += flow.daily_vehicles;
-    }
-    flow_start_[f + 1] = flow_start_[f] + static_cast<std::uint32_t>(stops.size());
-  }
-
-  flow_entries_.reserve(flow_start_.back());
-  for (auto& stops : stops_per_flow) {
-    flow_entries_.insert(flow_entries_.end(), stops.begin(), stops.end());
-  }
-
-  // Second pass: transpose into the node -> flows layout.
-  node_start_.assign(n + 1, 0);
-  for (const FlowStop& stop : flow_entries_) ++node_start_[stop.node + 1];
-  for (std::size_t v = 1; v <= n; ++v) node_start_[v] += node_start_[v - 1];
-  node_entries_.resize(flow_entries_.size());
-  std::vector<std::uint32_t> cursor(node_start_.begin(), node_start_.end() - 1);
-  for (FlowIndex f = 0; f < flows.size(); ++f) {
-    for (std::uint32_t k = flow_start_[f]; k < flow_start_[f + 1]; ++k) {
-      const FlowStop& stop = flow_entries_[k];
-      node_entries_[cursor[stop.node]++] = NodeIncidence{f, stop.detour};
+      last_flow[v] = f;
+      node_entries_[cursor[v]++] = NodeIncidence{f, path_detours[i]};
     }
   }
 }
@@ -62,12 +57,6 @@ std::span<const NodeIncidence> IncidenceIndex::at_node(graph::NodeId node) const
   check_node(node);
   return {node_entries_.data() + node_start_[node],
           node_entries_.data() + node_start_[node + 1]};
-}
-
-std::span<const FlowStop> IncidenceIndex::stops_of(FlowIndex flow) const {
-  check_flow(flow);
-  return {flow_entries_.data() + flow_start_[flow],
-          flow_entries_.data() + flow_start_[flow + 1]};
 }
 
 double IncidenceIndex::passing_vehicles(graph::NodeId node) const {
@@ -83,12 +72,6 @@ std::size_t IncidenceIndex::passing_flow_count(graph::NodeId node) const {
 void IncidenceIndex::check_node(graph::NodeId node) const {
   if (node >= num_nodes()) {
     throw std::out_of_range("IncidenceIndex: bad node id");
-  }
-}
-
-void IncidenceIndex::check_flow(FlowIndex flow) const {
-  if (flow >= num_flows()) {
-    throw std::out_of_range("IncidenceIndex: bad flow index");
   }
 }
 

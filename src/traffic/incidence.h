@@ -1,12 +1,13 @@
-// Node/flow incidence index: which flows pass which intersections and at
+// Node -> flows incidence index: which flows pass which intersections and at
 // what detour distance. Built once per (network, flows, shop) triple, it is
 // the data structure every placement algorithm and baseline consumes:
-//   * at_node(v)  — the flows passing v with their detour distance at v
-//                   (the marginal-gain scan of Algorithms 1 and 2),
-//   * stops_of(f) — the intersections of flow f in path order with detours
-//                   (non-decreasing by Theorem 1 on shortest-path flows),
+//   * at_node(v)  — the flows passing v, in ascending flow order, each with
+//                   its detour distance at v (the marginal-gain scan of
+//                   Algorithms 1 and 2),
 //   * passing_vehicles / passing_flow_count — the MaxVehicles and
 //     MaxCardinality baseline rankings.
+// One CSR axis only: a flow's own stops are its path, priced by
+// DetourSource::detours_along_path, so the index keeps no flow -> nodes copy.
 #pragma once
 
 #include <span>
@@ -22,12 +23,6 @@ struct NodeIncidence {
   double detour = graph::kUnreachable;  ///< detour distance of `flow` at this node
 };
 
-struct FlowStop {
-  graph::NodeId node = graph::kInvalidNode;
-  std::uint32_t path_index = 0;  ///< first position of `node` on the path
-  double detour = graph::kUnreachable;
-};
-
 class IncidenceIndex {
  public:
   /// Validates every flow; throws std::invalid_argument on a bad one.
@@ -38,15 +33,15 @@ class IncidenceIndex {
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return node_start_.size() - 1;
   }
-  [[nodiscard]] std::size_t num_flows() const noexcept {
-    return flow_start_.size() - 1;
+  [[nodiscard]] std::size_t num_flows() const noexcept { return num_flows_; }
+  /// Distinct (flow, node) pairs: the total length of every at_node list.
+  [[nodiscard]] std::size_t num_entries() const noexcept {
+    return node_entries_.size();
   }
 
-  /// Flows passing `node`, each with its (minimum) detour distance there.
+  /// Flows passing `node` in ascending flow order, each with its minimum
+  /// detour distance over the flow's visits to `node`.
   [[nodiscard]] std::span<const NodeIncidence> at_node(graph::NodeId node) const;
-
-  /// Distinct intersections of flow `flow` in path order with detours.
-  [[nodiscard]] std::span<const FlowStop> stops_of(FlowIndex flow) const;
 
   /// Total daily vehicles passing `node` (MaxVehicles ranking).
   [[nodiscard]] double passing_vehicles(graph::NodeId node) const;
@@ -56,13 +51,10 @@ class IncidenceIndex {
 
  private:
   void check_node(graph::NodeId node) const;
-  void check_flow(FlowIndex flow) const;
 
-  // CSR layouts.
-  std::vector<std::uint32_t> node_start_;
+  std::size_t num_flows_ = 0;
+  std::vector<std::uint32_t> node_start_;  // CSR offsets, size num_nodes+1
   std::vector<NodeIncidence> node_entries_;
-  std::vector<std::uint32_t> flow_start_;
-  std::vector<FlowStop> flow_entries_;
   std::vector<double> vehicles_at_node_;
 };
 

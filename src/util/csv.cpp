@@ -48,24 +48,23 @@ void CsvWriter::write_numeric_row(std::string_view label,
   *out_ << row.str() << '\n';
 }
 
-std::vector<CsvRecord> parse_csv_records(std::string_view text) {
-  std::vector<CsvRecord> rows;
-  std::vector<std::string> row;
+void for_each_csv_record(std::string_view text,
+                         const std::function<void(const CsvRecord&)>& fn) {
+  CsvRecord record{1, {}};
   std::string field;
   bool in_quotes = false;
   bool field_started = false;
-  std::size_t line = 1;       // current source line (1-based)
-  std::size_t row_line = 1;   // line the in-progress row started on
+  std::size_t line = 1;  // current source line (1-based)
 
   const auto end_field = [&] {
-    row.push_back(std::move(field));
+    record.fields.push_back(std::move(field));
     field.clear();
     field_started = false;
   };
   const auto end_row = [&] {
     end_field();
-    rows.push_back({row_line, std::move(row)});
-    row.clear();
+    fn(record);
+    record.fields.clear();
   };
 
   for (std::size_t i = 0; i < text.size(); ++i) {
@@ -98,7 +97,7 @@ std::vector<CsvRecord> parse_csv_records(std::string_view text) {
       case '\n':
         end_row();
         ++line;
-        row_line = line;
+        record.line = line;
         break;
       default:
         field.push_back(c);
@@ -107,18 +106,26 @@ std::vector<CsvRecord> parse_csv_records(std::string_view text) {
     }
   }
   if (in_quotes) {
-    throw std::invalid_argument("parse_csv: unterminated quote in row starting on line " +
-                                std::to_string(row_line));
+    throw CsvSyntaxError(
+        "parse_csv: unterminated quote in row starting on line " +
+        std::to_string(record.line));
   }
-  if (field_started || !field.empty() || !row.empty()) end_row();
+  if (field_started || !field.empty() || !record.fields.empty()) end_row();
+}
+
+std::vector<CsvRecord> parse_csv_records(std::string_view text) {
+  std::vector<CsvRecord> rows;
+  for_each_csv_record(text,
+                      [&](const CsvRecord& record) { rows.push_back(record); });
   return rows;
 }
 
 std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
-  std::vector<CsvRecord> records = parse_csv_records(text);
   std::vector<std::vector<std::string>> rows;
-  rows.reserve(records.size());
-  for (CsvRecord& record : records) rows.push_back(std::move(record.fields));
+  for_each_csv_record(text,
+                      [&](const CsvRecord& record) {
+                        rows.push_back(record.fields);
+                      });
   return rows;
 }
 

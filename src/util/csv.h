@@ -3,8 +3,10 @@
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <ostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +35,7 @@ class CsvWriter {
 
 /// Parses CSV text into rows of fields. Handles quoted fields, embedded
 /// commas/quotes/newlines, and both \n and \r\n terminators. Throws
-/// std::invalid_argument on an unterminated quoted field.
+/// CsvSyntaxError (a std::invalid_argument) on an unterminated quoted field.
 [[nodiscard]] std::vector<std::vector<std::string>> parse_csv(
     std::string_view text);
 
@@ -45,8 +47,22 @@ struct CsvRecord {
   std::vector<std::string> fields;
 };
 
+/// The CSV parsers' own syntax error (an unterminated quoted field), kept
+/// distinct from whatever a record callback throws.
+class CsvSyntaxError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Streams the rows of `text` to `fn` one at a time, in order, each with its
+/// 1-based source line, without materialising the whole table (the record
+/// is reused between calls). Throws CsvSyntaxError on an unterminated quoted
+/// field, after delivering every row before it.
+void for_each_csv_record(std::string_view text,
+                         const std::function<void(const CsvRecord&)>& fn);
+
 /// parse_csv, but every row carries its 1-based source line so format
-/// errors can name the offending line (see graph/io.cpp).
+/// errors can name the offending line.
 [[nodiscard]] std::vector<CsvRecord> parse_csv_records(std::string_view text);
 
 /// Writes rows to a file, creating parent directories. Throws on I/O error.

@@ -133,10 +133,14 @@ TEST(Stochastic, DeterministicScenarios) {
       make_demand_scenarios(inst.net, inst.flows, 1, utility, 3, 0.2, 11);
   const auto b =
       make_demand_scenarios(inst.net, inst.flows, 1, utility, 3, 0.2, 11);
+  // A flow's zero-detour customers scale with its sampled daily vehicles,
+  // and each node's passing vehicles sum them.
   for (std::size_t s = 0; s < a.size(); ++s) {
-    for (std::size_t f = 0; f < inst.flows.size(); ++f) {
-      EXPECT_DOUBLE_EQ(a[s]->flows()[f].daily_vehicles,
-                       b[s]->flows()[f].daily_vehicles);
+    for (traffic::FlowIndex f = 0; f < inst.flows.size(); ++f) {
+      EXPECT_DOUBLE_EQ(a[s]->customers(f, 0.0), b[s]->customers(f, 0.0));
+    }
+    for (graph::NodeId v = 0; v < inst.net.num_nodes(); ++v) {
+      EXPECT_DOUBLE_EQ(a[s]->passing_vehicles(v), b[s]->passing_vehicles(v));
     }
   }
 }

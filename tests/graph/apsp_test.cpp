@@ -213,7 +213,7 @@ TEST(DenseLimit, ErrorCarriesStructuredFields) {
     EXPECT_EQ(16384U, e.limit());
     const std::string message = e.what();
     EXPECT_NE(std::string::npos, message.find("20000"));
-    EXPECT_NE(std::string::npos, message.find("oracle"));
+    EXPECT_NE(std::string::npos, message.find("DetourCalculator"));
   }
 }
 

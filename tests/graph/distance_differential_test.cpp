@@ -1,0 +1,187 @@
+// Differential suite for the distance engines that price detours: the dense
+// APSP matrix, single-source Dijkstra trees (forward and reverse, as held by
+// traffic::DetourCalculator), and the early-exit point-to-point query.
+//
+// Forward engines run the same relaxations in the same order, so they must
+// agree with the matrix *bitwise* across every generated-city family. A
+// reverse tree sums each path from the shop end; it must equal the matrix of
+// the transposed network bitwise, and the forward matrix up to rounding (and
+// exactly wherever both are +infinity).
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
+#include "src/citygen/grid_city.h"
+#include "src/citygen/partial_grid_city.h"
+#include "src/citygen/radial_city.h"
+#include "src/graph/apsp.h"
+#include "src/graph/dijkstra.h"
+#include "src/traffic/detour.h"
+#include "src/util/rng.h"
+#include "tests/testing/builders.h"
+
+namespace rap::graph {
+namespace {
+
+RoadNetwork transposed(const RoadNetwork& net) {
+  RoadNetwork out;
+  for (std::size_t i = 0; i < net.num_nodes(); ++i) {
+    out.add_node(net.position(static_cast<NodeId>(i)));
+  }
+  // Same edge order, so out_edges here list what in_edges lists there.
+  for (const Edge& e : net.edges()) out.add_edge(e.to, e.from, e.length);
+  return out;
+}
+
+// Relative agreement for sums of the same edges in a different order: a
+// path of at most n edges accumulates at most n roundings.
+void expect_equal_up_to_rounding(double exact, double reordered,
+                                 std::size_t n) {
+  if (exact == kUnreachable || reordered == kUnreachable) {
+    ASSERT_EQ(exact, reordered);
+    return;
+  }
+  ASSERT_LE(std::abs(exact - reordered),
+            static_cast<double>(n + 1) * 2.220446049250313e-16 * exact);
+}
+
+// EXPECT_EQ on doubles is exact (==): the contract is bitwise equality, and
+// the only non-finite value in play is +infinity, where == is also what we
+// mean.
+void expect_all_pairs_match(const RoadNetwork& net) {
+  const DistanceMatrix matrix = all_pairs_shortest_paths(net);
+  const DistanceMatrix reverse_matrix =
+      all_pairs_shortest_paths(transposed(net));
+  const auto n = static_cast<NodeId>(net.num_nodes());
+  for (NodeId s = 0; s < n; ++s) {
+    const traffic::DetourCalculator trees(net, s);
+    for (NodeId t = 0; t < n; ++t) {
+      ASSERT_EQ(matrix(s, t), trees.distance_from_shop(t))
+          << "forward tree s=" << s << " t=" << t;
+      ASSERT_EQ(matrix(s, t), dijkstra_distance(net, s, t))
+          << "point query s=" << s << " t=" << t;
+      ASSERT_EQ(reverse_matrix(s, t), trees.distance_to_shop(t))
+          << "reverse tree s=" << s << " t=" << t;
+      expect_equal_up_to_rounding(matrix(t, s), trees.distance_to_shop(t),
+                                  net.num_nodes());
+    }
+  }
+}
+
+TEST(OracleDifferential, GridCityAllBackends) {
+  const citygen::GridCity city({5, 4, 300.0});
+  expect_all_pairs_match(city.network());
+  // Integer block lengths sum exactly, so here the reverse tree must also
+  // equal the forward matrix bitwise.
+  const DistanceMatrix matrix = all_pairs_shortest_paths(city.network());
+  const auto n = static_cast<NodeId>(city.network().num_nodes());
+  for (NodeId s = 0; s < n; ++s) {
+    const traffic::DetourCalculator trees(city.network(), s);
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(matrix(v, s), trees.distance_to_shop(v)) << s << " " << v;
+    }
+  }
+}
+
+TEST(OracleDifferential, PartialGridCities) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    util::Rng rng(seed);
+    citygen::PartialGridSpec spec;
+    spec.grid = {7, 6, 400.0};
+    spec.position_jitter = 60.0;
+    spec.oneway_prob = 0.15;
+    const citygen::PartialGridCity city(spec, rng);
+    expect_all_pairs_match(city.network());
+  }
+}
+
+TEST(OracleDifferential, RadialCities) {
+  for (const std::uint64_t seed : {11ULL, 12ULL}) {
+    util::Rng rng(seed);
+    citygen::RadialSpec spec;
+    spec.rings = 4;
+    spec.ring_spacing = 500.0;
+    spec.chord_prob = 0.2;
+    spec.oneway_prob = 0.1;
+    expect_all_pairs_match(citygen::build_radial_city(spec, rng));
+  }
+}
+
+TEST(OracleDifferential, RandomChordNetworks) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Rng rng(seed);
+    expect_all_pairs_match(testing::random_network(5, 4, 6, rng));
+  }
+}
+
+// Disconnected graphs: unreachable pairs must come back as the same
+// +infinity the matrix holds, and reachable pairs within each component
+// must still match bitwise.
+TEST(OracleDifferential, DisconnectedComponents) {
+  RoadNetwork net = testing::line_network(4);
+  // A second, unreachable component.
+  const NodeId a = net.add_node({10.0, 0.0});
+  const NodeId b = net.add_node({11.0, 0.0});
+  net.add_two_way_edge(a, b, 1.0);
+  // A one-way trap: reachable from the line, no way back.
+  const NodeId trap = net.add_node({5.0, 5.0});
+  net.add_edge(3, trap, 2.5);
+  expect_all_pairs_match(net);
+  const traffic::DetourCalculator at_trap(net, trap);
+  EXPECT_EQ(at_trap.distance_from_shop(0), kUnreachable);
+  EXPECT_EQ(at_trap.distance_to_shop(0), 3.0 + 2.5);
+  EXPECT_EQ(at_trap.distance_to_shop(a), kUnreachable);
+}
+
+TEST(OracleDifferential, IrregularLengthsStressFloatingPoint) {
+  // Irregular edge lengths make floating-point association visible: a
+  // forward engine that summed distances in a different order than the
+  // matrix's Dijkstra rows would differ by ulps here.
+  for (std::uint64_t seed = 21; seed <= 26; ++seed) {
+    util::Rng rng(seed);
+    RoadNetwork net = testing::random_network(4, 4, 3, rng);
+    // Re-price every edge with an irrational-ish length.
+    RoadNetwork priced;
+    for (std::size_t i = 0; i < net.num_nodes(); ++i) {
+      priced.add_node(net.position(static_cast<NodeId>(i)));
+    }
+    for (const Edge& e : net.edges()) {
+      priced.add_edge(e.from, e.to, e.length * (1.0 + rng.next_double()) / 3.0);
+    }
+    expect_all_pairs_match(priced);
+  }
+}
+
+TEST(OracleBatch, DistancesFromMatchesPointQueries) {
+  const citygen::GridCity city({4, 4, 250.0});
+  const RoadNetwork& net = city.network();
+  const auto n = static_cast<NodeId>(net.num_nodes());
+  for (NodeId s = 0; s < n; ++s) {
+    const ShortestPathTree tree = dijkstra(net, s);
+    ASSERT_EQ(tree.distances().size(), net.num_nodes());
+    for (NodeId t = 0; t < n; ++t) {
+      ASSERT_EQ(tree.distance(t), dijkstra_distance(net, s, t))
+          << "s=" << s << " t=" << t;
+    }
+  }
+}
+
+TEST(OracleErrors, BadNodeIdsThrow) {
+  const citygen::GridCity city({3, 3, 100.0});
+  const RoadNetwork& net = city.network();
+  const auto bad = static_cast<NodeId>(net.num_nodes());
+  EXPECT_THROW(dijkstra(net, bad), std::out_of_range);
+  EXPECT_THROW(dijkstra(net, bad, Direction::kReverse), std::out_of_range);
+  EXPECT_THROW(dijkstra_distance(net, 0, bad), std::out_of_range);
+  EXPECT_THROW(dijkstra_distance(net, bad, 0), std::out_of_range);
+  EXPECT_THROW(traffic::DetourCalculator(net, bad), std::out_of_range);
+  const traffic::DetourCalculator trees(net, 0);
+  EXPECT_THROW(trees.distance_to_shop(bad), std::out_of_range);
+  EXPECT_THROW(trees.distance_from_shop(bad), std::out_of_range);
+}
+
+}  // namespace
+}  // namespace rap::graph

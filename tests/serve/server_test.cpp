@@ -197,5 +197,33 @@ TEST(ServeServer, TelemetryRecordsRequestMetrics) {
   EXPECT_EQ(counters.at("serve.cache.misses").value(), 1U);
 }
 
+TEST(ServeServer, FailedLoadKeepsThePreviousSessionServing) {
+  Server server;
+  expect_ok(handle(server, load_request()));
+  const std::string place = R"({"op":"place","k":2})";
+  const JsonValue before = expect_ok(handle(server, place)).at("result");
+
+  // A load that fails to build — unknown city, malformed CSV, bad shop —
+  // must not drop or replace the session already loaded.
+  EXPECT_EQ(expect_error(handle(server, R"({"op":"load","city":"atlantis"})")),
+            "bad_scenario");
+  EXPECT_EQ(expect_error(handle(
+                server, R"({"op":"load","network_csv":"garbage","flows_csv":"x"})")),
+            "bad_scenario");
+  EXPECT_EQ(expect_error(handle(
+                server, R"({"op":"load","city":"grid","shop":999999})")),
+            "bad_scenario");
+  // Same placement, and warm: the very session that placed before answers.
+  const JsonValue after = expect_ok(handle(server, place)).at("result");
+  EXPECT_EQ(to_json(after.as_object().at("nodes")),
+            to_json(before.as_object().at("nodes")));
+  EXPECT_EQ(after.as_object().at("customers").as_number(),
+            before.as_object().at("customers").as_number());
+  EXPECT_TRUE(after.as_object().at("warm_reused").as_bool());
+  const JsonValue::Object& evaluated =
+      expect_ok(handle(server, R"({"op":"evaluate","nodes":[0]})"));
+  EXPECT_GE(evaluated.at("customers").as_number(), 0.0);
+}
+
 }  // namespace
 }  // namespace rap::serve

@@ -206,5 +206,36 @@ TEST(ServeSession, PlaceConstMatchesPlaceWithoutMutating) {
   EXPECT_EQ(read_only.placement.customers, mutating.placement.customers);
 }
 
+TEST(ServeSession, FlowsShareTheScenarioUntilTheFirstDelta) {
+  const auto scenario = make_scenario();
+  Session session(scenario);
+  // No copy at load: the session reads the scenario's own flow storage,
+  // through places and rejected deltas alike.
+  EXPECT_EQ(session.flows().data(), scenario->flows.data());
+  (void)session.place(2);
+  DeltaOp bad_index;
+  bad_index.kind = DeltaOp::Kind::kRemoveFlow;
+  bad_index.index = 99;
+  EXPECT_THROW(session.apply_delta(bad_index), std::out_of_range);
+  EXPECT_EQ(session.flows().data(), scenario->flows.data());
+
+  // The first delta copies; the scenario's base flows stay untouched.
+  DeltaOp scale;
+  scale.kind = DeltaOp::Kind::kScaleFlow;
+  scale.index = 0;
+  scale.factor = 2.0;
+  session.apply_delta(scale);
+  EXPECT_NE(session.flows().data(), scenario->flows.data());
+  ASSERT_EQ(session.flows().size(), scenario->flows.size());
+  EXPECT_EQ(session.flows()[0].daily_vehicles,
+            2.0 * scenario->flows[0].daily_vehicles);
+  EXPECT_EQ(scenario->flows[0].daily_vehicles, 12.0);
+  expect_parity(session, 2, "after the copying delta");
+
+  // A fresh session on the same scenario shares it again.
+  const Session fresh(scenario);
+  EXPECT_EQ(fresh.flows().data(), scenario->flows.data());
+}
+
 }  // namespace
 }  // namespace rap::serve

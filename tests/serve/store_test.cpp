@@ -110,8 +110,8 @@ TEST(ServeStore, DeltasWorkOnRehydratedScenarios) {
   Server restarted(store_options(dir));
   ASSERT_EQ(restarted.rehydrated_at_start(), 1U);
   (void)expect_ok(restarted, load_request(4));
-  // StoredDetours prices flows the segment never saw — the delta-added flow
-  // gets the same detours as the live calculator gave it.
+  // The rehydrated DetourCalculator prices flows the segment never saw —
+  // the delta-added flow gets the same detours as the live one gave it.
   (void)expect_ok(
       restarted,
       R"({"op":"delta","ops":[{"kind":"add_flow","origin":0,"destination":5,"vehicles":20}]})");
@@ -172,23 +172,6 @@ TEST(ServeStore, TruncatedSegmentIsCorrupt) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ServeStore, OracleScenariosAreSkippedNotMangled) {
-  const std::string dir = temp_store_dir("oracle");
-  ServerOptions options = store_options(dir);
-  options.detours.engine = "bidijkstra";
-  {
-    Server server(options);
-    const JsonValue::Object loaded = expect_ok(server, load_request(7));
-    EXPECT_EQ(loaded.at("engine").as_string(), "bidijkstra");
-    ASSERT_NE(server.store(), nullptr);
-    EXPECT_EQ(server.store()->stats().skipped, 1U);
-    EXPECT_EQ(server.store()->segment_count(), 0U);
-  }
-  Server restarted(options);
-  EXPECT_EQ(restarted.rehydrated_at_start(), 0U);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(ServeStore, DirectPutLoadRoundTrip) {
   const std::string dir = temp_store_dir("direct");
   ScenarioSpec spec;
@@ -207,7 +190,8 @@ TEST(ServeStore, DirectPutLoadRoundTrip) {
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->key, built->key);
   EXPECT_EQ(loaded->summary, built->summary);
-  EXPECT_EQ(loaded->detour_engine, built->detour_engine);
+  EXPECT_EQ(loaded->detours->to_shop(), built->detours->to_shop());
+  EXPECT_EQ(loaded->detours->from_shop(), built->detours->from_shop());
   EXPECT_EQ(loaded->net.num_nodes(), built->net.num_nodes());
   EXPECT_EQ(loaded->net.num_edges(), built->net.num_edges());
   EXPECT_EQ(loaded->flows.size(), built->flows.size());

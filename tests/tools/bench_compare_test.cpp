@@ -200,5 +200,38 @@ TEST(BenchCompare, ReportNamesEveryVerdict) {
   EXPECT_NE(pass_report.find("PASS"), std::string::npos);
 }
 
+TEST(BenchCompare, HostContextDifferencesWarnButDoNotFail) {
+  // Two fixture documents of one bench, recorded on different hosts: the
+  // metrics pass, and each differing host key yields one warning line.
+  const std::string dir = RAP_BENCH_FIXTURE_DIR;
+  const BenchDoc baseline = load_bench_file(dir + "/host_baseline.json");
+  const BenchDoc current = load_bench_file(dir + "/host_current.json");
+  const CompareResult result = compare_docs(baseline, current, {});
+  EXPECT_FALSE(result.failed());
+  ASSERT_EQ(result.warnings.size(), 2u);
+  EXPECT_NE(result.warnings[0].find("hardware_concurrency differs: baseline "
+                                    "'1', current '4'"),
+            std::string::npos);
+  EXPECT_NE(result.warnings[1].find("build_type differs"), std::string::npos);
+  const std::string report = format_report(result);
+  EXPECT_NE(report.find("WARNING   hardware_concurrency"), std::string::npos);
+  EXPECT_NE(report.find("PASS"), std::string::npos);
+
+  // Same host: no warnings. A baseline that never recorded the host warns.
+  EXPECT_TRUE(compare_docs(current, current, {}).warnings.empty());
+  const CompareResult unrecorded =
+      compare_docs(parse_bench_doc(doc(100, 10), "old"),
+                   parse_bench_doc(doc(100, 10), "old"), {});
+  EXPECT_TRUE(unrecorded.warnings.empty());
+  BenchDoc stamped = parse_bench_doc(doc(100, 10), "new");
+  stamped.context["hardware_concurrency"] = "4";
+  const CompareResult mixed =
+      compare_docs(parse_bench_doc(doc(100, 10), "old"), stamped, {});
+  ASSERT_EQ(mixed.warnings.size(), 1u);
+  EXPECT_NE(mixed.warnings[0].find("'(unrecorded)', current '4'"),
+            std::string::npos);
+  EXPECT_FALSE(mixed.failed());
+}
+
 }  // namespace
 }  // namespace rap::tools

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
 
 #include "tests/testing/builders.h"
 
@@ -10,6 +12,55 @@ namespace rap::traffic {
 namespace {
 
 using testing::Fig4;
+
+/// Flow `f`'s entry at `node` (at_node lists are in ascending flow order, so
+/// a binary search finds it); nullptr when `f` does not pass `node`.
+const NodeIncidence* entry_of(const IncidenceIndex& index, graph::NodeId node,
+                              FlowIndex f) {
+  const auto list = index.at_node(node);
+  const auto it = std::lower_bound(
+      list.begin(), list.end(), f,
+      [](const NodeIncidence& entry, FlowIndex flow) {
+        return entry.flow < flow;
+      });
+  return it != list.end() && it->flow == f ? &*it : nullptr;
+}
+
+/// Flow `f`'s stops read back through at_node: its distinct path nodes in
+/// path order, each with its first path position and its indexed detour.
+struct Stop {
+  graph::NodeId node = graph::kInvalidNode;
+  std::size_t path_index = 0;
+  double detour = graph::kUnreachable;
+};
+
+std::vector<Stop> stops_of(const IncidenceIndex& index, const TrafficFlow& flow,
+                           FlowIndex f) {
+  std::vector<Stop> stops;
+  for (std::size_t i = 0; i < flow.path.size(); ++i) {
+    const graph::NodeId v = flow.path[i];
+    if (std::any_of(stops.begin(), stops.end(),
+                    [v](const Stop& stop) { return stop.node == v; })) {
+      continue;
+    }
+    const NodeIncidence* entry = entry_of(index, v, f);
+    if (entry == nullptr) {
+      ADD_FAILURE() << "flow " << f << " missing from at_node(" << v << ")";
+      continue;
+    }
+    stops.push_back({v, i, entry->detour});
+  }
+  return stops;
+}
+
+/// Entries of flow `f` over every at_node list.
+std::size_t entries_of(const IncidenceIndex& index, FlowIndex f) {
+  std::size_t count = 0;
+  for (graph::NodeId v = 0; v < index.num_nodes(); ++v) {
+    count += entry_of(index, v, f) != nullptr ? 1 : 0;
+  }
+  return count;
+}
 
 class IncidenceFig4 : public ::testing::Test {
  protected:
@@ -40,8 +91,9 @@ TEST_F(IncidenceFig4, NoFlowsAtShop) {
 }
 
 TEST_F(IncidenceFig4, StopsInPathOrder) {
-  const auto stops = index_.stops_of(0);  // T(2,5): V2, V3, V5
+  const auto stops = stops_of(index_, fig_.flows[0], 0);  // T(2,5): V2, V3, V5
   ASSERT_EQ(stops.size(), 3u);
+  EXPECT_EQ(entries_of(index_, 0), 3u);  // and at no other node
   EXPECT_EQ(stops[0].node, Fig4::V2);
   EXPECT_EQ(stops[1].node, Fig4::V3);
   EXPECT_EQ(stops[2].node, Fig4::V5);
@@ -67,7 +119,7 @@ TEST_F(IncidenceFig4, PassingFlowCounts) {
 
 TEST_F(IncidenceFig4, BoundsChecked) {
   EXPECT_THROW(index_.at_node(6), std::out_of_range);
-  EXPECT_THROW(index_.stops_of(4), std::out_of_range);
+  EXPECT_THROW(index_.passing_flow_count(6), std::out_of_range);
   EXPECT_THROW(index_.passing_vehicles(6), std::out_of_range);
 }
 
@@ -82,8 +134,10 @@ TEST(IncidenceIndex, RepeatedNodeKeepsMinimumDetour) {
   const DetourCalculator calc(net, 3);
   const std::vector<TrafficFlow> flows{flow};
   const IncidenceIndex index(net, flows, calc);
-  const auto stops = index.stops_of(0);
+  const auto stops = stops_of(index, flow, 0);
   ASSERT_EQ(stops.size(), 3u);  // nodes 0, 1, 2 (1 deduped)
+  EXPECT_EQ(index.num_entries(), 3u);
+  EXPECT_EQ(index.at_node(1).size(), 1u);
   // Node 1 is visited at positions 1 and 3; its detour is the min of both.
   const auto path_detours = calc.detours_along_path(flow);
   EXPECT_DOUBLE_EQ(stops[1].detour,
@@ -92,9 +146,47 @@ TEST(IncidenceIndex, RepeatedNodeKeepsMinimumDetour) {
   EXPECT_DOUBLE_EQ(index.passing_vehicles(1), 5.0);
 }
 
+/// Prices every path with fixed, non-monotone detours, so a repeated node's
+/// later visit can be the cheaper one.
+class ScriptedDetours final : public DetourSource {
+ public:
+  explicit ScriptedDetours(std::vector<double> detours)
+      : detours_(std::move(detours)) {}
+  [[nodiscard]] std::vector<double> detours_along_path(
+      const TrafficFlow& flow) const override {
+    return {detours_.begin(),
+            detours_.begin() + static_cast<std::ptrdiff_t>(flow.path.size())};
+  }
+
+ private:
+  std::vector<double> detours_;
+};
+
+TEST(IncidenceIndex, RepeatedNodeKeepsMinimumOverEveryVisit) {
+  // Node 1 is visited at positions 1 (detour 3) and 3 (detour 2): the later
+  // visit wins; node 2's single visit keeps its own detour.
+  const auto net = testing::line_network(4);
+  TrafficFlow flow;
+  flow.origin = 0;
+  flow.destination = 1;
+  flow.path = {0, 1, 2, 1};
+  flow.daily_vehicles = 5.0;
+  const ScriptedDetours detours({5.0, 3.0, 1.0, 2.0});
+  const std::vector<TrafficFlow> flows{flow, flow};
+  const IncidenceIndex index(net, flows, detours);
+  ASSERT_EQ(index.at_node(1).size(), 2u);
+  for (const NodeIncidence& entry : index.at_node(1)) {
+    EXPECT_EQ(entry.detour, 2.0);
+  }
+  EXPECT_EQ(index.at_node(2)[0].detour, 1.0);
+  EXPECT_EQ(index.at_node(0)[1].detour, 5.0);
+  EXPECT_EQ(index.passing_vehicles(1), 10.0);
+}
+
 TEST(IncidenceIndex, TransposeConsistency) {
-  // Sum over nodes of incidences == sum over flows of stops, and the
-  // (node, flow, detour) triples agree between both layouts.
+  // The (node, flow, detour) triples of the at_node lists are exactly the
+  // transpose of the flows' priced paths (minimum detour per repeated node),
+  // and every list is in ascending flow order.
   util::Rng rng(77);
   const auto net = testing::random_network(4, 4, 6, rng);
   const auto flows = testing::random_flows(net, 15, rng);
@@ -103,17 +195,48 @@ TEST(IncidenceIndex, TransposeConsistency) {
 
   std::map<std::pair<graph::NodeId, FlowIndex>, double> from_nodes;
   for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
-    for (const NodeIncidence& inc : index.at_node(v)) {
-      from_nodes[{v, inc.flow}] = inc.detour;
+    const auto list = index.at_node(v);
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(list[i - 1].flow, list[i].flow) << "node " << v;
+      }
+      from_nodes[{v, list[i].flow}] = list[i].detour;
     }
   }
   std::map<std::pair<graph::NodeId, FlowIndex>, double> from_flows;
   for (FlowIndex f = 0; f < flows.size(); ++f) {
-    for (const FlowStop& stop : index.stops_of(f)) {
-      from_flows[{stop.node, f}] = stop.detour;
+    const auto detours = calc.detours_along_path(flows[f]);
+    for (std::size_t i = 0; i < detours.size(); ++i) {
+      const auto [it, inserted] =
+          from_flows.emplace(std::pair{flows[f].path[i], f}, detours[i]);
+      if (!inserted) it->second = std::min(it->second, detours[i]);
+    }
+    for (const Stop& stop : stops_of(index, flows[f], f)) {
+      EXPECT_EQ(stop.detour, from_flows.at({stop.node, f}));
     }
   }
   EXPECT_EQ(from_nodes, from_flows);
+  EXPECT_EQ(index.num_entries(), from_flows.size());
+}
+
+TEST(IncidenceIndex, StopsNonDecreasingAlongShortestPaths) {
+  // Theorem 1 read back through the index: on shortest-path flows a flow's
+  // indexed detours never decrease along its path.
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    util::Rng rng(seed * 31 + 5);
+    const auto net = testing::random_network(5, 5, rng.next_below(8), rng);
+    const auto flows = testing::random_flows(net, 12, rng);
+    const DetourCalculator calc(
+        net, static_cast<graph::NodeId>(rng.next_below(net.num_nodes())));
+    const IncidenceIndex index(net, flows, calc);
+    for (FlowIndex f = 0; f < flows.size(); ++f) {
+      const auto stops = stops_of(index, flows[f], f);
+      for (std::size_t i = 1; i < stops.size(); ++i) {
+        EXPECT_LE(stops[i - 1].detour, stops[i].detour + 1e-9)
+            << "seed " << seed << " flow " << f << " stop " << i;
+      }
+    }
+  }
 }
 
 TEST(IncidenceIndex, EmptyFlowsYieldEmptyIndex) {

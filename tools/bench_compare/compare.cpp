@@ -124,6 +124,19 @@ CompareResult compare_docs(const BenchDoc& baseline, const BenchDoc& current,
   }
   CompareResult result;
   result.bench = baseline.bench;
+  for (const char* key : kHostContextKeys) {
+    const auto recorded = [key](const BenchDoc& doc) {
+      const auto it = doc.context.find(key);
+      return it != doc.context.end() ? it->second : "(unrecorded)";
+    };
+    const std::string was = recorded(baseline);
+    const std::string now = recorded(current);
+    if (was != now) {
+      result.warnings.push_back(std::string(key) + " differs: baseline '" +
+                                was + "', current '" + now +
+                                "'; wall times are not comparable");
+    }
+  }
 
   const auto find_current =
       [&](const std::string& name) -> const BenchMetricValue* {
@@ -213,6 +226,9 @@ std::string format_report(const CompareResult& result) {
             << metric.tolerance_used * 100.0 << "%)\n";
         break;
     }
+  }
+  for (const std::string& warning : result.warnings) {
+    out << "  WARNING   " << warning << "\n";
   }
   out << (result.failed() ? "FAIL" : "PASS") << "\n";
   return out.str();

@@ -88,23 +88,33 @@ struct MetricComparison {
   MetricStatus status = MetricStatus::kOk;
 };
 
+/// Context keys naming the host a document was measured on (bench/common.h
+/// writes both into every document). A difference makes wall times
+/// incomparable, so compare_docs warns about it; it never fails the gate.
+inline constexpr const char* kHostContextKeys[] = {"hardware_concurrency",
+                                                   "build_type"};
+
 /// Result of comparing one baseline/current document pair.
 struct CompareResult {
   std::string bench;
   std::vector<MetricComparison> metrics;
+  /// One line per kHostContextKeys entry whose value differs between the
+  /// documents (a key one side lacks reads "(unrecorded)"). Informational.
+  std::vector<std::string> warnings;
   [[nodiscard]] bool failed() const;
 };
 
 /// Compares every baseline metric against the current document. Metric
 /// order follows the baseline document, with current-only metrics appended
-/// as kNew. Throws std::runtime_error when the documents name different
-/// benches (comparing apples to oranges is a usage error, not a
-/// regression).
+/// as kNew; host context differences land in `warnings`. Throws
+/// std::runtime_error when the documents name different benches
+/// (comparing apples to oranges is a usage error, not a regression).
 [[nodiscard]] CompareResult compare_docs(const BenchDoc& baseline,
                                          const BenchDoc& current,
                                          const CompareOptions& options);
 
-/// Human-readable report, one line per metric plus a PASS/FAIL trailer.
+/// Human-readable report, one line per metric, then one WARNING line per
+/// host context difference, then a PASS/FAIL trailer.
 [[nodiscard]] std::string format_report(const CompareResult& result);
 
 }  // namespace rap::tools

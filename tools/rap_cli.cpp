@@ -28,14 +28,6 @@
 //                                bound on OPT (src/exact, DESIGN.md §16) and
 //                                report the optimality gap of the placement:
 //                                gap = (bound - achieved) / bound
-//   --oracle=auto|dijkstra|dense|bidijkstra|alt   detour engine (DESIGN.md
-//                                §13): "auto" keeps per-shop Dijkstras up to
-//                                --oracle-node-limit intersections and
-//                                switches to the ALT distance oracle above.
-//                                Placements are bitwise identical for every
-//                                engine; only time/memory change
-//   --oracle-node-limit=N        the auto crossover (default 4096)
-//   --oracle-landmarks=N         ALT landmark count (default 8)
 //   --save-network --save-flows --geojson          outputs
 //   --threads=N                  worker threads for parallel kernels (APSP,
 //                                greedy scans); default: hardware
@@ -72,7 +64,6 @@
 #include "src/trace/flow_extractor.h"
 #include "src/trace/generator.h"
 #include "src/trace/io.h"
-#include "src/traffic/oracle_detour.h"
 #include "src/util/cli.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
@@ -85,23 +76,6 @@ using namespace rap;
 struct Inputs {
   graph::RoadNetwork net;
   std::vector<traffic::TrafficFlow> flows;
-};
-
-/// Adapts a shared detour engine to the problem's unique_ptr ownership;
-/// holding the whole DetourEngine keeps the oracle and its cache alive for
-/// the problem's lifetime.
-class SharedEngineDetours final : public traffic::DetourSource {
- public:
-  explicit SharedEngineDetours(traffic::DetourEngine engine)
-      : engine_(std::move(engine)) {}
-
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override {
-    return engine_.detours->detours_along_path(flow);
-  }
-
- private:
-  traffic::DetourEngine engine_;
 };
 
 Inputs generate_city(const std::string& kind, std::uint64_t seed,
@@ -293,30 +267,10 @@ int main(int argc, char** argv) {
     }
 
     // 3. Place.
-    traffic::DetourEnginePolicy engine_policy;
-    engine_policy.engine = flags.get_string("oracle", "auto");
-    engine_policy.dijkstra_node_limit = static_cast<std::size_t>(flags.get_int(
-        "oracle-node-limit",
-        static_cast<std::int64_t>(engine_policy.dijkstra_node_limit)));
-    engine_policy.oracle.landmarks = static_cast<std::size_t>(flags.get_int(
-        "oracle-landmarks",
-        static_cast<std::int64_t>(engine_policy.oracle.landmarks)));
     std::optional<core::PlacementProblem> problem;
     {
       const obs::Span span("model_build");
-      const std::string engine =
-          traffic::resolve_detour_engine(engine_policy, inputs.net.num_nodes());
-      if (engine == "dijkstra") {
-        problem.emplace(inputs.net, inputs.flows, shop, *utility);
-      } else {
-        traffic::DetourEngine built = traffic::make_detour_engine(
-            inputs.net, shop, inputs.flows, engine_policy);
-        if (!quiet) {
-          std::cout << "detour engine: " << built.engine << "\n";
-        }
-        problem.emplace(inputs.net, inputs.flows, shop, *utility,
-                        std::make_unique<SharedEngineDetours>(std::move(built)));
-      }
+      problem.emplace(inputs.net, inputs.flows, shop, *utility);
     }
     const auto k = static_cast<std::size_t>(flags.get_int("k", 5));
     const std::string algorithm = flags.get_string("algorithm", "alg2");

@@ -10,17 +10,13 @@
 //   delta  — serve-layer incremental updates: replay random delta sequences
 //            through a serve session and require the warm-start placement to
 //            match a from-scratch lazy greedy bit-for-bit;
-//   oracle — distance-oracle backends (bidirectional Dijkstra, ALT) against
-//            the dense APSP matrix: distances, detours and placements must
-//            be bitwise identical, serial and parallel, cached and uncached
-//            (DESIGN.md §13);
 //   exact  — certified upper bounds (src/exact): soundness against every
 //            greedy family, exactness against the exhaustive optimum at toy
 //            budgets, certificate replay, and bitwise serial-vs-parallel
 //            determinism (DESIGN.md §16);
 //   all    — every family.
 //
-// On a core/oracle/exact failure, prints every violated check and writes the
+// On a core/exact failure, prints every violated check and writes the
 // scenario's JSON reproducer ("rap.fuzz.scenario.v1") to `dump-dir` (when
 // given) as fuzz[_<family>]_seed_<seed>.json, then exits 1. The seed alone
 // already reproduces the instance deterministically; the dump makes it
@@ -36,7 +32,6 @@
 
 #include "src/check/bound_oracle.h"
 #include "src/check/differential.h"
-#include "src/check/oracle_fuzz.h"
 #include "src/serve/delta_fuzz.h"
 #include "src/util/cli.h"
 
@@ -52,7 +47,6 @@ struct FamilyInfo {
 constexpr FamilyInfo kFamilies[] = {
     {"core", "algorithm differential checks (default)"},
     {"delta", "serve-layer incremental updates vs from-scratch greedy"},
-    {"oracle", "distance-oracle backends vs dense APSP"},
     {"exact", "certified upper bounds: soundness, exactness, determinism"},
     {"all", "every family above"},
 };
@@ -139,32 +133,6 @@ std::uint64_t run_delta_family(std::uint64_t first_seed,
   return failures;
 }
 
-std::uint64_t run_oracle_family(std::uint64_t first_seed,
-                                std::uint64_t scenarios,
-                                const std::string& dump_dir) {
-  std::uint64_t failures = 0;
-  std::size_t checks = 0;
-  for (std::uint64_t i = 0; i < scenarios; ++i) {
-    const std::uint64_t seed = first_seed + i;
-    const rap::check::OracleFuzzReport report =
-        rap::check::fuzz_oracle_one(seed);
-    checks += report.checks_run;
-    if (report.ok()) continue;
-    ++failures;
-    std::cerr << "FAIL oracle seed " << seed << " ("
-              << report.failures.size() << " check(s)):\n";
-    for (const rap::check::DiffFailure& failure : report.failures) {
-      std::cerr << "  " << failure.check << ": " << failure.detail << "\n";
-    }
-    dump_reproducer(dump_dir,
-                    "fuzz_oracle_seed_" + std::to_string(seed) + ".json",
-                    report.reproducer_json);
-  }
-  std::cout << "rap_fuzz: oracle: " << scenarios << " scenario(s), " << checks
-            << " check(s), " << failures << " failing scenario(s)\n";
-  return failures;
-}
-
 std::uint64_t run_exact_family(std::uint64_t first_seed,
                                std::uint64_t scenarios,
                                const std::string& dump_dir,
@@ -225,9 +193,6 @@ int run(int argc, char** argv) {
   }
   if (family == "delta" || family == "all") {
     failures += run_delta_family(first_seed, scenarios);
-  }
-  if (family == "oracle" || family == "all") {
-    failures += run_oracle_family(first_seed, scenarios, dump_dir);
   }
   if (family == "exact" || family == "all") {
     failures += run_exact_family(first_seed, scenarios, dump_dir,

@@ -22,8 +22,7 @@ trap 'rm -rf "$scratch"' EXIT
                                  --net-out="$scratch/BENCH_serve_net.json"
 "$build/bench/audit_overhead"    --out="$scratch/BENCH_audit.json"
 "$build/bench/parallel_speedup"  --out="$scratch/BENCH_parallel.json"
-# The metro-scale run (~10^5 nodes, 10^5 flows) takes a few minutes of
-# point-to-point oracle warm; budget accordingly.
+# The metro-scale run: ~10^5 nodes, 10^5 flows, about a second.
 "$build/bench/scale"             --out="$scratch/BENCH_scale.json"
 "$build/bench/exact"             --out="$scratch/BENCH_exact.json"
 
