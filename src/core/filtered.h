@@ -39,6 +39,11 @@ class FilteredCoverageModel final : public CoverageModel {
   /// (reach_at/customers) are what the filter guarantees; vehicle counts
   /// remain a property of the physical traffic.
   [[nodiscard]] double passing_vehicles(graph::NodeId node) const override;
+  /// The active flows in the filtered reach list of `node`. That is every
+  /// active flow passing `node` on the Manhattan models Algorithm 3 wraps,
+  /// whose reach lists hold every passing flow; over a PlacementProblem,
+  /// whose lists hold only flows within the utility's range, it counts
+  /// those alone.
   [[nodiscard]] std::size_t passing_flow_count(
       graph::NodeId node) const override;
 

@@ -32,7 +32,7 @@ PlacementProblem::PlacementProblem(
     : net_(&net),
       shop_(shop),
       utility_(&utility),
-      incidence_(net, flows, non_null(detours)) {
+      incidence_(net, flows, non_null(detours), utility.range()) {
   weights_.reserve(flows.size());
   for (const traffic::TrafficFlow& flow : flows) {
     weights_.push_back({flow.population(), flow.alpha});

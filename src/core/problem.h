@@ -52,7 +52,8 @@ class CoverageModel {
   [[nodiscard]] virtual std::size_t num_flows() const noexcept = 0;
 
   /// Flows reachable from `node` with the detour distance a RAP there would
-  /// offer them.
+  /// offer them, in ascending flow order. A model may leave out a flow whose
+  /// customers() at that detour is 0: no gain or objective can tell.
   [[nodiscard]] virtual std::span<const traffic::NodeIncidence> reach_at(
       graph::NodeId node) const = 0;
 
@@ -110,6 +111,11 @@ class PlacementProblem final : public CoverageModel {
   [[nodiscard]] std::size_t num_flows() const noexcept override {
     return weights_.size();
   }
+  /// Only the flows whose detour at `node` is within utility().range(): a
+  /// flow beyond it attracts exactly 0 customers there (the range()
+  /// contract), and any entry that could beat it has a smaller detour, so
+  /// dropping it changes no gain, objective or tie. passing_flow_count and
+  /// passing_vehicles still count every flow passing `node`.
   [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
       graph::NodeId node) const override {
     return incidence_.at_node(node);

@@ -45,25 +45,9 @@ NodeId parse_node(const ParsePosition& at, const std::string& text) {
   return out;
 }
 
-}  // namespace
-
-std::string network_to_csv(const RoadNetwork& net) {
-  std::ostringstream out;
-  util::CsvWriter writer(out);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    const geo::Point p = net.position(v);
-    writer.write_row({"node", util::format_fixed(p.x, 6),
-                      util::format_fixed(p.y, 6)});
-  }
-  for (const Edge& e : net.edges()) {
-    writer.write_row({"edge", std::to_string(e.from), std::to_string(e.to),
-                      util::format_fixed(e.length, 6)});
-  }
-  return out.str();
-}
-
-RoadNetwork network_from_csv(std::string_view text,
-                             std::string_view source_name) {
+/// Parses a network from `input` (CSV text or a stream of it).
+template <typename Input>
+RoadNetwork parse_network(Input& input, std::string_view source_name) {
   RoadNetwork net;
   const auto parse_row = [&](const util::CsvRecord& record) {
     const auto& row = record.fields;
@@ -91,11 +75,33 @@ RoadNetwork network_from_csv(std::string_view text,
     }
   };
   try {
-    util::for_each_csv_record(text, parse_row);
+    util::for_each_csv_record(input, parse_row);
   } catch (const util::CsvSyntaxError& error) {
     throw std::invalid_argument(std::string(source_name) + ": " + error.what());
   }
   return net;
+}
+
+}  // namespace
+
+std::string network_to_csv(const RoadNetwork& net) {
+  std::ostringstream out;
+  util::CsvWriter writer(out);
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    const geo::Point p = net.position(v);
+    writer.write_row({"node", util::format_fixed(p.x, 6),
+                      util::format_fixed(p.y, 6)});
+  }
+  for (const Edge& e : net.edges()) {
+    writer.write_row({"edge", std::to_string(e.from), std::to_string(e.to),
+                      util::format_fixed(e.length, 6)});
+  }
+  return out.str();
+}
+
+RoadNetwork network_from_csv(std::string_view text,
+                             std::string_view source_name) {
+  return parse_network(text, source_name);
 }
 
 void write_network_csv(const std::filesystem::path& path,
@@ -119,9 +125,7 @@ RoadNetwork read_network_csv(const std::filesystem::path& path) {
   if (!in) {
     throw std::runtime_error("read_network_csv: cannot open " + path.string());
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return network_from_csv(buffer.str(), path.string());
+  return parse_network(in, path.string());
 }
 
 }  // namespace rap::graph

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -29,14 +28,24 @@ std::string cache_key_hex(std::uint64_t key) {
   return buffer;
 }
 
-std::string read_file_or_throw(const std::string& path) {
+/// FNV-1a over the bytes of the file at `path`, chained from `seed`, read
+/// in fixed 64 KiB chunks: FNV-1a chains, so this equals fnv1a64 over the
+/// whole text without ever holding it.
+std::uint64_t fnv1a64_file(const std::string& path, std::uint64_t seed) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("serve: cannot read '" + path + "'");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return std::move(buffer).str();
+  std::vector<char> chunk(64 * 1024);
+  std::uint64_t hash = seed;
+  while (in) {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    hash = fnv1a64({chunk.data(), static_cast<std::size_t>(in.gcount())}, hash);
+  }
+  if (in.bad()) {
+    throw std::runtime_error("serve: cannot read '" + path + "'");
+  }
+  return hash;
 }
 
 traffic::UtilityKind utility_kind_or_throw(const std::string& name) {
@@ -146,7 +155,9 @@ graph::NodeId pick_shop(const ScenarioSpec& spec, const graph::RoadNetwork& net,
 /// Approximate resident footprint for LRU accounting (DESIGN.md §13): the
 /// network CSR, the base flows with their paths, the shop's two trees, the
 /// problem's per-flow (population, alpha) pair, and the node -> flows
-/// incidence index at one 16-byte entry per distinct (flow, node) pair.
+/// incidence index at one 16-byte entry per live (flow, node) pair (detour
+/// within the utility's range) plus, per node, its CSR offset, pass count
+/// and vehicle sum.
 std::size_t estimate_bytes(const ServeScenario& scenario) {
   const std::size_t n = scenario.net.num_nodes();
   std::size_t bytes = sizeof(ServeScenario);
@@ -159,7 +170,8 @@ std::size_t estimate_bytes(const ServeScenario& scenario) {
   bytes += scenario.flows.size() * 2 * sizeof(double);  // weights
   bytes += scenario.problem->incidence().num_entries() *
            sizeof(traffic::NodeIncidence);
-  bytes += n * (sizeof(std::uint32_t) + sizeof(double));  // starts, vehicles
+  // Per node: CSR offset, pass count, vehicle sum.
+  bytes += n * (2 * sizeof(std::uint32_t) + sizeof(double));
   return bytes;
 }
 
@@ -210,9 +222,9 @@ std::uint64_t scenario_key(const ScenarioSpec& spec) {
                   key);
   } else if (!spec.network_path.empty()) {
     key = fnv1a64("|net-file:", key);
-    key = fnv1a64(read_file_or_throw(spec.network_path), key);
+    key = fnv1a64_file(spec.network_path, key);
     key = fnv1a64("|flows-file:", key);
-    key = fnv1a64(read_file_or_throw(spec.flows_path), key);
+    key = fnv1a64_file(spec.flows_path, key);
   } else {
     key = fnv1a64("|net-inline:", key);
     key = fnv1a64(spec.network_csv, key);
@@ -233,10 +245,8 @@ std::shared_ptr<const ServeScenario> build_scenario(const ScenarioSpec& spec,
     generate_city_inputs(spec, *scenario);
     source = spec.city + " seed " + std::to_string(spec.seed);
   } else if (!spec.network_path.empty()) {
-    scenario->net = graph::network_from_csv(
-        read_file_or_throw(spec.network_path), spec.network_path);
-    scenario->flows = trace::flows_from_csv(
-        scenario->net, read_file_or_throw(spec.flows_path), spec.flows_path);
+    scenario->net = graph::read_network_csv(spec.network_path);
+    scenario->flows = trace::read_flows_csv(scenario->net, spec.flows_path);
     source = spec.network_path;
   } else {
     scenario->net = graph::network_from_csv(spec.network_csv, "<network_csv>");

@@ -67,15 +67,16 @@ double parse_double(const ParsePosition& at, const std::string& text) {
 using RowParser = std::function<void(const ParsePosition&,
                                      const std::vector<std::string>&)>;
 
-/// Streams the data rows of `text` to `parse_row` after checking its header
-/// row against `header`; CSV syntax errors are re-anchored to `source_name`.
-template <std::size_t N>
-void for_each_data_row(std::string_view text, std::string_view source_name,
+/// Streams the data rows of `input` (CSV text or a stream of it) to
+/// `parse_row` after checking its header row against `header`; CSV syntax
+/// errors are re-anchored to `source_name`.
+template <typename Input, std::size_t N>
+void for_each_data_row(Input& input, std::string_view source_name,
                        const char* const (&header)[N],
                        const RowParser& parse_row) {
   bool seen_header = false;
   try {
-    util::for_each_csv_record(text, [&](const util::CsvRecord& record) {
+    util::for_each_csv_record(input, [&](const util::CsvRecord& record) {
       const ParsePosition at{source_name, record.line};
       if (!seen_header) {
         check_header(at, record.fields, header);
@@ -96,14 +97,12 @@ std::size_t max_data_rows(std::string_view text) {
   return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
 }
 
-std::string read_file(const std::filesystem::path& path) {
+std::ifstream open_file(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in) {
     throw std::runtime_error("trace io: cannot open " + path.string());
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return in;
 }
 
 void write_file(const std::filesystem::path& path, const std::string& text) {
@@ -120,26 +119,14 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
   }
 }
 
-}  // namespace
-
-std::string records_to_csv(std::span<const TraceRecord> records) {
-  std::ostringstream out;
-  util::CsvWriter writer(out);
-  writer.write_row({"vehicle_id", "journey_id", "run_id", "timestamp", "x", "y"});
-  for (const TraceRecord& r : records) {
-    writer.write_row({std::to_string(r.vehicle_id), std::to_string(r.journey_id),
-                      std::to_string(r.run_id),
-                      util::format_fixed(r.timestamp, 3),
-                      util::format_fixed(r.position.x, 3),
-                      util::format_fixed(r.position.y, 3)});
-  }
-  return out.str();
-}
-
-std::vector<TraceRecord> records_from_csv(std::string_view text,
-                                          std::string_view source_name) {
+/// Parses trace records from `input` (CSV text or a stream of it), with
+/// room reserved for `rows` of them.
+template <typename Input>
+std::vector<TraceRecord> parse_records(Input& input,
+                                       std::string_view source_name,
+                                       std::size_t rows) {
   std::vector<TraceRecord> records;
-  records.reserve(max_data_rows(text));
+  records.reserve(rows);
   const auto parse_row = [&](const ParsePosition& at,
                              const std::vector<std::string>& row) {
     if (row.size() != 6) fail(at, "ragged row");
@@ -151,43 +138,19 @@ std::vector<TraceRecord> records_from_csv(std::string_view text,
     r.position = {parse_double(at, row[4]), parse_double(at, row[5])};
     records.push_back(r);
   };
-  for_each_data_row(text, source_name, kRecordHeader, parse_row);
+  for_each_data_row(input, source_name, kRecordHeader, parse_row);
   return records;
 }
 
-void write_records_csv(const std::filesystem::path& path,
-                       std::span<const TraceRecord> records) {
-  write_file(path, records_to_csv(records));
-}
-
-std::vector<TraceRecord> read_records_csv(const std::filesystem::path& path) {
-  return records_from_csv(read_file(path), path.string());
-}
-
-std::string flows_to_csv(std::span<const traffic::TrafficFlow> flows) {
-  std::ostringstream out;
-  util::CsvWriter writer(out);
-  writer.write_row({"origin", "destination", "daily_vehicles",
-                    "passengers_per_vehicle", "alpha", "path"});
-  for (const traffic::TrafficFlow& flow : flows) {
-    std::vector<std::string> nodes;
-    nodes.reserve(flow.path.size());
-    for (const graph::NodeId v : flow.path) nodes.push_back(std::to_string(v));
-    writer.write_row({std::to_string(flow.origin),
-                      std::to_string(flow.destination),
-                      util::format_fixed(flow.daily_vehicles, 6),
-                      util::format_fixed(flow.passengers_per_vehicle, 6),
-                      util::format_fixed(flow.alpha, 9),
-                      util::join(nodes, "|")});
-  }
-  return out.str();
-}
-
-std::vector<traffic::TrafficFlow> flows_from_csv(const graph::RoadNetwork& net,
-                                                 std::string_view text,
-                                                 std::string_view source_name) {
+/// Parses flows from `input` (CSV text or a stream of it), validating each
+/// against `net`, with room reserved for `rows` of them.
+template <typename Input>
+std::vector<traffic::TrafficFlow> parse_flows(const graph::RoadNetwork& net,
+                                              Input& input,
+                                              std::string_view source_name,
+                                              std::size_t rows) {
   std::vector<traffic::TrafficFlow> flows;
-  flows.reserve(max_data_rows(text));
+  flows.reserve(rows);
   const auto parse_row = [&](const ParsePosition& at,
                              const std::vector<std::string>& row) {
     if (row.size() != 6) fail(at, "ragged row");
@@ -214,8 +177,64 @@ std::vector<traffic::TrafficFlow> flows_from_csv(const graph::RoadNetwork& net,
     }
     flows.push_back(std::move(flow));
   };
-  for_each_data_row(text, source_name, kFlowHeader, parse_row);
+  for_each_data_row(input, source_name, kFlowHeader, parse_row);
   return flows;
+}
+
+}  // namespace
+
+std::string records_to_csv(std::span<const TraceRecord> records) {
+  std::ostringstream out;
+  util::CsvWriter writer(out);
+  writer.write_row({"vehicle_id", "journey_id", "run_id", "timestamp", "x", "y"});
+  for (const TraceRecord& r : records) {
+    writer.write_row({std::to_string(r.vehicle_id), std::to_string(r.journey_id),
+                      std::to_string(r.run_id),
+                      util::format_fixed(r.timestamp, 3),
+                      util::format_fixed(r.position.x, 3),
+                      util::format_fixed(r.position.y, 3)});
+  }
+  return out.str();
+}
+
+std::vector<TraceRecord> records_from_csv(std::string_view text,
+                                          std::string_view source_name) {
+  return parse_records(text, source_name, max_data_rows(text));
+}
+
+void write_records_csv(const std::filesystem::path& path,
+                       std::span<const TraceRecord> records) {
+  write_file(path, records_to_csv(records));
+}
+
+std::vector<TraceRecord> read_records_csv(const std::filesystem::path& path) {
+  std::ifstream in = open_file(path);
+  return parse_records(in, path.string(), 0);
+}
+
+std::string flows_to_csv(std::span<const traffic::TrafficFlow> flows) {
+  std::ostringstream out;
+  util::CsvWriter writer(out);
+  writer.write_row({"origin", "destination", "daily_vehicles",
+                    "passengers_per_vehicle", "alpha", "path"});
+  for (const traffic::TrafficFlow& flow : flows) {
+    std::vector<std::string> nodes;
+    nodes.reserve(flow.path.size());
+    for (const graph::NodeId v : flow.path) nodes.push_back(std::to_string(v));
+    writer.write_row({std::to_string(flow.origin),
+                      std::to_string(flow.destination),
+                      util::format_fixed(flow.daily_vehicles, 6),
+                      util::format_fixed(flow.passengers_per_vehicle, 6),
+                      util::format_fixed(flow.alpha, 9),
+                      util::join(nodes, "|")});
+  }
+  return out.str();
+}
+
+std::vector<traffic::TrafficFlow> flows_from_csv(const graph::RoadNetwork& net,
+                                                 std::string_view text,
+                                                 std::string_view source_name) {
+  return parse_flows(net, text, source_name, max_data_rows(text));
 }
 
 void write_flows_csv(const std::filesystem::path& path,
@@ -225,7 +244,8 @@ void write_flows_csv(const std::filesystem::path& path,
 
 std::vector<traffic::TrafficFlow> read_flows_csv(
     const graph::RoadNetwork& net, const std::filesystem::path& path) {
-  return flows_from_csv(net, read_file(path), path.string());
+  std::ifstream in = open_file(path);
+  return parse_flows(net, in, path.string(), 0);
 }
 
 }  // namespace rap::trace

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <functional>
+#include <istream>
 #include <ostream>
 #include <span>
 #include <stdexcept>
@@ -59,6 +60,16 @@ class CsvSyntaxError : public std::invalid_argument {
 /// is reused between calls). Throws CsvSyntaxError on an unterminated quoted
 /// field, after delivering every row before it.
 void for_each_csv_record(std::string_view text,
+                         const std::function<void(const CsvRecord&)>& fn);
+
+/// Bytes read from a stream at a time by the std::istream overload.
+inline constexpr std::size_t kCsvChunkBytes = 64 * 1024;
+
+/// The same, reading `in` to its end in kCsvChunkBytes chunks, so no more
+/// than one chunk and one row of the input is held at once. Yields the same
+/// records and lines as the std::string_view overload on the same bytes.
+/// Also throws std::runtime_error when the stream reports a read error.
+void for_each_csv_record(std::istream& in,
                          const std::function<void(const CsvRecord&)>& fn);
 
 /// parse_csv, but every row carries its 1-based source line so format

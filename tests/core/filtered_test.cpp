@@ -4,6 +4,7 @@
 
 #include "src/core/evaluator.h"
 #include "src/core/greedy.h"
+#include "src/manhattan/grid_model.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -23,10 +24,19 @@ class FilteredFig4 : public ::testing::Test {
 };
 
 TEST_F(FilteredFig4, AllActiveEqualsBase) {
+  // All-active reach lists equal the base's element-wise. The filter counts
+  // its reach lists, which over a PlacementProblem hold only the flows
+  // within D (see filtered.h), so the count is the list length.
   const FilteredCoverageModel filtered(problem_, std::vector<bool>(4, true));
   for (graph::NodeId v = 0; v < 6; ++v) {
-    EXPECT_EQ(filtered.reach_at(v).size(), problem_.reach_at(v).size());
-    EXPECT_EQ(filtered.passing_flow_count(v), problem_.passing_flow_count(v));
+    const auto got = filtered.reach_at(v);
+    const auto want = problem_.reach_at(v);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].flow, want[i].flow) << "node " << v;
+      EXPECT_EQ(got[i].detour, want[i].detour) << "node " << v;
+    }
+    EXPECT_EQ(filtered.passing_flow_count(v), problem_.reach_at(v).size());
   }
   const Placement nodes{Fig4::V3, Fig4::V5};
   EXPECT_DOUBLE_EQ(evaluate_placement(filtered, nodes),
@@ -91,6 +101,28 @@ TEST_F(FilteredFig4, GreedyOnFilteredModelIgnoresMaskedFlows) {
   const PlacementResult result = greedy_coverage_placement(filtered, 2);
   EXPECT_EQ(result.nodes, Placement{Fig4::V5});
   EXPECT_DOUBLE_EQ(result.customers, 2.0);
+}
+
+TEST(FilteredGrid, AllActiveCountEqualsBase) {
+  // A Manhattan grid model's reach lists hold every passing flow, so there
+  // the all-active filtered count equals the base's passing_flow_count.
+  const manhattan::GridScenario scenario(5, 1.0);
+  std::vector<manhattan::GridFlow> flows(2);
+  flows[0].entry = {0, 2};
+  flows[0].exit = {4, 2};
+  flows[0].daily_vehicles = 3.0;
+  flows[1].entry = {0, 0};
+  flows[1].exit = {2, 4};
+  flows[1].daily_vehicles = 5.0;
+  const traffic::ThresholdUtility utility(100.0);
+  const manhattan::GridCoverageModel base(scenario, flows, utility);
+  const FilteredCoverageModel filtered(base, std::vector<bool>(2, true));
+  std::size_t passes = 0;
+  for (graph::NodeId v = 0; v < base.num_nodes(); ++v) {
+    EXPECT_EQ(filtered.passing_flow_count(v), base.passing_flow_count(v));
+    passes += base.passing_flow_count(v);
+  }
+  EXPECT_GT(passes, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "src/citygen/radial_city.h"
 #include "tests/testing/builders.h"
@@ -93,6 +94,25 @@ TEST(NetworkCsv, FileRoundTrip) {
   const auto path = dir / "net.csv";
   write_network_csv(path, net);
   expect_same_network(net, read_network_csv(path));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(NetworkCsv, StreamedFileErrorsNamePathAndLine) {
+  const auto dir = std::filesystem::temp_directory_path() / "rap_net_io_bad";
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "net.csv";
+  {
+    std::ofstream out(path);
+    out << "node,0,0\nnode,1,0\nblob,9\n";
+  }
+  try {
+    (void)read_network_csv(path);
+    ADD_FAILURE() << "expected parse error";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(path.string() + ":3"),
+              std::string::npos)
+        << error.what();
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <stdexcept>
 
 #include "src/core/evaluator.h"
@@ -40,6 +43,38 @@ ScenarioSpec inline_spec() {
   return spec;
 }
 
+/// Flow rows over the 2x2 grid, enough to span several 64 KiB read chunks.
+std::string many_flows_csv() {
+  std::string text =
+      "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n";
+  for (int i = 0; text.size() < 200'000; ++i) {
+    text += i % 2 == 0 ? "0,3," : "2,1,";
+    text += std::to_string(1 + i % 17);
+    text += i % 2 == 0 ? ",2,0.5,0|1|3\n" : ",1,0.25,2|3|1\n";
+  }
+  return text;
+}
+
+void write_text(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// inline_spec(), but reading kNetworkCsv and many_flows_csv() from files
+/// written under `dir`.
+ScenarioSpec file_spec(const std::filesystem::path& dir) {
+  std::filesystem::create_directories(dir);
+  write_text(dir / "net.csv", kNetworkCsv);
+  write_text(dir / "flows.csv", many_flows_csv());
+  ScenarioSpec spec = inline_spec();
+  spec.network_csv.clear();
+  spec.flows_csv.clear();
+  spec.network_path = (dir / "net.csv").string();
+  spec.flows_path = (dir / "flows.csv").string();
+  return spec;
+}
+
 /// Placeholder entry for cache-mechanics tests (no model built).
 std::shared_ptr<const ServeScenario> dummy_scenario(std::uint64_t key,
                                                     std::size_t bytes) {
@@ -71,6 +106,17 @@ TEST(ScenarioKey, DeterministicAndContentSensitive) {
       "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n"
       "0,3,11,2,0.5,0|1|3\n";
   EXPECT_NE(scenario_key(other), base);
+}
+
+TEST(ScenarioKey, FileSpecKeyIsStable) {
+  // Recorded when file keys hashed each whole file at once. Keys name the
+  // store's segments, so hashing the files in chunks must not move them.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "rap_scenario_key_golden";
+  const ScenarioSpec spec = file_spec(dir);
+  EXPECT_GT(std::filesystem::file_size(spec.flows_path), 3u * 64 * 1024);
+  EXPECT_EQ(scenario_key(spec), 0xc0c37e0770befaadULL);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioKey, GeneratedCitiesKeyOnParameters) {
@@ -123,6 +169,28 @@ TEST(BuildScenario, BuildsInlineCsvScenario) {
   const double value =
       core::evaluate_placement(*scenario->problem, std::vector<graph::NodeId>{0});
   EXPECT_GT(value, 0.0);
+}
+
+TEST(BuildScenario, FileSpecMatchesInlineSpec) {
+  // The streamed file parse builds the same scenario as the in-memory text.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "rap_build_scenario_files";
+  const ScenarioSpec files = file_spec(dir);
+  ScenarioSpec text = inline_spec();
+  text.flows_csv = many_flows_csv();
+  const auto from_files = build_scenario(files, scenario_key(files));
+  const auto from_text = build_scenario(text, scenario_key(text));
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(from_files->flows.size(), from_text->flows.size());
+  EXPECT_GT(from_files->flows.size(), 5'000u);
+  for (std::size_t f = 0; f < from_files->flows.size(); ++f) {
+    EXPECT_EQ(from_files->flows[f].path, from_text->flows[f].path);
+    EXPECT_EQ(from_files->flows[f].daily_vehicles,
+              from_text->flows[f].daily_vehicles);
+  }
+  const core::Placement nodes{1, 3};
+  EXPECT_EQ(core::evaluate_placement(*from_files->problem, nodes),
+            core::evaluate_placement(*from_text->problem, nodes));
 }
 
 TEST(BuildScenario, SharedDetoursMatchOwnedDetours) {

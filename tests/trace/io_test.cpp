@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "src/trace/generator.h"
 #include "tests/testing/builders.h"
@@ -127,6 +128,32 @@ TEST(FlowsCsv, FileRoundTrip) {
   const auto parsed = read_flows_csv(net, path);
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].path, flows[0].path);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FlowsCsv, StreamedFileErrorsNamePathAndLine) {
+  // A bad row well past the first 64 KiB read chunk still names its line.
+  const auto net = testing::line_network(3);
+  std::string text =
+      "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n";
+  for (int row = 0; row < 5'000; ++row) text += "0,2,1,1,0.5,0|1|2\n";
+  text += "0,2,1,1,0.5,0|2\n";  // not a walk: line 5,002
+  ASSERT_GT(text.size(), 64u * 1024);
+  const auto dir = std::filesystem::temp_directory_path() / "rap_flow_io_bad";
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "flows.csv";
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  try {
+    (void)read_flows_csv(net, path);
+    ADD_FAILURE() << "expected parse error";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(path.string() + ":5002"),
+              std::string::npos)
+        << error.what();
+  }
   std::filesystem::remove_all(dir);
 }
 

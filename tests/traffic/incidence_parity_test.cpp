@@ -1,4 +1,5 @@
-// Parity of IncidenceIndex's node-axis-only, two-pass construction against
+// Parity of IncidenceIndex's node-axis-only, flow-major staged construction
+// (at max_detour = kUnreachable, so every pass is kept) against
 // a test-local copy of the earlier two-axis construction (per-flow stop
 // lists transposed into the node -> flows CSR). On seeded grids with
 // looping random-walk paths — repeated nodes, non-integer chord lengths,
@@ -114,7 +115,7 @@ TEST(IncidenceParity, NodeAxisMatchesTwoAxisConstructionBitwise) {
     for (const DetourMode mode :
          {DetourMode::kAlongPath, DetourMode::kShortestPath}) {
       const DetourCalculator calc(net, shop, mode);
-      const IncidenceIndex index(net, flows, calc);
+      const IncidenceIndex index(net, flows, calc, graph::kUnreachable);
       const TwoAxisReference want(net, flows, calc);
       ASSERT_EQ(index.num_entries(), want.node_entries.size())
           << "seed " << seed;

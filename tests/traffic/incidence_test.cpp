@@ -65,7 +65,8 @@ std::size_t entries_of(const IncidenceIndex& index, FlowIndex f) {
 class IncidenceFig4 : public ::testing::Test {
  protected:
   IncidenceFig4()
-      : calc_(fig_.net, Fig4::shop), index_(fig_.net, fig_.flows, calc_) {}
+      : calc_(fig_.net, Fig4::shop),
+        index_(fig_.net, fig_.flows, calc_, graph::kUnreachable) {}
 
   Fig4 fig_;
   DetourCalculator calc_;
@@ -133,7 +134,7 @@ TEST(IncidenceIndex, RepeatedNodeKeepsMinimumDetour) {
   flow.daily_vehicles = 5.0;
   const DetourCalculator calc(net, 3);
   const std::vector<TrafficFlow> flows{flow};
-  const IncidenceIndex index(net, flows, calc);
+  const IncidenceIndex index(net, flows, calc, graph::kUnreachable);
   const auto stops = stops_of(index, flow, 0);
   ASSERT_EQ(stops.size(), 3u);  // nodes 0, 1, 2 (1 deduped)
   EXPECT_EQ(index.num_entries(), 3u);
@@ -173,7 +174,7 @@ TEST(IncidenceIndex, RepeatedNodeKeepsMinimumOverEveryVisit) {
   flow.daily_vehicles = 5.0;
   const ScriptedDetours detours({5.0, 3.0, 1.0, 2.0});
   const std::vector<TrafficFlow> flows{flow, flow};
-  const IncidenceIndex index(net, flows, detours);
+  const IncidenceIndex index(net, flows, detours, graph::kUnreachable);
   ASSERT_EQ(index.at_node(1).size(), 2u);
   for (const NodeIncidence& entry : index.at_node(1)) {
     EXPECT_EQ(entry.detour, 2.0);
@@ -181,6 +182,51 @@ TEST(IncidenceIndex, RepeatedNodeKeepsMinimumOverEveryVisit) {
   EXPECT_EQ(index.at_node(2)[0].detour, 1.0);
   EXPECT_EQ(index.at_node(0)[1].detour, 5.0);
   EXPECT_EQ(index.passing_vehicles(1), 10.0);
+}
+
+TEST(IncidenceIndex, MinimumOverVisitsDecidesWhatIsKept) {
+  // Node 1's first visit (detour 3) is beyond max_detour 2.5 but its second
+  // (detour 2) is not, so it is kept at 2; node 0 (detour 5) is dropped.
+  // The pass counts and vehicle sums still see every passing flow.
+  const auto net = testing::line_network(4);
+  TrafficFlow flow;
+  flow.origin = 0;
+  flow.destination = 1;
+  flow.path = {0, 1, 2, 1};
+  flow.daily_vehicles = 5.0;
+  const ScriptedDetours detours({5.0, 3.0, 1.0, 2.0});
+  const std::vector<TrafficFlow> flows{flow, flow};
+  const IncidenceIndex index(net, flows, detours, 2.5);
+  EXPECT_TRUE(index.at_node(0).empty());
+  ASSERT_EQ(index.at_node(1).size(), 2u);
+  EXPECT_EQ(index.at_node(1)[0].flow, 0u);
+  EXPECT_EQ(index.at_node(1)[1].flow, 1u);
+  EXPECT_EQ(index.at_node(1)[1].detour, 2.0);
+  EXPECT_EQ(index.num_entries(), 4u);
+  EXPECT_EQ(index.passing_flow_count(0), 2u);
+  EXPECT_EQ(index.passing_vehicles(0), 10.0);
+}
+
+TEST_F(IncidenceFig4, MaxDetourDropsOnlyEntriesBeyondIt) {
+  // At max_detour 4, V5's entries (detour 6 for T(2,5)) go; every kept entry
+  // matches the full index, and the rankings' counts are unchanged.
+  const IncidenceIndex pruned(fig_.net, fig_.flows, calc_, 4.0);
+  EXPECT_LT(pruned.num_entries(), index_.num_entries());
+  for (graph::NodeId v = 0; v < index_.num_nodes(); ++v) {
+    std::vector<NodeIncidence> want;
+    for (const NodeIncidence& entry : index_.at_node(v)) {
+      if (entry.detour <= 4.0) want.push_back(entry);
+    }
+    const auto got = pruned.at_node(v);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].flow, want[i].flow);
+      EXPECT_EQ(got[i].detour, want[i].detour);
+    }
+    EXPECT_EQ(pruned.passing_flow_count(v), index_.passing_flow_count(v));
+    EXPECT_EQ(pruned.passing_vehicles(v), index_.passing_vehicles(v));
+  }
+  EXPECT_EQ(entry_of(pruned, Fig4::V5, 0), nullptr);
 }
 
 TEST(IncidenceIndex, TransposeConsistency) {
@@ -191,7 +237,7 @@ TEST(IncidenceIndex, TransposeConsistency) {
   const auto net = testing::random_network(4, 4, 6, rng);
   const auto flows = testing::random_flows(net, 15, rng);
   const DetourCalculator calc(net, 5);
-  const IncidenceIndex index(net, flows, calc);
+  const IncidenceIndex index(net, flows, calc, graph::kUnreachable);
 
   std::map<std::pair<graph::NodeId, FlowIndex>, double> from_nodes;
   for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
@@ -228,7 +274,7 @@ TEST(IncidenceIndex, StopsNonDecreasingAlongShortestPaths) {
     const auto flows = testing::random_flows(net, 12, rng);
     const DetourCalculator calc(
         net, static_cast<graph::NodeId>(rng.next_below(net.num_nodes())));
-    const IncidenceIndex index(net, flows, calc);
+    const IncidenceIndex index(net, flows, calc, graph::kUnreachable);
     for (FlowIndex f = 0; f < flows.size(); ++f) {
       const auto stops = stops_of(index, flows[f], f);
       for (std::size_t i = 1; i < stops.size(); ++i) {
@@ -242,7 +288,7 @@ TEST(IncidenceIndex, StopsNonDecreasingAlongShortestPaths) {
 TEST(IncidenceIndex, EmptyFlowsYieldEmptyIndex) {
   const auto net = testing::line_network(3);
   const DetourCalculator calc(net, 0);
-  const IncidenceIndex index(net, {}, calc);
+  const IncidenceIndex index(net, {}, calc, graph::kUnreachable);
   EXPECT_EQ(index.num_flows(), 0u);
   for (graph::NodeId v = 0; v < 3; ++v) {
     EXPECT_TRUE(index.at_node(v).empty());
@@ -259,7 +305,8 @@ TEST(IncidenceIndex, ValidatesFlows) {
   bad.path = {0, 2};  // not a walk
   bad.daily_vehicles = 1.0;
   const std::vector<TrafficFlow> flows{bad};
-  EXPECT_THROW(IncidenceIndex(net, flows, calc), std::invalid_argument);
+  EXPECT_THROW(IncidenceIndex(net, flows, calc, graph::kUnreachable),
+               std::invalid_argument);
 }
 
 }  // namespace

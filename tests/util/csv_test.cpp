@@ -131,5 +131,105 @@ TEST(WriteCsvFile, CreatesDirectoriesAndRoundTrips) {
   std::filesystem::remove_all(dir);
 }
 
+/// Every record of `text` with its line, read through the std::istream
+/// overload (in kCsvChunkBytes chunks).
+std::vector<CsvRecord> stream_records(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<CsvRecord> records;
+  for_each_csv_record(in, [&](const CsvRecord& record) {
+    records.push_back(record);
+  });
+  return records;
+}
+
+/// Both overloads yield the same records, lines included.
+void expect_same_records(const std::string& text) {
+  const std::vector<CsvRecord> want = parse_csv_records(text);
+  const std::vector<CsvRecord> got = stream_records(text);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].line, want[i].line) << "record " << i;
+    EXPECT_EQ(got[i].fields, want[i].fields) << "record " << i;
+  }
+}
+
+/// `prefix` padded with 'x' to exactly `size` bytes.
+std::string padded(std::string prefix, std::size_t size) {
+  prefix.resize(size, 'x');
+  return prefix;
+}
+
+TEST(CsvStream, MatchesTextOverload) {
+  expect_same_records("a,\"b,c\",d\n\"multi\nline\",e\n");  // quoted , and \n
+  expect_same_records("a,b\r\nc,d\r\n");
+  expect_same_records("a,b\nlast,row");  // no final newline
+  expect_same_records("a,\"\"\"q\"\"\",\n,\n");
+  expect_same_records("");
+}
+
+TEST(CsvStream, MatchesTextOverloadOverManyChunks) {
+  // Rows, quoted newlines and \r\n terminators spread over several chunks.
+  std::string text;
+  for (std::size_t row = 0; text.size() < 3 * kCsvChunkBytes; ++row) {
+    text += std::to_string(row) + ",\"q,\n" + std::to_string(row * 7) +
+            "\",plain" + (row % 3 == 0 ? "\r\n" : "\n");
+  }
+  expect_same_records(text);
+  EXPECT_GT(stream_records(text).size(), 5'000u);
+}
+
+TEST(CsvStream, EscapedQuoteSplitAcrossTheChunkBoundary) {
+  // The "" pair's first quote is the chunk's last byte, its second the next
+  // chunk's first: one literal quote, still inside the quoted field.
+  const std::string text =
+      padded("a,\"", kCsvChunkBytes - 1) + "\"\"tail\",b\nc,d\n";
+  ASSERT_EQ(text[kCsvChunkBytes - 1], '"');
+  ASSERT_EQ(text[kCsvChunkBytes], '"');
+  expect_same_records(text);
+  const std::vector<CsvRecord> records = stream_records(text);
+  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records[0].fields.size(), 3u);
+  EXPECT_EQ(records[0].fields[1].substr(records[0].fields[1].size() - 5),
+            "\"tail");
+  EXPECT_EQ(records[0].fields[2], "b");
+  EXPECT_EQ(records[1].line, 2u);
+}
+
+TEST(CsvStream, ClosingQuoteAtTheChunkBoundary) {
+  // The field's closing quote is the chunk's last byte; the next chunk
+  // starts with the comma that ends it.
+  const std::string text =
+      padded("a,\"", kCsvChunkBytes - 1) + "\",b\nc\n";
+  ASSERT_EQ(text[kCsvChunkBytes - 1], '"');
+  expect_same_records(text);
+  const std::vector<CsvRecord> records = stream_records(text);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].fields.size(), 3u);
+  EXPECT_EQ(records[0].fields[2], "b");
+}
+
+TEST(CsvStream, UnterminatedQuoteNamesTheSameLine) {
+  for (const std::string& text :
+       {std::string("a,b\nc,d\ne,\"open\nmore\n"),
+        padded("a,b\nc,d\ne,\"open\n", 2 * kCsvChunkBytes + 5)}) {
+    std::string want;
+    try {
+      (void)parse_csv_records(text);
+    } catch (const CsvSyntaxError& error) {
+      want = error.what();
+    }
+    ASSERT_NE(want.find("line 3"), std::string::npos) << want;
+    std::size_t delivered = 0;
+    std::istringstream in(text);
+    try {
+      for_each_csv_record(in, [&](const CsvRecord&) { ++delivered; });
+      ADD_FAILURE() << "no CsvSyntaxError";
+    } catch (const CsvSyntaxError& error) {
+      EXPECT_EQ(std::string(error.what()), want);
+    }
+    EXPECT_EQ(delivered, 2u);  // every row before the open quote
+  }
+}
+
 }  // namespace
 }  // namespace rap::util
