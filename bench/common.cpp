@@ -1,6 +1,5 @@
 #include "bench/common.h"
 
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -16,6 +15,7 @@
 #include "src/trace/flow_extractor.h"
 #include "src/trace/generator.h"
 #include "src/util/rng.h"
+#include "src/util/text_file.h"
 #include "rap_version.h"
 
 namespace rap::bench {
@@ -163,18 +163,8 @@ void write_bench_json(
   }
   out << (metrics.empty() ? "" : "\n  ") << "]\n}\n";
 
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream file(path);
-  if (!file) {
-    throw std::runtime_error("write_bench_json: cannot open " + path.string());
-  }
-  file << out.str();
-  if (!file) {
-    throw std::runtime_error("write_bench_json: write failed for " +
-                             path.string());
-  }
+  util::write_text_file("write_bench_json", path,
+                        [&](std::ostream& file) { file << out.str(); });
 }
 
 }  // namespace rap::bench

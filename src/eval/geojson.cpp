@@ -1,9 +1,9 @@
 #include "src/eval/geojson.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/util/strings.h"
+#include "src/util/text_file.h"
 
 namespace rap::eval {
 namespace {
@@ -97,17 +97,9 @@ void write_geojson(const std::filesystem::path& path,
                    graph::NodeId shop,
                    std::span<const graph::NodeId> placement,
                    const GeoJsonOptions& options) {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("write_geojson: cannot open " + path.string());
-  }
-  out << to_geojson(net, flows, shop, placement, options);
-  if (!out) {
-    throw std::runtime_error("write_geojson: write failed for " + path.string());
-  }
+  const std::string text = to_geojson(net, flows, shop, placement, options);
+  util::write_text_file("write_geojson", path,
+                        [&](std::ostream& out) { out << text; });
 }
 
 }  // namespace rap::eval

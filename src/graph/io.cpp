@@ -7,6 +7,7 @@
 
 #include "src/util/csv.h"
 #include "src/util/strings.h"
+#include "src/util/text_file.h"
 
 namespace rap::graph {
 namespace {
@@ -24,23 +25,18 @@ struct ParsePosition {
                               std::to_string(at.line) + ": " + message);
 }
 
-double parse_double(const ParsePosition& at, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double out = std::stod(text, &used);
-    if (used != text.size()) fail(at, "not a number: '" + text + "'");
-    return out;
-  } catch (const std::logic_error&) {
-    fail(at, "not a number: '" + text + "'");
-  }
+double parse_double(const ParsePosition& at, std::string_view text) {
+  const std::optional<double> value = util::parse_double(text);
+  if (!value) fail(at, "not a number: '" + std::string(text) + "'");
+  return *value;
 }
 
-NodeId parse_node(const ParsePosition& at, const std::string& text) {
+NodeId parse_node(const ParsePosition& at, std::string_view text) {
   NodeId out = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out);
   if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    fail(at, "not a node id: '" + text + "'");
+    fail(at, "not a node id: '" + std::string(text) + "'");
   }
   return out;
 }
@@ -49,8 +45,8 @@ NodeId parse_node(const ParsePosition& at, const std::string& text) {
 template <typename Input>
 RoadNetwork parse_network(Input& input, std::string_view source_name) {
   RoadNetwork net;
-  const auto parse_row = [&](const util::CsvRecord& record) {
-    const auto& row = record.fields;
+  const auto parse_row = [&](const util::CsvRecordView& record) {
+    const std::span<const std::string_view> row = record.fields;
     const ParsePosition at{source_name, record.line};
     if (row.empty()) return;
     if (row[0] == "node") {
@@ -71,7 +67,7 @@ RoadNetwork parse_network(Input& input, std::string_view source_name) {
         fail(at, error.what());
       }
     } else {
-      fail(at, "unknown row kind '" + row[0] + "'");
+      fail(at, "unknown row kind '" + std::string(row[0]) + "'");
     }
   };
   try {
@@ -82,21 +78,24 @@ RoadNetwork parse_network(Input& input, std::string_view source_name) {
   return net;
 }
 
+/// The one network writer behind both network_to_csv and write_network_csv.
+void write_network(std::ostream& out, const RoadNetwork& net) {
+  util::CsvWriter writer(out);
+  for (NodeId v = 0; v < net.num_nodes(); ++v) {
+    const geo::Point p = net.position(v);
+    writer.field("node").field(p.x, 6).field(p.y, 6).end_row();
+  }
+  for (const Edge& e : net.edges()) {
+    writer.field("edge").field(e.from).field(e.to).field(e.length, 6).end_row();
+  }
+}
+
 }  // namespace
 
 std::string network_to_csv(const RoadNetwork& net) {
   std::ostringstream out;
-  util::CsvWriter writer(out);
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    const geo::Point p = net.position(v);
-    writer.write_row({"node", util::format_fixed(p.x, 6),
-                      util::format_fixed(p.y, 6)});
-  }
-  for (const Edge& e : net.edges()) {
-    writer.write_row({"edge", std::to_string(e.from), std::to_string(e.to),
-                      util::format_fixed(e.length, 6)});
-  }
-  return out.str();
+  write_network(out, net);
+  return std::move(out).str();
 }
 
 RoadNetwork network_from_csv(std::string_view text,
@@ -106,18 +105,8 @@ RoadNetwork network_from_csv(std::string_view text,
 
 void write_network_csv(const std::filesystem::path& path,
                        const RoadNetwork& net) {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("write_network_csv: cannot open " + path.string());
-  }
-  out << network_to_csv(net);
-  if (!out) {
-    throw std::runtime_error("write_network_csv: write failed for " +
-                             path.string());
-  }
+  util::write_text_file("write_network_csv", path,
+                        [&](std::ostream& out) { write_network(out, net); });
 }
 
 RoadNetwork read_network_csv(const std::filesystem::path& path) {

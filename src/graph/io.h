@@ -5,8 +5,13 @@
 //   edge,from,to,length
 //   ...            (one row per DIRECTED edge)
 //
-// Two-way streets appear as two edge rows, so a round trip reproduces the
-// network exactly. Lets users persist generated cities or load real maps
+// Two-way streets appear as two edge rows, so a round trip keeps the
+// topology exactly. Coordinates and lengths are written with six decimals,
+// so a round trip moves each by at most half of the 1e-6 quantum (the
+// generators' non-integer coordinates and Euclidean lengths do move), and
+// the written text is a fixed point: saving a loaded network reproduces the
+// file byte for byte. Integer lengths (ROADMAP item 2) would make the round
+// trip exact. Lets users persist generated cities or load real maps
 // exported from GIS tooling.
 #pragma once
 
@@ -31,7 +36,8 @@ namespace rap::graph {
                                            std::string_view source_name =
                                                "<string>");
 
-/// File wrappers (throw std::runtime_error on I/O failure).
+/// File wrappers (throw std::runtime_error naming the path on any I/O
+/// failure, the final flush and close included).
 void write_network_csv(const std::filesystem::path& path,
                        const RoadNetwork& net);
 [[nodiscard]] RoadNetwork read_network_csv(const std::filesystem::path& path);

@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "src/util/text_file.h"
 
 namespace rap::obs {
 
@@ -137,18 +138,9 @@ std::string to_json(const Telemetry& telemetry) {
 }
 
 void write_json(const std::filesystem::path& path, const Telemetry& telemetry) {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("obs::write_json: cannot open " + path.string());
-  }
-  out << to_json(telemetry) << "\n";
-  if (!out) {
-    throw std::runtime_error("obs::write_json: write failed for " +
-                             path.string());
-  }
+  const std::string text = to_json(telemetry);
+  util::write_text_file("obs::write_json", path,
+                        [&](std::ostream& out) { out << text << "\n"; });
 }
 
 std::string format_trace_text(const Tracer& tracer) {

@@ -1,12 +1,12 @@
 #include "src/obs/trace_export.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "src/obs/json.h"
+#include "src/util/text_file.h"
 
 namespace rap::obs {
 namespace {
@@ -107,19 +107,8 @@ ExportSummary write_chrome_trace(const std::filesystem::path& path,
                                  const FlightRecorder& recorder) {
   ExportSummary summary;
   const std::string body = to_chrome_trace(recorder, &summary);
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("obs::write_chrome_trace: cannot open " +
-                             path.string());
-  }
-  out << body << "\n";
-  if (!out) {
-    throw std::runtime_error("obs::write_chrome_trace: write failed for " +
-                             path.string());
-  }
+  util::write_text_file("obs::write_chrome_trace", path,
+                        [&](std::ostream& out) { out << body << "\n"; });
   return summary;
 }
 

@@ -9,6 +9,7 @@
 
 #include "src/util/csv.h"
 #include "src/util/strings.h"
+#include "src/util/text_file.h"
 
 namespace rap::trace {
 namespace {
@@ -31,14 +32,16 @@ struct ParsePosition {
                               std::to_string(at.line) + ": " + message);
 }
 
+using Row = std::span<const std::string_view>;
+
 template <std::size_t N>
-void check_header(const ParsePosition& at, const std::vector<std::string>& row,
+void check_header(const ParsePosition& at, Row row,
                   const char* const (&expected)[N]) {
   if (row.size() != N) fail(at, "bad header width");
   for (std::size_t i = 0; i < N; ++i) {
     if (row[i] != expected[i]) {
-      fail(at, "bad header column '" + row[i] + "' (expected '" + expected[i] +
-                   "')");
+      fail(at, "bad header column '" + std::string(row[i]) + "' (expected '" +
+                   expected[i] + "')");
     }
   }
 }
@@ -53,19 +56,13 @@ std::uint32_t parse_u32(const ParsePosition& at, std::string_view text) {
   return out;
 }
 
-double parse_double(const ParsePosition& at, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const double out = std::stod(text, &used);
-    if (used != text.size()) fail(at, "not a number: '" + text + "'");
-    return out;
-  } catch (const std::logic_error&) {
-    fail(at, "not a number: '" + text + "'");
-  }
+double parse_double(const ParsePosition& at, std::string_view text) {
+  const std::optional<double> value = util::parse_double(text);
+  if (!value) fail(at, "not a number: '" + std::string(text) + "'");
+  return *value;
 }
 
-using RowParser = std::function<void(const ParsePosition&,
-                                     const std::vector<std::string>&)>;
+using RowParser = std::function<void(const ParsePosition&, Row)>;
 
 /// Streams the data rows of `input` (CSV text or a stream of it) to
 /// `parse_row` after checking its header row against `header`; CSV syntax
@@ -76,7 +73,7 @@ void for_each_data_row(Input& input, std::string_view source_name,
                        const RowParser& parse_row) {
   bool seen_header = false;
   try {
-    util::for_each_csv_record(input, [&](const util::CsvRecord& record) {
+    util::for_each_csv_record(input, [&](const util::CsvRecordView& record) {
       const ParsePosition at{source_name, record.line};
       if (!seen_header) {
         check_header(at, record.fields, header);
@@ -105,20 +102,6 @@ std::ifstream open_file(const std::filesystem::path& path) {
   return in;
 }
 
-void write_file(const std::filesystem::path& path, const std::string& text) {
-  if (path.has_parent_path()) {
-    std::filesystem::create_directories(path.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("trace io: cannot open " + path.string());
-  }
-  out << text;
-  if (!out) {
-    throw std::runtime_error("trace io: write failed for " + path.string());
-  }
-}
-
 /// Parses trace records from `input` (CSV text or a stream of it), with
 /// room reserved for `rows` of them.
 template <typename Input>
@@ -127,8 +110,7 @@ std::vector<TraceRecord> parse_records(Input& input,
                                        std::size_t rows) {
   std::vector<TraceRecord> records;
   records.reserve(rows);
-  const auto parse_row = [&](const ParsePosition& at,
-                             const std::vector<std::string>& row) {
+  const auto parse_row = [&](const ParsePosition& at, Row row) {
     if (row.size() != 6) fail(at, "ragged row");
     TraceRecord r;
     r.vehicle_id = parse_u32(at, row[0]);
@@ -151,8 +133,7 @@ std::vector<traffic::TrafficFlow> parse_flows(const graph::RoadNetwork& net,
                                               std::size_t rows) {
   std::vector<traffic::TrafficFlow> flows;
   flows.reserve(rows);
-  const auto parse_row = [&](const ParsePosition& at,
-                             const std::vector<std::string>& row) {
+  const auto parse_row = [&](const ParsePosition& at, Row row) {
     if (row.size() != 6) fail(at, "ragged row");
     traffic::TrafficFlow flow;
     flow.origin = parse_u32(at, row[0]);
@@ -181,20 +162,43 @@ std::vector<traffic::TrafficFlow> parse_flows(const graph::RoadNetwork& net,
   return flows;
 }
 
+template <std::size_t N>
+void write_header(util::CsvWriter& writer, const char* const (&header)[N]) {
+  for (const char* name : header) writer.field(name);
+  writer.end_row();
+}
+
+/// The one record writer behind records_to_csv and write_records_csv.
+void write_records(std::ostream& out, std::span<const TraceRecord> records) {
+  util::CsvWriter writer(out);
+  write_header(writer, kRecordHeader);
+  for (const TraceRecord& r : records) {
+    writer.field(r.vehicle_id).field(r.journey_id).field(r.run_id);
+    writer.field(r.timestamp, 3).field(r.position.x, 3).field(r.position.y, 3);
+    writer.end_row();
+  }
+}
+
+/// The one flow writer behind flows_to_csv and write_flows_csv.
+void write_flows(std::ostream& out,
+                 std::span<const traffic::TrafficFlow> flows) {
+  util::CsvWriter writer(out);
+  write_header(writer, kFlowHeader);
+  for (const traffic::TrafficFlow& flow : flows) {
+    writer.field(flow.origin).field(flow.destination);
+    writer.field(flow.daily_vehicles, 6)
+        .field(flow.passengers_per_vehicle, 6)
+        .field(flow.alpha, 9);
+    writer.field(flow.path, '|').end_row();
+  }
+}
+
 }  // namespace
 
 std::string records_to_csv(std::span<const TraceRecord> records) {
   std::ostringstream out;
-  util::CsvWriter writer(out);
-  writer.write_row({"vehicle_id", "journey_id", "run_id", "timestamp", "x", "y"});
-  for (const TraceRecord& r : records) {
-    writer.write_row({std::to_string(r.vehicle_id), std::to_string(r.journey_id),
-                      std::to_string(r.run_id),
-                      util::format_fixed(r.timestamp, 3),
-                      util::format_fixed(r.position.x, 3),
-                      util::format_fixed(r.position.y, 3)});
-  }
-  return out.str();
+  write_records(out, records);
+  return std::move(out).str();
 }
 
 std::vector<TraceRecord> records_from_csv(std::string_view text,
@@ -204,7 +208,9 @@ std::vector<TraceRecord> records_from_csv(std::string_view text,
 
 void write_records_csv(const std::filesystem::path& path,
                        std::span<const TraceRecord> records) {
-  write_file(path, records_to_csv(records));
+  util::write_text_file(
+      "write_records_csv", path,
+      [&](std::ostream& out) { write_records(out, records); });
 }
 
 std::vector<TraceRecord> read_records_csv(const std::filesystem::path& path) {
@@ -214,21 +220,8 @@ std::vector<TraceRecord> read_records_csv(const std::filesystem::path& path) {
 
 std::string flows_to_csv(std::span<const traffic::TrafficFlow> flows) {
   std::ostringstream out;
-  util::CsvWriter writer(out);
-  writer.write_row({"origin", "destination", "daily_vehicles",
-                    "passengers_per_vehicle", "alpha", "path"});
-  for (const traffic::TrafficFlow& flow : flows) {
-    std::vector<std::string> nodes;
-    nodes.reserve(flow.path.size());
-    for (const graph::NodeId v : flow.path) nodes.push_back(std::to_string(v));
-    writer.write_row({std::to_string(flow.origin),
-                      std::to_string(flow.destination),
-                      util::format_fixed(flow.daily_vehicles, 6),
-                      util::format_fixed(flow.passengers_per_vehicle, 6),
-                      util::format_fixed(flow.alpha, 9),
-                      util::join(nodes, "|")});
-  }
-  return out.str();
+  write_flows(out, flows);
+  return std::move(out).str();
 }
 
 std::vector<traffic::TrafficFlow> flows_from_csv(const graph::RoadNetwork& net,
@@ -239,7 +232,8 @@ std::vector<traffic::TrafficFlow> flows_from_csv(const graph::RoadNetwork& net,
 
 void write_flows_csv(const std::filesystem::path& path,
                      std::span<const traffic::TrafficFlow> flows) {
-  write_file(path, flows_to_csv(flows));
+  util::write_text_file("write_flows_csv", path,
+                        [&](std::ostream& out) { write_flows(out, flows); });
 }
 
 std::vector<traffic::TrafficFlow> read_flows_csv(

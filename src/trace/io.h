@@ -28,7 +28,8 @@ namespace rap::trace {
 [[nodiscard]] std::vector<TraceRecord> records_from_csv(
     std::string_view text, std::string_view source_name = "<string>");
 
-/// File convenience wrappers (throw std::runtime_error on I/O failure).
+/// File convenience wrappers (throw std::runtime_error naming the path on
+/// any I/O failure, the final flush and close included).
 void write_records_csv(const std::filesystem::path& path,
                        std::span<const TraceRecord> records);
 [[nodiscard]] std::vector<TraceRecord> read_records_csv(

@@ -115,5 +115,19 @@ TEST(GeoJson, WritesFile) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(GeoJson, WriteErrorAtCloseThrows) {
+  // A small scene fits the stream's buffer, so /dev/full only refuses it
+  // when the file is flushed and closed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Fig4 fig;
+  try {
+    write_geojson("/dev/full", fig.net, {}, graph::kInvalidNode, {});
+    ADD_FAILURE() << "expected a write error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos)
+        << error.what();
+  }
+}
+
 }  // namespace
 }  // namespace rap::eval

@@ -134,6 +134,21 @@ TEST(WriteJson, CreatesParentDirectories) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(WriteJson, WriteErrorAtCloseThrows) {
+  // A small document fits the stream's buffer, so /dev/full only refuses
+  // it when the file is flushed and closed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Telemetry telemetry;
+  telemetry.metrics.counter("c").add(1);
+  try {
+    write_json("/dev/full", telemetry);
+    ADD_FAILURE() << "expected a write error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(FormatTraceText, IndentsByDepth) {
   Telemetry telemetry;
   {

@@ -4,9 +4,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "src/trace/generator.h"
 #include "tests/testing/builders.h"
+#include "tests/testing/parse_verdict.h"
 
 namespace rap::trace {
 namespace {
@@ -155,6 +157,242 @@ TEST(FlowsCsv, StreamedFileErrorsNamePathAndLine) {
         << error.what();
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(RecordsCsv, GoldenBytes) {
+  // Three decimals: exact binary ties (0.0625, 0.1875) round to even.
+  std::vector<TraceRecord> records(3);
+  records[0] = {1, 10, 100, 0.0625, {12.25, -3.5}};
+  records[1] = {4294967295u, 0, 7, 0.1875, {-0.0, 1e20}};
+  records[2] = {2, 11, 101, 86399.9995, {-1234.56789, 0.0005}};
+  EXPECT_EQ(records_to_csv(records),
+            "vehicle_id,journey_id,run_id,timestamp,x,y\n"
+            "1,10,100,0.062,12.250,-3.500\n"
+            "4294967295,0,7,0.188,-0.000,100000000000000000000.000\n"
+            "2,11,101,86400.000,-1234.568,0.001\n");
+}
+
+TEST(FlowsCsv, GoldenBytes) {
+  // Six decimals for volumes, nine for alpha; ties at both round to even.
+  std::vector<traffic::TrafficFlow> flows(4);
+  flows[0] = {0, 12, {0, 7, 4294967295u, 12}, 0.0078125, 100.0, 0.0009765625};
+  flows[1] = {3, 3, {3}, -0.0, 2.5, 0.0029296875};
+  flows[2] = {1, 2, {}, 1e20, 0.0234375, 1.0};
+  flows[3] = {5, 9, {5, 6, 7, 8, 9}, 12.3456789, 0.1, 1e-10};
+  EXPECT_EQ(flows_to_csv(flows),
+            "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,"
+            "path\n"
+            "0,12,0.007812,100.000000,0.000976562,0|7|4294967295|12\n"
+            "3,3,-0.000000,2.500000,0.002929688,3\n"
+            "1,2,100000000000000000000.000000,0.023438,1.000000000,\n"
+            "5,9,12.345679,0.100000,0.000000000,5|6|7|8|9\n");
+}
+
+TEST(TraceCsv, NumericFieldVerdicts) {
+  // What the parsers accept in a number field, and the exact error text
+  // of what they reject.
+  const struct {
+    std::string_view text;
+    std::string_view daily_vehicles;
+    std::string_view path_id;
+    std::string_view timestamp;
+    std::string_view y;
+  } cases[] = {
+      {" 1.5",
+       "ok 0x1.8p+0",
+       "error: <string>:2: not an unsigned integer: ' 1.5'",
+       "ok 0x1.8p+0",
+       "ok 0x1.8p+0"},
+      {"+1.5",
+       "ok 0x1.8p+0",
+       "error: <string>:2: not an unsigned integer: '+1.5'",
+       "ok 0x1.8p+0",
+       "ok 0x1.8p+0"},
+      {"0x1p3",
+       "ok 0x1p+3",
+       "error: <string>:2: not an unsigned integer: '0x1p3'",
+       "ok 0x1p+3",
+       "ok 0x1p+3"},
+      {"1e400",
+       "error: <string>:2: not a number: '1e400'",
+       "error: <string>:2: not an unsigned integer: '1e400'",
+       "error: <string>:2: not a number: '1e400'",
+       "error: <string>:2: not a number: '1e400'"},
+      {"1e-400",
+       "error: <string>:2: not a number: '1e-400'",
+       "error: <string>:2: not an unsigned integer: '1e-400'",
+       "error: <string>:2: not a number: '1e-400'",
+       "error: <string>:2: not a number: '1e-400'"},
+      {"nan",
+       "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
+       "error: <string>:2: not an unsigned integer: 'nan'",
+       "ok nan",
+       "ok nan"},
+      {"inf",
+       "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
+       "error: <string>:2: not an unsigned integer: 'inf'",
+       "ok inf",
+       "ok inf"},
+      {"",
+       "error: <string>:2: not a number: ''",
+       "error: <string>:2: not an unsigned integer: ''",
+       "error: <string>:2: not a number: ''",
+       "error: <string>:2: not a number: ''"},
+      {"1.5x",
+       "error: <string>:2: not a number: '1.5x'",
+       "error: <string>:2: not an unsigned integer: '1.5x'",
+       "error: <string>:2: not a number: '1.5x'",
+       "error: <string>:2: not a number: '1.5x'"},
+      {"-0",
+       "ok -0x0p+0",
+       "error: <string>:2: not an unsigned integer: '-0'",
+       "ok -0x0p+0",
+       "ok -0x0p+0"},
+      {"4294967296",
+       "ok 0x1p+32",
+       "error: <string>:2: not an unsigned integer: '4294967296'",
+       "ok 0x1p+32",
+       "ok 0x1p+32"},
+      {"1e-310",
+       "error: <string>:2: not a number: '1e-310'",
+       "error: <string>:2: not an unsigned integer: '1e-310'",
+       "error: <string>:2: not a number: '1e-310'",
+       "error: <string>:2: not a number: '1e-310'"},
+      {"-nan",
+       "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
+       "error: <string>:2: not an unsigned integer: '-nan'",
+       "ok -nan",
+       "ok -nan"},
+      {"Infinity",
+       "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
+       "error: <string>:2: not an unsigned integer: 'Infinity'",
+       "ok inf",
+       "ok inf"},
+      {"1.5 ",
+       "error: <string>:2: not a number: '1.5 '",
+       "error: <string>:2: not an unsigned integer: '1.5 '",
+       "error: <string>:2: not a number: '1.5 '",
+       "error: <string>:2: not a number: '1.5 '"},
+      {".5",
+       "ok 0x1p-1",
+       "error: <string>:2: not an unsigned integer: '.5'",
+       "ok 0x1p-1",
+       "ok 0x1p-1"},
+      {"5.",
+       "ok 0x1.4p+2",
+       "error: <string>:2: not an unsigned integer: '5.'",
+       "ok 0x1.4p+2",
+       "ok 0x1.4p+2"},
+      {"-.5e1",
+       "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
+       "error: <string>:2: not an unsigned integer: '-.5e1'",
+       "ok -0x1.4p+2",
+       "ok -0x1.4p+2"},
+      {"1E5",
+       "ok 0x1.86ap+16",
+       "error: <string>:2: not an unsigned integer: '1E5'",
+       "ok 0x1.86ap+16",
+       "ok 0x1.86ap+16"},
+      {"007",
+       "ok 0x1.cp+2",
+       "error: <string>:2: validate_flow: path endpoints disagree with origin/destination",
+       "ok 0x1.cp+2",
+       "ok 0x1.cp+2"},
+      {"-",
+       "error: <string>:2: not a number: '-'",
+       "error: <string>:2: not an unsigned integer: '-'",
+       "error: <string>:2: not a number: '-'",
+       "error: <string>:2: not a number: '-'"},
+      {"e5",
+       "error: <string>:2: not a number: 'e5'",
+       "error: <string>:2: not an unsigned integer: 'e5'",
+       "error: <string>:2: not a number: 'e5'",
+       "error: <string>:2: not a number: 'e5'"},
+      {"-1",
+       "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
+       "error: <string>:2: not an unsigned integer: '-1'",
+       "ok -0x1p+0",
+       "ok -0x1p+0"},
+      {"0x10",
+       "ok 0x1p+4",
+       "error: <string>:2: not an unsigned integer: '0x10'",
+       "ok 0x1p+4",
+       "ok 0x1p+4"},
+      {"\t2",
+       "ok 0x1p+1",
+       "error: <string>:2: not an unsigned integer: '\t2'",
+       "ok 0x1p+1",
+       "ok 0x1p+1"},
+      {"2.5e",
+       "error: <string>:2: not a number: '2.5e'",
+       "error: <string>:2: not an unsigned integer: '2.5e'",
+       "error: <string>:2: not a number: '2.5e'",
+       "error: <string>:2: not a number: '2.5e'"},
+      {"nan(1)",
+       "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
+       "error: <string>:2: not an unsigned integer: 'nan(1)'",
+       "ok nan",
+       "ok nan"},
+  };
+  const auto net = testing::line_network(3);
+  const std::string flow_header =
+      "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n";
+  const std::string record_header =
+      "vehicle_id,journey_id,run_id,timestamp,x,y\n";
+  for (const auto& c : cases) {
+    const std::string text(c.text);
+    EXPECT_EQ(testing::parse_verdict([&] {
+                return flows_from_csv(net,
+                                      flow_header + "0,2," + text +
+                                          ",1,0.5,0|1|2\n")
+                    .at(0)
+                    .daily_vehicles;
+              }),
+              c.daily_vehicles)
+        << "daily_vehicles '" << text << "'";
+    EXPECT_EQ(testing::parse_verdict([&] {
+                return static_cast<double>(
+                    flows_from_csv(net, flow_header + "0,2,1,1,0.5,0|1|" +
+                                            text + "\n")
+                        .at(0)
+                        .path.back());
+              }),
+              c.path_id)
+        << "path id '" << text << "'";
+    EXPECT_EQ(testing::parse_verdict([&] {
+                return records_from_csv(record_header + "1,2,3," + text +
+                                        ",1,2\n")
+                    .at(0)
+                    .timestamp;
+              }),
+              c.timestamp)
+        << "timestamp '" << text << "'";
+    EXPECT_EQ(testing::parse_verdict([&] {
+                return records_from_csv(record_header + "1,2,3,0,1," + text +
+                                        "\n")
+                    .at(0)
+                    .position.y;
+              }),
+              c.y)
+        << "y '" << text << "'";
+  }
+}
+
+TEST(TraceCsv, WriteErrorsAtCloseThrow) {
+  // Header-only files fit the stream's buffer, so /dev/full only refuses
+  // them when the file is flushed and closed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto expect_names_path = [](const auto& write) {
+    try {
+      write();
+      ADD_FAILURE() << "expected a write error";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_names_path([] { write_flows_csv("/dev/full", {}); });
+  expect_names_path([] { write_records_csv("/dev/full", {}); });
 }
 
 TEST(TraceIo, GeneratedTraceSurvivesRoundTrip) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/strings.h"
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -31,6 +33,7 @@ TEST(CsvWriter, WritesRows) {
   CsvWriter writer(out);
   writer.write_row({"k", "value"});
   writer.write_row({"1", "2.5"});
+  writer.flush();
   EXPECT_EQ(out.str(), "k,value\n1,2.5\n");
 }
 
@@ -38,6 +41,7 @@ TEST(CsvWriter, EscapesInRows) {
   std::ostringstream out;
   CsvWriter writer(out);
   writer.write_row({"a,b", "c"});
+  writer.flush();
   EXPECT_EQ(out.str(), "\"a,b\",c\n");
 }
 
@@ -46,7 +50,55 @@ TEST(CsvWriter, NumericRow) {
   CsvWriter writer(out);
   const std::vector<double> values{1.0, 2.5};
   writer.write_numeric_row("row", values, 3);
+  writer.flush();
   EXPECT_EQ(out.str(), "row,1,2.5\n");
+}
+
+TEST(CsvWriter, TypedFieldsMatchTheStringForms) {
+  // Each typed append writes what the string it replaces would: csv_escape,
+  // std::to_string, format_fixed and a '|'-joined id list.
+  const std::vector<std::uint32_t> ids{0, 7, 4294967295u};
+  std::ostringstream typed;
+  {
+    CsvWriter writer(typed);
+    writer.field("plain").field("a,\"b\"");
+    writer.field(std::uint64_t{18446744073709551615u});
+    writer.field(-0.0, 2).field(2.5, 0).field(ids, '|').end_row();
+    writer.field(std::span<const std::uint32_t>{}, '|').field("").end_row();
+  }
+  std::ostringstream strings;
+  {
+    CsvWriter writer(strings);
+    writer.write_row({"plain", "a,\"b\"", "18446744073709551615", "-0.00", "2",
+                      "0|7|4294967295"});
+    writer.write_row({"", ""});
+  }
+  EXPECT_EQ(typed.str(), strings.str());
+  EXPECT_EQ(typed.str(),
+            "plain,\"a,\"\"b\"\"\",18446744073709551615,-0.00,2,"
+            "0|7|4294967295\n,\n");
+}
+
+TEST(CsvWriter, BytesReachTheStreamOnFlushAndWhenTheBufferFills) {
+  std::ostringstream out;
+  CsvWriter writer(out);
+  writer.write_row({"a", "b"});
+  EXPECT_EQ(out.str(), "");
+  writer.flush();
+  EXPECT_EQ(out.str(), "a,b\n");
+  // Rows and one text field longer than the buffer cross it intact.
+  std::string want = "a,b\n";
+  const std::string long_field(kCsvWriteBufferBytes + 10, 'z');
+  writer.field(long_field).end_row();
+  want += long_field + "\n";
+  for (std::uint64_t row = 0; want.size() < 3 * kCsvWriteBufferBytes; ++row) {
+    const double half = static_cast<double>(row) * 0.5;
+    writer.field(row).field(half, 3).end_row();
+    want += std::to_string(row) + "," + format_fixed(half, 3) + "\n";
+  }
+  EXPECT_GE(out.str().size(), kCsvWriteBufferBytes);
+  writer.flush();
+  EXPECT_EQ(out.str(), want);
 }
 
 TEST(ParseCsv, SimpleGrid) {
@@ -114,6 +166,7 @@ TEST(ParseCsv, RoundTripsThroughWriter) {
   std::ostringstream out;
   CsvWriter writer(out);
   for (const auto& row : rows) writer.write_row(row);
+  writer.flush();
   EXPECT_EQ(parse_csv(out.str()), rows);
 }
 
@@ -131,13 +184,29 @@ TEST(WriteCsvFile, CreatesDirectoriesAndRoundTrips) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(WriteCsvFile, WriteErrorAtCloseThrows) {
+  // A small file fits the stream's buffer, so /dev/full only refuses it
+  // when the file is flushed and closed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::vector<std::vector<std::string>> rows{{"a", "b"}, {"1", "2"}};
+  try {
+    write_csv_file("/dev/full", rows);
+    ADD_FAILURE() << "expected a write error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("/dev/full"), std::string::npos)
+        << error.what();
+  }
+}
+
 /// Every record of `text` with its line, read through the std::istream
 /// overload (in kCsvChunkBytes chunks).
 std::vector<CsvRecord> stream_records(const std::string& text) {
   std::istringstream in(text);
   std::vector<CsvRecord> records;
-  for_each_csv_record(in, [&](const CsvRecord& record) {
-    records.push_back(record);
+  for_each_csv_record(in, [&](const CsvRecordView& record) {
+    records.push_back(
+        {record.line, std::vector<std::string>(record.fields.begin(),
+                                               record.fields.end())});
   });
   return records;
 }
@@ -208,6 +277,40 @@ TEST(CsvStream, ClosingQuoteAtTheChunkBoundary) {
   EXPECT_EQ(records[0].fields[2], "b");
 }
 
+TEST(CsvStream, QuotedFieldWithEscapeStraddlesTheChunkBoundary) {
+  // Plain rows up to a row whose quoted field holds a "" escape and a line
+  // break and runs on past the end of the first chunk.
+  std::string text;
+  while (text.size() < kCsvChunkBytes - 100) text += "plain,row\n";
+  const std::size_t plain_rows = text.size() / 10;
+  const std::string field =
+      std::string(80, 'q') + "\"" + "\n" + std::string(80, 'r');
+  text += "a,\"" + std::string(80, 'q') + "\"\"\n" + std::string(80, 'r') +
+          "\",z\nlast,row\n";
+  ASSERT_LT(text.find("\"\""), kCsvChunkBytes);
+  ASSERT_GT(text.find("\",z"), kCsvChunkBytes);
+  expect_same_records(text);
+  const std::vector<CsvRecord> records = stream_records(text);
+  ASSERT_EQ(records.size(), plain_rows + 2);
+  const CsvRecord& quoted = records[plain_rows];
+  EXPECT_EQ(quoted.line, plain_rows + 1);
+  EXPECT_EQ(quoted.fields, (std::vector<std::string>{"a", field, "z"}));
+  EXPECT_EQ(records.back().line, plain_rows + 3);
+  EXPECT_EQ(records.back().fields,
+            (std::vector<std::string>{"last", "row"}));
+}
+
+TEST(CsvStream, PlainRowStraddlesTheChunkBoundary) {
+  const std::string text =
+      padded("", kCsvChunkBytes - 5) + "\nabcdefgh,ijk\r\nend\n";
+  expect_same_records(text);
+  const std::vector<CsvRecord> records = stream_records(text);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].line, 2u);
+  EXPECT_EQ(records[1].fields, (std::vector<std::string>{"abcdefgh", "ijk"}));
+  EXPECT_EQ(records[2].fields, (std::vector<std::string>{"end"}));
+}
+
 TEST(CsvStream, UnterminatedQuoteNamesTheSameLine) {
   for (const std::string& text :
        {std::string("a,b\nc,d\ne,\"open\nmore\n"),
@@ -222,7 +325,7 @@ TEST(CsvStream, UnterminatedQuoteNamesTheSameLine) {
     std::size_t delivered = 0;
     std::istringstream in(text);
     try {
-      for_each_csv_record(in, [&](const CsvRecord&) { ++delivered; });
+      for_each_csv_record(in, [&](const CsvRecordView&) { ++delivered; });
       ADD_FAILURE() << "no CsvSyntaxError";
     } catch (const CsvSyntaxError& error) {
       EXPECT_EQ(std::string(error.what()), want);
