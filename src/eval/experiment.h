@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/trace/classify.h"
-#include "src/traffic/detour.h"
 #include "src/traffic/utility.h"
 #include "src/util/stats.h"
 
@@ -51,7 +50,6 @@ struct ExperimentConfig {
   trace::LocationClass shop_class = trace::LocationClass::kCity;
   std::size_t repetitions = 100;     ///< paper uses 1000; benches default lower
   std::uint64_t seed = 1;
-  traffic::DetourMode detour_mode = traffic::DetourMode::kAlongPath;
   /// false: general scenario (fixed paths); true: Manhattan scenario
   /// (flexible routing + two-stage algorithms become available).
   bool manhattan_scenario = false;

@@ -143,7 +143,7 @@ ExperimentResult run_experiment(const Workload& workload,
         owned = std::move(fp);
       } else {
         owned = std::make_unique<core::PlacementProblem>(
-            *workload.net, workload.flows, shop, *utility, config.detour_mode);
+            *workload.net, workload.flows, shop, *utility);
       }
     }
     const core::CoverageModel& model = *owned;

@@ -59,8 +59,9 @@ RoadNetwork parse_network(Input& input, std::string_view source_name) {
       if (from >= net.num_nodes() || to >= net.num_nodes()) {
         fail(at, "edge references an undeclared node");
       }
+      const double length = parse_double(at, row[3]);
       try {
-        net.add_edge(from, to, parse_double(at, row[3]));
+        net.add_edge(from, to, length);
       } catch (const std::invalid_argument& error) {
         // RoadNetwork rejects self-loops and non-positive/non-finite
         // lengths; re-anchor its message to the offending row.

@@ -83,12 +83,4 @@ std::vector<double> DetourCalculator::detours_along_path(
   return out;
 }
 
-double DetourCalculator::detour_at(const TrafficFlow& flow,
-                                   std::size_t path_index) const {
-  if (path_index >= flow.path.size()) {
-    throw std::out_of_range("DetourCalculator::detour_at: bad path index");
-  }
-  return detours_along_path(flow)[path_index];
-}
-
 }  // namespace rap::traffic

@@ -81,11 +81,6 @@ class DetourCalculator final : public DetourSource {
   [[nodiscard]] std::vector<double> detours_along_path(
       const TrafficFlow& flow) const override;
 
-  /// Detour distance at one path position (0-based index into flow.path).
-  /// Prefer detours_along_path when evaluating the whole path.
-  [[nodiscard]] double detour_at(const TrafficFlow& flow,
-                                 std::size_t path_index) const;
-
  private:
   [[nodiscard]] const graph::ShortestPathTree& tree_to_destination(
       graph::NodeId destination) const;

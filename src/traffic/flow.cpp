@@ -1,6 +1,5 @@
 #include "src/traffic/flow.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -54,20 +53,6 @@ TrafficFlow make_shortest_path_flow(const graph::RoadNetwork& net,
   flow.alpha = alpha;
   validate_flow(net, flow);
   return flow;
-}
-
-std::vector<TrafficFlow> perturb_demand(const std::vector<TrafficFlow>& flows,
-                                        double volume_cv, util::Rng& rng) {
-  if (volume_cv < 0.0) {
-    throw std::invalid_argument("perturb_demand: volume_cv must be >= 0");
-  }
-  std::vector<TrafficFlow> out = flows;
-  for (TrafficFlow& flow : out) {
-    const double factor =
-        std::max(0.0, 1.0 + rng.next_gaussian(0.0, volume_cv));
-    flow.daily_vehicles *= factor;
-  }
-  return out;
 }
 
 double total_population(const std::vector<TrafficFlow>& flows) noexcept {

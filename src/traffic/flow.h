@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/graph/road_network.h"
-#include "src/util/rng.h"
 
 namespace rap::traffic {
 
@@ -51,10 +50,5 @@ void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow);
 
 /// Total potential customers across all flows.
 [[nodiscard]] double total_population(const std::vector<TrafficFlow>& flows) noexcept;
-
-/// Demand-perturbed copy of the flows: paths untouched, volumes rescaled by
-/// max(0, 1 + volume_cv * N(0,1)) per flow. Throws when volume_cv < 0.
-[[nodiscard]] std::vector<TrafficFlow> perturb_demand(
-    const std::vector<TrafficFlow>& flows, double volume_cv, util::Rng& rng);
 
 }  // namespace rap::traffic

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/util/strings.h"
@@ -50,17 +49,6 @@ void CsvWriter::write_row(std::span<const std::string> fields) {
 
 void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
   for (const std::string_view f : fields) field(f);
-  end_row();
-}
-
-void CsvWriter::write_numeric_row(std::string_view label,
-                                  std::span<const double> values,
-                                  int precision) {
-  std::ostringstream row;
-  row.precision(precision);
-  for (const double v : values) row << ',' << v;
-  field(label);
-  put(row.str());
   end_row();
 }
 

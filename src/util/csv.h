@@ -40,10 +40,6 @@ class CsvWriter {
   void write_row(std::span<const std::string> fields);
   void write_row(std::initializer_list<std::string_view> fields);
 
-  /// Convenience: header then repeated numeric rows with a leading label.
-  void write_numeric_row(std::string_view label, std::span<const double> values,
-                         int precision = 6);
-
   /// Typed appends: each adds one field to the current row, which end_row()
   /// terminates. Text is escaped as csv_escape does; a double is written as
   /// format_fixed(value, decimals) would (throwing as it does); `ids` become

@@ -44,22 +44,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   count_ += other.count_;
 }
 
-Summary summarize(std::span<const double> samples) noexcept {
-  RunningStats acc;
-  for (const double s : samples) acc.add(s);
-  Summary out;
-  out.count = acc.count();
-  out.mean = acc.mean();
-  out.stddev = acc.stddev();
-  out.stderr_mean = acc.stderr_mean();
-  if (acc.count() > 0) {  // keep the documented 0-when-empty Summary fields
-    out.min = acc.min();
-    out.max = acc.max();
-  }
-  out.ci95_halfwidth = 1.96 * acc.stderr_mean();
-  return out;
-}
-
 double percentile(std::span<const double> samples, double q) {
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
@@ -76,34 +60,6 @@ double percentile_sorted(std::span<const double> sorted, double q) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double mean_of(std::span<const double> samples) {
-  if (samples.empty()) throw std::invalid_argument("mean_of: empty input");
-  RunningStats acc;
-  for (const double s : samples) acc.add(s);
-  return acc.mean();
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size()) {
-    throw std::invalid_argument("pearson: size mismatch");
-  }
-  if (xs.size() < 2) throw std::invalid_argument("pearson: need >= 2 points");
-  const double mx = mean_of(xs);
-  const double my = mean_of(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace rap::util

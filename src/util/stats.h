@@ -53,9 +53,6 @@ struct Summary {
   double ci95_halfwidth = 0.0;
 };
 
-/// Summarises a sample set in one pass.
-[[nodiscard]] Summary summarize(std::span<const double> samples) noexcept;
-
 /// Linear-interpolated percentile, q in [0, 100]. Throws on empty input or
 /// out-of-range q. The input need not be sorted (a sorted copy is made).
 [[nodiscard]] double percentile(std::span<const double> samples, double q);
@@ -66,13 +63,5 @@ struct Summary {
 /// unspecified (but in-range) value; validation stays on q and emptiness.
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted,
                                        double q);
-
-/// Arithmetic mean; throws on empty input.
-[[nodiscard]] double mean_of(std::span<const double> samples);
-
-/// Pearson correlation of two equal-length samples; throws on mismatch or
-/// fewer than two points; returns 0 when either side has zero variance.
-[[nodiscard]] double pearson(std::span<const double> xs,
-                             std::span<const double> ys);
 
 }  // namespace rap::util

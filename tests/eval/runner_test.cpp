@@ -172,21 +172,6 @@ TEST(AlgorithmId, ToStringCovers) {
 }
 
 
-TEST(RunExperiment, NaiveGreedyAndDetourModeSupported) {
-  const Workload w = small_workload(10);
-  ExperimentConfig config = small_config();
-  config.algorithms = {AlgorithmId::kNaiveGreedy, AlgorithmId::kCompositeGreedy};
-  config.detour_mode = traffic::DetourMode::kShortestPath;
-  const ExperimentResult result = run_experiment(w, config);
-  ASSERT_EQ(result.series.size(), 2u);
-  // On shortest-path flows the two detour modes agree, so values are sane.
-  for (const SeriesResult& series : result.series) {
-    for (const util::Summary& s : series.by_k) {
-      EXPECT_GE(s.mean, 0.0);
-    }
-  }
-}
-
 TEST(RunExperiment, PrefixTrickMatchesIndependentRuns) {
   // The runner sweeps k via placement prefixes; independent per-k runs of
   // the same algorithm must produce identical means.

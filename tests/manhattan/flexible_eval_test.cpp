@@ -3,26 +3,45 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "src/citygen/grid_city.h"
 #include "src/core/evaluator.h"
-#include "src/graph/sp_dag.h"
+#include "src/manhattan/grid_scenario.h"
 #include "tests/testing/builders.h"
 
 namespace rap::manhattan {
 namespace {
 
 TEST(FlexibleProblem, ReachEqualsShortestPathDagMembership) {
+  // Off-diagonal OD pairs, so the shortest-path DAG (every monotone
+  // staircase inside the OD bounding rectangle on a full grid) leaves nodes
+  // out. The reference is the grid model's rectangle test, independent of
+  // the Dijkstra trees FlexibleProblem builds its reach from.
   const citygen::GridCity city({5, 5, 1.0, {0.0, 0.0}});
   const graph::RoadNetwork& net = city.network();
-  std::vector<traffic::TrafficFlow> flows{
-      traffic::make_shortest_path_flow(net, city.node_at(0, 0),
-                                       city.node_at(4, 4), 10.0)};
+  const std::vector<std::pair<citygen::GridCoord, citygen::GridCoord>> ods{
+      {{1, 0}, {3, 4}}, {{4, 1}, {0, 3}}};
+  std::vector<traffic::TrafficFlow> flows;
+  for (const auto& [entry, exit] : ods) {
+    flows.push_back(traffic::make_shortest_path_flow(
+        net, city.node_at(entry), city.node_at(exit), 10.0));
+  }
   const traffic::ThresholdUtility utility(100.0);
   const FlexibleProblem model(net, flows, city.node_at(2, 2), utility);
-  const graph::ShortestPathDag dag(net, city.node_at(0, 0), city.node_at(4, 4));
-  for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
-    EXPECT_EQ(!model.reach_at(v).empty(), dag.on_some_shortest_path(v)) << v;
+  for (traffic::FlowIndex f = 0; f < ods.size(); ++f) {
+    std::size_t off_dag = 0;
+    for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
+      const auto reach = model.reach_at(v);
+      const bool reached = std::any_of(
+          reach.begin(), reach.end(),
+          [f](const traffic::NodeIncidence& inc) { return inc.flow == f; });
+      const bool on_dag = GridScenario::on_some_shortest_path(
+          ods[f].first, ods[f].second, city.coord_of(v));
+      EXPECT_EQ(reached, on_dag) << "flow " << f << " node " << v;
+      off_dag += on_dag ? 0 : 1;
+    }
+    EXPECT_GT(off_dag, 0u) << "flow " << f;
   }
 }
 

@@ -68,13 +68,6 @@ TEST(DetourCalculator, UnreachableShopGivesInfiniteDetours) {
   }
 }
 
-TEST(DetourCalculator, DetourAtMatchesVector) {
-  const Fig4 fig;
-  const DetourCalculator calc(fig.net, Fig4::shop);
-  EXPECT_DOUBLE_EQ(calc.detour_at(fig.flows[0], 1), 4.0);
-  EXPECT_THROW(calc.detour_at(fig.flows[0], 3), std::out_of_range);
-}
-
 TEST(DetourCalculator, ValidatesFlow) {
   const Fig4 fig;
   const DetourCalculator calc(fig.net, Fig4::shop);

@@ -45,15 +45,6 @@ TEST(CsvWriter, EscapesInRows) {
   EXPECT_EQ(out.str(), "\"a,b\",c\n");
 }
 
-TEST(CsvWriter, NumericRow) {
-  std::ostringstream out;
-  CsvWriter writer(out);
-  const std::vector<double> values{1.0, 2.5};
-  writer.write_numeric_row("row", values, 3);
-  writer.flush();
-  EXPECT_EQ(out.str(), "row,1,2.5\n");
-}
-
 TEST(CsvWriter, TypedFieldsMatchTheStringForms) {
   // Each typed append writes what the string it replaces would: csv_escape,
   // std::to_string, format_fixed and a '|'-joined id list.

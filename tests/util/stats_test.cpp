@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -117,23 +116,6 @@ TEST(RunningStats, NumericallyStableOnLargeOffset) {
   EXPECT_NEAR(s.variance(), 1.001, 0.01);  // ~1 (exactly n/(n-1))
 }
 
-TEST(Summarize, MatchesRunningStats) {
-  const std::vector<double> data{1.0, 2.0, 3.0, 4.0};
-  const Summary s = summarize(data);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_NEAR(s.stddev, std::sqrt(5.0 / 3.0), 1e-12);
-  EXPECT_NEAR(s.ci95_halfwidth, 1.96 * s.stderr_mean, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-}
-
-TEST(Summarize, EmptyInput) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-}
-
 TEST(Percentile, Median) {
   const std::vector<double> data{5.0, 1.0, 3.0};
   EXPECT_DOUBLE_EQ(percentile(data, 50.0), 3.0);
@@ -170,33 +152,6 @@ TEST(PercentileSorted, Validation) {
   EXPECT_THROW(percentile_sorted(empty, 50.0), std::invalid_argument);
   EXPECT_THROW(percentile_sorted(one, -1.0), std::invalid_argument);
   EXPECT_THROW(percentile_sorted(one, 101.0), std::invalid_argument);
-}
-
-TEST(MeanOf, Basic) {
-  const std::vector<double> data{1.0, 2.0, 6.0};
-  EXPECT_DOUBLE_EQ(mean_of(data), 3.0);
-  EXPECT_THROW(mean_of({}), std::invalid_argument);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const std::vector<double> ys{2.0, 4.0, 6.0};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  const std::vector<double> neg{-2.0, -4.0, -6.0};
-  EXPECT_NEAR(pearson(xs, neg), -1.0, 1e-12);
-}
-
-TEST(Pearson, ZeroVarianceIsZero) {
-  const std::vector<double> xs{1.0, 1.0, 1.0};
-  const std::vector<double> ys{2.0, 4.0, 6.0};
-  EXPECT_DOUBLE_EQ(pearson(xs, ys), 0.0);
-}
-
-TEST(Pearson, Validation) {
-  const std::vector<double> a{1.0, 2.0};
-  const std::vector<double> b{1.0};
-  EXPECT_THROW(pearson(a, b), std::invalid_argument);
-  EXPECT_THROW(pearson(b, b), std::invalid_argument);
 }
 
 }  // namespace
