@@ -5,17 +5,24 @@
 //      optimum on small instances — quantifies what the overlap-aware
 //      candidate (ii) buys and how close each lands to optimal.
 //   2. Detour d''' mode: along-path vs shortest-path on trace-extracted
-//      (imperfect) paths — justifies the default.
+//      (imperfect) paths — justifies the default. The shortest-path side
+//      hands PlacementProblem a DetourCalculator built in
+//      DetourMode::kShortestPath, the mode's only caller.
 //   3. Route flexibility: the same placements valued under fixed-path vs
 //      flexible routing — the Fig. 12 vs Fig. 13 mechanism in isolation.
 //   4. Lazy (CELF) greedy: identical output to the eager greedy with a
 //      fraction of the gain evaluations — the k|V||T| term in practice.
 //   5. Detour preprocessing: the paper's O(|V|^3) all-pairs matrix vs the
-//      per-shop Dijkstra engine, per-shop build time.
+//      per-shop Dijkstra engine, per-shop build time. Both price through
+//      DetourCalculator; the matrix side reads d' and d'' off the shop's
+//      column and row.
 //
 // Flags: --instances (default 30), --seed, --k (default 6).
 #include <chrono>
 #include <iostream>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "bench/common.h"
 #include "src/core/composite_greedy.h"
@@ -24,8 +31,9 @@
 #include "src/core/greedy.h"
 #include "src/core/lazy_greedy.h"
 #include "src/core/local_search.h"
+#include "src/graph/apsp.h"
 #include "src/manhattan/flexible_eval.h"
-#include "src/traffic/apsp_detour.h"
+#include "src/traffic/detour.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -111,9 +119,11 @@ int main(int argc, char** argv) {
       const auto shop = static_cast<graph::NodeId>(
           rng.next_below(city.net->num_nodes()));
       const core::PlacementProblem a(*city.net, city.workload.flows, shop,
-                                     utility, traffic::DetourMode::kAlongPath);
-      const core::PlacementProblem s(*city.net, city.workload.flows, shop,
-                                     utility, traffic::DetourMode::kShortestPath);
+                                     utility);
+      const core::PlacementProblem s(
+          *city.net, city.workload.flows, shop, utility,
+          std::make_unique<traffic::DetourCalculator>(
+              *city.net, shop, traffic::DetourMode::kShortestPath));
       along.add(core::composite_greedy_placement(a, k).customers);
       shortest.add(core::composite_greedy_placement(s, k).customers);
     }
@@ -210,7 +220,14 @@ int main(int argc, char** argv) {
         graph::all_pairs_shortest_paths(*city.net);
     const double apsp_ms = time_of([&] {
       for (graph::NodeId shop = 0; shop < 20; ++shop) {
-        const traffic::ApspDetourCalculator calc(*city.net, matrix, shop);
+        std::vector<double> to_shop(city.net->num_nodes());
+        for (graph::NodeId v = 0; v < to_shop.size(); ++v) {
+          to_shop[v] = matrix(v, shop);
+        }
+        const std::span<const double> from_shop = matrix.row(shop);
+        const traffic::DetourCalculator calc(
+            *city.net, shop, std::move(to_shop),
+            std::vector<double>(from_shop.begin(), from_shop.end()));
         for (const auto& flow : city.workload.flows) {
           (void)calc.detours_along_path(flow);
         }

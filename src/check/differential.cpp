@@ -181,13 +181,12 @@ DiffReport run_differential_checks(const Scenario& scenario,
   const core::CompositeGreedyOptions pad_marg{.stop_when_no_gain = false};
 
   // --- Serial leg: every eager algorithm under a single thread. ---
-  core::PlacementResult cov, naive, comp, cov_pad, naive_pad, clamp_pad;
+  core::PlacementResult cov, naive, comp, naive_pad, clamp_pad;
   {
     const ScopedThreads serial(1);
     cov = core::greedy_coverage_placement(model, k);
     naive = core::naive_marginal_greedy_placement(model, k);
     comp = core::composite_greedy_placement(model, k);
-    cov_pad = core::greedy_coverage_placement(model, k, pad_cov);
     naive_pad = core::naive_marginal_greedy_placement(model, k, pad_marg);
     // k-clamp contract: an over-budget k clamps to n instead of throwing,
     // so padding places every node.
@@ -222,22 +221,16 @@ DiffReport run_differential_checks(const Scenario& scenario,
 
   // --- Lazy vs eager (CELF needs submodularity: monotone families only). ---
   if (monotone) {
-    check.expect_bitwise_equal(cov, core::lazy_coverage_placement(model, k),
-                               "lazy_vs_eager_coverage");
     check.expect_bitwise_equal(
         naive, core::lazy_marginal_greedy_placement(model, k),
         "lazy_vs_eager_naive_marginal");
-    check.expect_bitwise_equal(
-        cov_pad,
-        core::lazy_coverage_placement(model, k, nullptr, pad_cov),
-        "lazy_vs_eager_coverage_padded");
     check.expect_bitwise_equal(
         naive_pad,
         core::lazy_marginal_greedy_placement(model, k, nullptr, pad_marg),
         "lazy_vs_eager_naive_padded");
     check.expect_bitwise_equal(
-        clamp_pad,
-        core::lazy_coverage_placement(model, n + 3, nullptr, pad_cov),
+        core::naive_marginal_greedy_placement(model, n + 3, pad_marg),
+        core::lazy_marginal_greedy_placement(model, n + 3, nullptr, pad_marg),
         "lazy_vs_eager_clamped");
   }
 

@@ -2,7 +2,7 @@
 // implementations of the same placement semantics (DESIGN.md §9).
 //
 // Given a Scenario, run_differential_checks() asserts, among others:
-//   * lazy CELF variants select bit-identically to their eager twins
+//   * the lazy CELF greedy selects bit-identically to its eager twin
 //     (placements AND values), zero-gain padding included — monotone
 //     families only, since CELF laziness assumes submodularity;
 //   * serial (1 thread) and parallel (DiffOptions::parallel_threads)
@@ -48,7 +48,7 @@ struct DiffOptions {
 };
 
 struct DiffFailure {
-  std::string check;   ///< stable check name, e.g. "lazy_vs_eager_coverage"
+  std::string check;   ///< stable check name, e.g. "lazy_vs_eager_naive_marginal"
   std::string detail;  ///< observed values, human-readable
 };
 

@@ -6,16 +6,14 @@
 namespace rap::core {
 
 MultiShopDetour::MultiShopDetour(const graph::RoadNetwork& net,
-                                 std::vector<graph::NodeId> shops,
-                                 traffic::DetourMode mode)
-    : shops_(std::move(shops)) {
-  if (shops_.empty()) {
+                                 const std::vector<graph::NodeId>& shops) {
+  if (shops.empty()) {
     throw std::invalid_argument("MultiShopDetour: need at least one shop");
   }
-  calculators_.reserve(shops_.size());
-  for (const graph::NodeId shop : shops_) {
+  calculators_.reserve(shops.size());
+  for (const graph::NodeId shop : shops) {
     net.check_node(shop);
-    calculators_.emplace_back(net, shop, mode);
+    calculators_.emplace_back(net, shop);
   }
 }
 
@@ -34,11 +32,11 @@ std::vector<double> MultiShopDetour::detours_along_path(
 
 PlacementProblem make_multishop_problem(
     const graph::RoadNetwork& net, std::vector<traffic::TrafficFlow> flows,
-    std::vector<graph::NodeId> shops, const traffic::UtilityFunction& utility,
-    traffic::DetourMode mode) {
+    const std::vector<graph::NodeId>& shops,
+    const traffic::UtilityFunction& utility) {
   return PlacementProblem(
       net, std::move(flows), graph::kInvalidNode, utility,
-      std::make_unique<MultiShopDetour>(net, std::move(shops), mode));
+      std::make_unique<MultiShopDetour>(net, shops));
 }
 
 }  // namespace rap::core

@@ -24,18 +24,12 @@ class MultiShopDetour final : public traffic::DetourSource {
   /// Throws std::invalid_argument when `shops` is empty or contains an
   /// invalid node.
   MultiShopDetour(const graph::RoadNetwork& net,
-                  std::vector<graph::NodeId> shops,
-                  traffic::DetourMode mode = traffic::DetourMode::kAlongPath);
-
-  [[nodiscard]] const std::vector<graph::NodeId>& shops() const noexcept {
-    return shops_;
-  }
+                  const std::vector<graph::NodeId>& shops);
 
   [[nodiscard]] std::vector<double> detours_along_path(
       const traffic::TrafficFlow& flow) const override;
 
  private:
-  std::vector<graph::NodeId> shops_;
   std::vector<traffic::DetourCalculator> calculators_;
 };
 
@@ -44,7 +38,7 @@ class MultiShopDetour final : public traffic::DetourSource {
 /// baseline does not apply.
 [[nodiscard]] PlacementProblem make_multishop_problem(
     const graph::RoadNetwork& net, std::vector<traffic::TrafficFlow> flows,
-    std::vector<graph::NodeId> shops, const traffic::UtilityFunction& utility,
-    traffic::DetourMode mode = traffic::DetourMode::kAlongPath);
+    const std::vector<graph::NodeId>& shops,
+    const traffic::UtilityFunction& utility);
 
 }  // namespace rap::core

@@ -19,10 +19,10 @@ const traffic::DetourSource& non_null(
 PlacementProblem::PlacementProblem(
     const graph::RoadNetwork& net,
     const std::vector<traffic::TrafficFlow>& flows, graph::NodeId shop,
-    const traffic::UtilityFunction& utility, traffic::DetourMode mode)
+    const traffic::UtilityFunction& utility)
     : PlacementProblem(net, flows, shop, utility,
                        std::make_unique<traffic::DetourCalculator>(
-                           net, (net.check_node(shop), shop), mode)) {}
+                           net, (net.check_node(shop), shop))) {}
 
 PlacementProblem::PlacementProblem(
     const graph::RoadNetwork& net,

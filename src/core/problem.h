@@ -83,8 +83,7 @@ class PlacementProblem final : public CoverageModel {
   PlacementProblem(const graph::RoadNetwork& net,
                    const std::vector<traffic::TrafficFlow>& flows,
                    graph::NodeId shop,
-                   const traffic::UtilityFunction& utility,
-                   traffic::DetourMode mode = traffic::DetourMode::kAlongPath);
+                   const traffic::UtilityFunction& utility);
 
   /// Generalised constructor with an externally supplied detour source
   /// (used by the multi-shop extension), which prices the flows during

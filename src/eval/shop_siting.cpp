@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "src/core/composite_greedy.h"
-#include "src/traffic/apsp_detour.h"
+#include "src/traffic/detour.h"
 
 namespace rap::eval {
 
@@ -27,7 +28,7 @@ std::vector<SiteScore> rank_shop_sites(
   }
 
   std::optional<graph::DistanceMatrix> matrix;
-  if (net.num_nodes() <= options.dense_node_limit) {
+  if (net.num_nodes() <= kShopSitingDenseNodes) {
     matrix.emplace(graph::all_pairs_shortest_paths(net));
   }
 
@@ -36,8 +37,14 @@ std::vector<SiteScore> rank_shop_sites(
   for (const graph::NodeId shop : candidates) {
     std::unique_ptr<const traffic::DetourSource> detours;
     if (matrix.has_value()) {
-      detours = std::make_unique<traffic::ApspDetourCalculator>(net, *matrix,
-                                                                shop);
+      std::vector<double> to_shop(net.num_nodes());  // the shop's column: d'
+      for (graph::NodeId v = 0; v < to_shop.size(); ++v) {
+        to_shop[v] = (*matrix)(v, shop);
+      }
+      const std::span<const double> from_shop = matrix->row(shop);  // d''
+      detours = std::make_unique<traffic::DetourCalculator>(
+          net, shop, std::move(to_shop),
+          std::vector<double>(from_shop.begin(), from_shop.end()));
     } else {
       detours = std::make_unique<traffic::DetourCalculator>(net, shop);
     }

@@ -5,10 +5,11 @@
 // and ranks candidates by attracted customers.
 //
 // On small cities the evaluation loop shares one all-pairs matrix across all
-// candidate shops (the paper's O(|V|^3) preprocessing, amortised — exactly
-// when ApspDetourCalculator beats per-shop Dijkstras). Above
-// dense_node_limit, where the n^2 matrix is unaffordable, each candidate
-// gets its own DetourCalculator: two shop-rooted Dijkstras, O(n) memory.
+// candidate shops (the paper's O(|V|^3) preprocessing, amortised): each
+// candidate's DetourCalculator reads its d' and d'' arrays off the matrix's
+// shop column and row. Above kShopSitingDenseNodes, where the n^2 matrix is
+// unaffordable, each candidate runs its own two shop-rooted Dijkstras
+// instead, O(n) memory.
 #pragma once
 
 #include <vector>
@@ -30,10 +31,11 @@ struct ShopSitingOptions {
   std::vector<graph::NodeId> candidates;
   /// Keep only the best `top` sites in the result (0 = all).
   std::size_t top = 0;
-  /// Node count up to which candidates share one dense matrix (2048^2
-  /// doubles = 32 MiB); above it each candidate runs two shop Dijkstras.
-  std::size_t dense_node_limit = 2048;
 };
+
+/// Node count up to which candidates share one dense matrix (2048^2 doubles
+/// = 32 MiB); above it each candidate runs two shop Dijkstras.
+inline constexpr std::size_t kShopSitingDenseNodes = 2048;
 
 /// Ranks candidate shop sites by the customers their best placement
 /// attracts (descending; ties towards the lower node id). Throws

@@ -10,6 +10,7 @@
 #include "src/core/exhaustive.h"
 #include "src/core/filtered.h"
 #include "src/core/k_policy.h"
+#include "src/core/parallel_scan.h"
 #include "src/manhattan/flow_class.h"
 
 namespace rap::manhattan {
@@ -33,18 +34,10 @@ void greedy_extend(const core::CoverageModel& model,
                    core::PlacementState& state, std::size_t budget) {
   const auto n = static_cast<graph::NodeId>(model.num_nodes());
   for (std::size_t step = 0; step < budget; ++step) {
-    graph::NodeId best = graph::kInvalidNode;
-    double best_gain = 0.0;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (state.contains(v)) continue;
-      const double gain = state.gain_if_added(v);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = v;
-      }
-    }
-    if (best == graph::kInvalidNode) break;
-    state.add(best);
+    const core::detail::ScanBest best = core::detail::best_unplaced(
+        state, n, [&](graph::NodeId v) { return state.gain_if_added(v); });
+    if (best.score <= 0.0) break;
+    state.add(best.node);
   }
 }
 

@@ -1,18 +1,13 @@
 #include "src/serve/delta.h"
 
 #include <cmath>
-#include <queue>
+#include <functional>
 
-#include "src/core/evaluator.h"
 #include "src/core/k_policy.h"
+#include "src/core/lazy_greedy.h"
 
 namespace rap::serve {
 namespace {
-
-/// Stamp marking a heap entry as a warm seed (an upper bound, not a cached
-/// evaluation). Never equal to a selection count: budgets clamp to
-/// num_nodes < 2^32 - 1.
-constexpr std::uint32_t kSeedStamp = 0xffffffffU;
 
 /// Relative inflation applied to every seed. Stored gains are exact for the
 /// pre-delta model; recomputing them on the post-delta model can differ in
@@ -20,112 +15,6 @@ constexpr std::uint32_t kSeedStamp = 0xffffffffU;
 /// relative vs ~1e-16) yet far below any real gain difference. A fresh gain
 /// above the inflated seed is a genuine bound violation.
 constexpr double kSeedSlack = 1e-9;
-
-struct Entry {
-  double gain;
-  graph::NodeId node;
-  std::uint32_t stamp;
-};
-
-// Identical ordering to core/lazy_greedy.cpp: ties break to the lowest node
-// id, which is what keeps warm selections bit-identical to the eager greedy.
-struct EntryLess {
-  bool operator()(const Entry& a, const Entry& b) const {
-    if (a.gain != b.gain) return a.gain < b.gain;
-    return a.node > b.node;
-  }
-};
-
-using Heap = std::priority_queue<Entry, std::vector<Entry>, EntryLess>;
-
-void check_deadline(const Deadline& deadline) {
-  if (deadline.has_value() &&
-      std::chrono::steady_clock::now() > *deadline) {
-    throw DeadlineExceeded("placement deadline exceeded");
-  }
-}
-
-/// From-scratch run: full round-0 scan (recorded as exact warm gains), then
-/// the CELF loop exactly as core/lazy_greedy.cpp runs it.
-WarmStartResult run_cold(const core::CoverageModel& model, std::size_t k,
-                         WarmState* refresh, const Deadline& deadline) {
-  WarmStartResult out;
-  core::PlacementState state(model);
-  Heap heap;
-  const auto n = static_cast<graph::NodeId>(model.num_nodes());
-  std::vector<double> round0(n, 0.0);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const double gain = state.gain_if_added(v);
-    round0[v] = gain;
-    heap.push({gain, v, 0});
-    ++out.gain_evaluations;
-  }
-  std::uint32_t selections = 0;
-  while (state.placement().size() < k && !heap.empty()) {
-    check_deadline(deadline);
-    const Entry top = heap.top();
-    heap.pop();
-    if (top.stamp != selections) {
-      const double gain = state.gain_if_added(top.node);
-      ++out.gain_evaluations;
-      if (gain > 0.0) heap.push({gain, top.node, selections});
-      continue;
-    }
-    if (top.gain <= 0.0) break;
-    state.add(top.node);
-    ++selections;
-  }
-  out.placement = {state.placement(), state.value()};
-  if (refresh != nullptr) {
-    refresh->valid = true;
-    refresh->gains = std::move(round0);
-  }
-  return out;
-}
-
-/// Seeded run. Returns false on a bound violation (caller falls back); only
-/// then is `out` unusable.
-bool run_warm(const core::CoverageModel& model, std::size_t k,
-              const WarmState& warm, WarmState* refresh,
-              const Deadline& deadline, WarmStartResult& out) {
-  core::PlacementState state(model);
-  Heap heap;
-  const auto n = static_cast<graph::NodeId>(model.num_nodes());
-  std::vector<double> round0 = warm.gains;  // refined where re-evaluated
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const double seed =
-        warm.gains[v] + kSeedSlack * (std::fabs(warm.gains[v]) + 1.0);
-    heap.push({seed, v, kSeedStamp});
-  }
-  std::uint32_t selections = 0;
-  while (state.placement().size() < k && !heap.empty()) {
-    check_deadline(deadline);
-    const Entry top = heap.top();
-    heap.pop();
-    if (top.stamp != selections) {
-      const double gain = state.gain_if_added(top.node);
-      ++out.gain_evaluations;
-      // The audited bound: a marginal gain can never exceed the node's seed
-      // (round-0 bound plus slack). Exceeding it means a delta was not
-      // accounted for — discard the warm state rather than risk a wrong
-      // placement.
-      if (top.stamp == kSeedStamp && gain > top.gain) return false;
-      if (selections == 0) round0[top.node] = gain;  // exact round-0 value
-      if (gain > 0.0) heap.push({gain, top.node, selections});
-      continue;
-    }
-    if (top.gain <= 0.0) break;
-    state.add(top.node);
-    ++selections;
-  }
-  out.placement = {state.placement(), state.value()};
-  out.reused = true;
-  if (refresh != nullptr) {
-    refresh->valid = true;
-    refresh->gains = std::move(round0);
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -161,16 +50,37 @@ WarmStartResult warm_start_marginal_greedy(const core::CoverageModel& model,
                                            WarmState* refresh,
                                            Deadline deadline) {
   k = core::checked_budget(model, k, "serve warm-start placement");
+  const std::function<void()> check_deadline = [&deadline] {
+    if (deadline.has_value() &&
+        std::chrono::steady_clock::now() > *deadline) {
+      throw DeadlineExceeded("placement deadline exceeded");
+    }
+  };
+  WarmStartResult out;
+  std::vector<double> round0;
+  core::CelfRun run;
   if (warm.valid && warm.gains.size() == model.num_nodes()) {
-    WarmStartResult out;
-    if (run_warm(model, k, warm, refresh, deadline, out)) return out;
-    // Audited bound violated: the warm state lied. Recover with a full run
-    // (which also rebuilds exact warm gains).
-    WarmStartResult cold = run_cold(model, k, refresh, deadline);
-    cold.fell_back = true;
-    return cold;
+    std::vector<double> seeds(warm.gains.size());
+    for (std::size_t v = 0; v < seeds.size(); ++v) {
+      seeds[v] = warm.gains[v] + kSeedSlack * (std::fabs(warm.gains[v]) + 1.0);
+    }
+    round0 = warm.gains;  // refined where re-evaluated
+    run = core::run_celf(model, k, true, seeds, &round0, check_deadline);
+    out.reused = !run.seed_violated;
+    out.fell_back = run.seed_violated;
   }
-  return run_cold(model, k, refresh, deadline);
+  if (!out.reused) {
+    // No warm state, or the audited bound was violated (the warm state
+    // lied): a full run, which also records exact warm gains.
+    run = core::run_celf(model, k, true, {}, &round0, check_deadline);
+  }
+  out.placement = std::move(run.placement);
+  out.gain_evaluations = run.stats.gain_evaluations;
+  if (refresh != nullptr) {
+    refresh->valid = true;
+    refresh->gains = std::move(round0);
+  }
+  return out;
 }
 
 }  // namespace rap::serve

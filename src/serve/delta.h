@@ -3,8 +3,9 @@
 // A session mutates its flow set through three delta operations — add_flow,
 // remove_flow, scale_flow — and re-places after each batch. Re-running the
 // lazy greedy from scratch repeats the expensive part: the initial full
-// gain scan over every intersection. The warm-start engine skips it by
-// seeding the CELF heap with *audited upper bounds* on the round-0 gains:
+// gain scan over every intersection. The warm start skips it by seeding
+// core's CELF loop (core::run_celf, src/core/lazy_greedy.h) with *audited
+// upper bounds* on the round-0 gains:
 //
 //   seed[v] = stored round-0 gain of v  (exact after any full run)
 //           + Σ per-delta gain-increase bounds applied since
@@ -17,12 +18,14 @@
 // towards the lowest node id), with the value bit-identical because the
 // PlacementState::add sequence is identical.
 //
-// The bound is *audited*, not trusted: every re-evaluation checks the fresh
-// gain against the node's seed. A fresh gain above seed + slack means the
+// The bound is *audited*, not trusted: the loop checks every re-evaluated
+// seeded gain against its seed. A fresh gain above seed + slack means the
 // stored bounds were wrong (a delta was not accounted, or the utility is
-// not monotone) — the engine then discards the warm state and falls back to
+// not monotone) — this file then discards the warm state and falls back to
 // a full from-scratch run, so a violated assumption costs time, never
-// correctness. Fallbacks are counted ("serve.warm_start.fallbacks").
+// correctness. Fallbacks are counted ("serve.warm_start.fallbacks"). The
+// slack, the fallback and the warm-state refresh are all that is
+// serve-specific; the selection loop itself is core's.
 //
 // Per-delta gain-increase bounds (gain_increase_bound):
 //   add_flow f        — a new flow can raise a round-0 gain by at most its
@@ -61,11 +64,6 @@ struct DeltaOp {
 struct WarmState {
   bool valid = false;
   std::vector<double> gains;  ///< per node, size num_nodes when valid
-
-  void invalidate() {
-    valid = false;
-    gains.clear();
-  }
 };
 
 /// Raises `state.gains` on the nodes of `op`'s affected path by the

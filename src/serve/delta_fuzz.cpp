@@ -1,5 +1,7 @@
 #include "src/serve/delta_fuzz.h"
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -75,6 +77,44 @@ bool draw_op(util::Rng& rng, const Session& session, DeltaOp& op) {
   }
 }
 
+/// Applies an op the session must reject — an out-of-range index, or a
+/// scale factor whose product overflows the flow's volume — and checks that
+/// it throws and leaves flows() and model() as they were. Returns false and
+/// fills `message` otherwise.
+bool reject_op(util::Rng& rng, Session& session, std::size_t round,
+               std::string& message) {
+  const std::vector<traffic::TrafficFlow> before = session.flows();
+  const core::CoverageModel* const model = &session.model();
+  DeltaOp op;
+  op.kind = rng.next_bool(0.5) ? DeltaOp::Kind::kScaleFlow
+                               : DeltaOp::Kind::kRemoveFlow;
+  op.index = before.size() + rng.next_below(3);
+  if (op.kind == DeltaOp::Kind::kScaleFlow && !before.empty() &&
+      rng.next_bool(0.5)) {
+    op.index = rng.next_below(before.size());
+    // Twice the largest double per vehicle (+inf below one vehicle): the
+    // product is +inf for any volume (NaN for a zero one), never finite.
+    op.factor = std::numeric_limits<double>::max() /
+                std::max(before[op.index].daily_vehicles, 1.0) * 2.0;
+  }
+  try {
+    session.apply_delta(op);
+  } catch (const std::exception&) {
+    if (session.flows() == before && &session.model() == model &&
+        model->num_flows() == before.size()) {
+      return true;
+    }
+  }
+  std::ostringstream error;
+  error.precision(17);
+  error << "round " << round << ": "
+        << (op.kind == DeltaOp::Kind::kScaleFlow ? "scale_flow" : "remove_flow")
+        << " index " << op.index << " factor " << op.factor
+        << " was accepted or changed the session's flows or model";
+  message = error.str();
+  return false;
+}
+
 /// One warm-vs-scratch comparison on the session's current flow state.
 /// Returns false and fills `message` on divergence.
 bool compare_round(Session& session, std::size_t k, std::size_t round,
@@ -136,6 +176,9 @@ DeltaFuzzReport fuzz_delta_one(std::uint64_t seed,
   // Distinct stream from the scenario generator so op draws never correlate
   // with instance structure.
   util::Rng rng(seed ^ 0xde17a5eedULL);
+  // Rejected ops draw from their own stream, so each seed replays the same
+  // valid op sequence with or without them.
+  util::Rng reject_rng(seed ^ 0xba5e0ddULL);
 
   // Round 0: cold parity before any delta.
   if (!compare_round(session, k, 0, report.message)) {
@@ -150,6 +193,11 @@ DeltaFuzzReport fuzz_delta_one(std::uint64_t seed,
       if (!draw_op(rng, session, op)) continue;
       session.apply_delta(op);
       ++report.deltas_applied;
+    }
+    if (reject_rng.next_bool(0.3) &&
+        !reject_op(reject_rng, session, round, report.message)) {
+      report.ok = false;
+      break;
     }
     if (!compare_round(session, k, round, report.message)) {
       report.ok = false;

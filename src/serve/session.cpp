@@ -1,5 +1,6 @@
 #include "src/serve/session.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "src/core/evaluator.h"
@@ -39,6 +40,11 @@ void Session::apply_delta(const DeltaOp& op) {
       }
       if (!(op.factor > 0.0)) {
         throw std::invalid_argument("scale_flow: factor must be > 0");
+      }
+      // The rebuild's validate_flow rejects a non-finite volume, but only
+      // after the mutation; every check it makes must run here, first.
+      if (!std::isfinite(current[op.index].daily_vehicles * op.factor)) {
+        throw std::invalid_argument("scale_flow: factor overflows the volume");
       }
       break;
   }

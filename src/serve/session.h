@@ -55,8 +55,10 @@ class Session {
   [[nodiscard]] bool warm_valid() const noexcept { return warm_.valid; }
 
   /// Applies one delta: validates it against the current flow state (throws
-  /// std::invalid_argument / std::out_of_range on a bad op), loosens the
-  /// warm bounds, and rebuilds the private problem.
+  /// std::invalid_argument / std::out_of_range on a bad op, including a
+  /// scale_flow whose product is not finite), loosens the warm bounds, and
+  /// rebuilds the private problem. Every check runs before any mutation, so
+  /// a rejected op leaves flows() and model() unchanged.
   void apply_delta(const DeltaOp& op);
 
   /// Warm-start lazy greedy placement — bit-identical to

@@ -56,13 +56,14 @@ class DetourCalculator final : public DetourSource {
 
   /// A kAlongPath calculator over already computed d' and d'' arrays (one
   /// distance per node, kUnreachable where disconnected) — the serve
-  /// store's rehydration path. Prices bitwise like the Dijkstra-built one.
+  /// store's rehydration path, and shop siting's shared-matrix path (the
+  /// shop's matrix column and row). Prices bitwise like the Dijkstra-built
+  /// one when the arrays are the trees' distances.
   /// Throws std::invalid_argument unless both arrays cover every node.
   DetourCalculator(const graph::RoadNetwork& net, graph::NodeId shop,
                    std::vector<double> to_shop, std::vector<double> from_shop);
 
   [[nodiscard]] graph::NodeId shop() const noexcept { return shop_; }
-  [[nodiscard]] DetourMode mode() const noexcept { return mode_; }
 
   /// d' — shortest distance from `node` to the shop.
   [[nodiscard]] double distance_to_shop(graph::NodeId node) const;

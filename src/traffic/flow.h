@@ -32,6 +32,8 @@ struct TrafficFlow {
   [[nodiscard]] double population() const noexcept {
     return daily_vehicles * passengers_per_vehicle;
   }
+
+  friend bool operator==(const TrafficFlow&, const TrafficFlow&) = default;
 };
 
 /// Throws std::invalid_argument unless the flow is well-formed on `net`:

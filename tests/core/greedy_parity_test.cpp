@@ -45,12 +45,14 @@ void expect_bitwise_equal(const PlacementResult& a, const PlacementResult& b) {
 
 TEST_F(GreedyParity, LazyCoveragePadsExactlyLikeEager) {
   // Fig. 4 covers every flow with two RAPs, so k = 5 forces three zero-gain
-  // padding picks — the divergence the fix closes.
+  // padding picks — the divergence the fix closes. Under the threshold
+  // utility the marginal gain is Algorithm 1's uncovered gain, so the lazy
+  // marginal greedy must pad exactly like the eager coverage greedy.
   const GreedyOptions pad{.stop_when_no_gain = false};
   const PlacementResult eager =
       greedy_coverage_placement(threshold_problem_, 5, pad);
-  const PlacementResult lazy =
-      lazy_coverage_placement(threshold_problem_, 5, nullptr, pad);
+  const PlacementResult lazy = lazy_marginal_greedy_placement(
+      threshold_problem_, 5, nullptr, {.stop_when_no_gain = false});
   ASSERT_EQ(eager.nodes.size(), 5u);
   expect_bitwise_equal(eager, lazy);
   // Padding picks are the zero-gain nodes in ascending id order, appended
@@ -74,7 +76,7 @@ TEST_F(GreedyParity, LazyMarginalPadsExactlyLikeEager) {
 TEST_F(GreedyParity, DefaultOptionsStillAgree) {
   for (std::size_t k = 1; k <= 6; ++k) {
     expect_bitwise_equal(greedy_coverage_placement(threshold_problem_, k),
-                         lazy_coverage_placement(threshold_problem_, k));
+                         lazy_marginal_greedy_placement(threshold_problem_, k));
     expect_bitwise_equal(
         naive_marginal_greedy_placement(linear_problem_, k),
         lazy_marginal_greedy_placement(linear_problem_, k));
@@ -91,8 +93,6 @@ TEST_F(GreedyParity, StatsStillReportedWithOptions) {
 
 TEST_F(GreedyParity, ZeroBudgetThrowsEverywhere) {
   EXPECT_THROW(greedy_coverage_placement(threshold_problem_, 0),
-               std::invalid_argument);
-  EXPECT_THROW(lazy_coverage_placement(threshold_problem_, 0),
                std::invalid_argument);
   EXPECT_THROW(composite_greedy_placement(linear_problem_, 0),
                std::invalid_argument);
@@ -122,7 +122,6 @@ TEST_F(GreedyParity, OverBudgetClampsForTheWholeFamily) {
   const std::size_t n = threshold_problem_.num_nodes();
   // No throw, never more than n RAPs, for every entry point.
   EXPECT_LE(greedy_coverage_placement(threshold_problem_, n + 1).nodes.size(), n);
-  EXPECT_LE(lazy_coverage_placement(threshold_problem_, n + 1).nodes.size(), n);
   EXPECT_LE(composite_greedy_placement(linear_problem_, n + 1).nodes.size(), n);
   EXPECT_LE(naive_marginal_greedy_placement(linear_problem_, n + 1).nodes.size(),
             n);

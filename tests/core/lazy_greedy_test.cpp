@@ -17,7 +17,6 @@ TEST(LazyGreedy, RejectsZeroK) {
   const PlacementProblem problem(fig.net, fig.flows, Fig4::shop, utility);
   EXPECT_THROW(lazy_marginal_greedy_placement(problem, 0),
                std::invalid_argument);
-  EXPECT_THROW(lazy_coverage_placement(problem, 0), std::invalid_argument);
 }
 
 TEST(LazyGreedy, MatchesNaiveOnFig4) {
@@ -30,14 +29,17 @@ TEST(LazyGreedy, MatchesNaiveOnFig4) {
   EXPECT_DOUBLE_EQ(eager.customers, lazy.customers);
 }
 
+// Under the threshold utility a covered flow cannot improve, so the marginal
+// gain is Algorithm 1's uncovered gain term for term and the CELF loop
+// reproduces greedy_coverage_placement bit for bit.
 TEST(LazyGreedy, MatchesAlgorithm1OnFig4Threshold) {
   Fig4 fig;
   const traffic::ThresholdUtility utility(6.0);
   const PlacementProblem problem(fig.net, fig.flows, Fig4::shop, utility);
   const PlacementResult eager = greedy_coverage_placement(problem, 3);
-  const PlacementResult lazy = lazy_coverage_placement(problem, 3);
+  const PlacementResult lazy = lazy_marginal_greedy_placement(problem, 3);
   EXPECT_EQ(eager.nodes, lazy.nodes);
-  EXPECT_DOUBLE_EQ(eager.customers, lazy.customers);
+  EXPECT_EQ(eager.customers, lazy.customers);
 }
 
 class LazyEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -69,11 +71,12 @@ TEST_P(LazyEquivalence, CoverageIdenticalToEager) {
   const PlacementProblem problem(
       net, flows, static_cast<graph::NodeId>(rng.next_below(net.num_nodes())),
       utility);
+  // Threshold utility: Algorithm 1 and the marginal greedy coincide.
   for (const std::size_t k : {1u, 4u, 9u}) {
     const PlacementResult eager = greedy_coverage_placement(problem, k);
-    const PlacementResult lazy = lazy_coverage_placement(problem, k);
+    const PlacementResult lazy = lazy_marginal_greedy_placement(problem, k);
     EXPECT_EQ(eager.nodes, lazy.nodes) << "k=" << k;
-    EXPECT_DOUBLE_EQ(eager.customers, lazy.customers);
+    EXPECT_EQ(eager.customers, lazy.customers);
   }
 }
 

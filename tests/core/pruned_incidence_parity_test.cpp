@@ -240,13 +240,6 @@ void check_algorithms(const PlacementProblem& pruned,
                 at + " lazy marginal");
     EXPECT_EQ(lazy_pruned.gain_evaluations, lazy_full.gain_evaluations) << at;
     EXPECT_EQ(lazy_pruned.heap_pops, lazy_full.heap_pops) << at;
-    LazyGreedyStats cover_pruned;
-    LazyGreedyStats cover_full;
-    expect_same(lazy_coverage_placement(pruned, k, &cover_pruned),
-                lazy_coverage_placement(full, k, &cover_full),
-                at + " lazy coverage");
-    EXPECT_EQ(cover_pruned.gain_evaluations, cover_full.gain_evaluations)
-        << at;
 
     expect_same(max_cardinality_placement(pruned, k),
                 max_cardinality_placement(full, k), at + " max cardinality");

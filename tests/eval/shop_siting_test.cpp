@@ -110,5 +110,31 @@ TEST(ShopSiting, WorksOnRandomWorkload) {
   }
 }
 
+TEST(ShopSiting, PerShopTreesAboveTheDenseLimit) {
+  // 46 x 46 = 2116 nodes: too many for the shared matrix, so every
+  // candidate runs its own two shop Dijkstras.
+  util::Rng rng(46);
+  const auto net = testing::random_network(46, 46, 20, rng);
+  ASSERT_GT(net.num_nodes(), kShopSitingDenseNodes);
+  const auto flows = testing::random_flows(net, 60, rng);
+  const traffic::LinearUtility utility(30.0);
+  ShopSitingOptions options;
+  options.k = 3;
+  options.candidates = {0, 1000, 1057, 2115};
+  const auto scores = rank_shop_sites(net, flows, utility, options);
+  ASSERT_EQ(scores.size(), options.candidates.size());
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (i > 0) {
+      EXPECT_GE(scores[i - 1].customers, scores[i].customers);  // descending
+    }
+    const core::PlacementProblem problem(net, flows, scores[i].shop, utility);
+    const core::PlacementResult direct =
+        core::composite_greedy_placement(problem, options.k);
+    EXPECT_EQ(scores[i].customers, direct.customers) << "shop " << scores[i].shop;
+    EXPECT_EQ(scores[i].placement, direct.nodes) << "shop " << scores[i].shop;
+  }
+  EXPECT_GT(scores.front().customers, 0.0);
+}
+
 }  // namespace
 }  // namespace rap::eval

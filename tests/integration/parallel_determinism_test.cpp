@@ -101,9 +101,6 @@ TEST(ParallelDeterminism, PlacementAlgorithmsAreThreadCountInvariant) {
       expect_identical_placements(tag + " lazy-marginal", [&] {
         return core::lazy_marginal_greedy_placement(problem, kK);
       });
-      expect_identical_placements(tag + " lazy-coverage", [&] {
-        return core::lazy_coverage_placement(problem, kK);
-      });
       expect_identical_placements(tag + " local-search", [&] {
         return core::greedy_with_local_search(problem, kK).placement;
       });

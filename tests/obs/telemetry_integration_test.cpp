@@ -46,7 +46,7 @@ TEST(TelemetryIntegration, PipelineEmitsDocumentedSchema) {
     {
       const Span span("placement");
       core::LazyGreedyStats stats;
-      (void)core::lazy_coverage_placement(problem, kK, &stats);
+      (void)core::lazy_marginal_greedy_placement(problem, kK, &stats);
       (void)composite_greedy_placement(problem, kK);
       // The counters are the struct's registry twin.
       EXPECT_EQ(

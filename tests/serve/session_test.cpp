@@ -168,6 +168,46 @@ TEST(ServeSession, RejectsBadDeltas) {
   EXPECT_EQ(session.flows().size(), 3U);
 }
 
+TEST(ServeSession, OverflowingScaleIsRejectedWithoutMutating) {
+  // 12 vehicles * 1e308 is +inf. The op must throw before anything changes,
+  // both while the session still reads the scenario's flows and after a
+  // delta gave it its own copy, and later deltas must still apply.
+  Session session(make_scenario());
+  (void)session.place(2);
+  DeltaOp overflow;
+  overflow.kind = DeltaOp::Kind::kScaleFlow;
+  overflow.index = 0;
+  overflow.factor = 1e308;
+  const core::CoverageModel* model = &session.model();
+  EXPECT_THROW(session.apply_delta(overflow), std::invalid_argument);
+  EXPECT_EQ(session.flows()[0].daily_vehicles, 12.0);
+  EXPECT_EQ(&session.model(), model);
+  EXPECT_EQ(session.stats().deltas, 0U);
+
+  DeltaOp remove;
+  remove.kind = DeltaOp::Kind::kRemoveFlow;
+  remove.index = 2;
+  session.apply_delta(remove);
+  ASSERT_EQ(session.flows().size(), 2U);
+  EXPECT_EQ(session.model().num_flows(), 2U);
+
+  model = &session.model();
+  EXPECT_THROW(session.apply_delta(overflow), std::invalid_argument);
+  EXPECT_EQ(session.flows()[0].daily_vehicles, 12.0);
+  EXPECT_EQ(session.flows().size(), 2U);
+  EXPECT_EQ(&session.model(), model);
+  EXPECT_EQ(session.model().num_flows(), 2U);
+  expect_parity(session, 2, "after a rejected overflow");
+
+  DeltaOp scale;
+  scale.kind = DeltaOp::Kind::kScaleFlow;
+  scale.index = 0;
+  scale.factor = 2.0;
+  session.apply_delta(scale);
+  EXPECT_EQ(session.flows()[0].daily_vehicles, 24.0);
+  expect_parity(session, 2, "after a delta following the rejection");
+}
+
 TEST(ServeSession, EvaluateMatchesLibraryEvaluator) {
   Session session(make_scenario());
   const std::vector<graph::NodeId> placement{1, 4};

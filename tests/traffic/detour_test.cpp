@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "src/core/problem.h"
+#include "src/graph/apsp.h"
 #include "tests/testing/builders.h"
 
 namespace rap::traffic {
@@ -109,6 +115,119 @@ TEST(DetourCalculator, ShortestPathModeClampsWanderingRoutes) {
   // (0->1->2->3->2) vs true shortest 2.
   EXPECT_DOUBLE_EQ(da[0], 2.0);
   EXPECT_DOUBLE_EQ(ds[0], 4.0);
+}
+
+// The paper's literal preprocessing prices detours off the all-pairs matrix.
+// DetourCalculator does that when handed the shop's matrix column (d') and
+// row (d''), as eval/shop_siting and bench/ablation_design do.
+DetourCalculator matrix_fed(const graph::RoadNetwork& net,
+                            const graph::DistanceMatrix& matrix,
+                            graph::NodeId shop) {
+  std::vector<double> to_shop(net.num_nodes());
+  for (graph::NodeId v = 0; v < to_shop.size(); ++v) to_shop[v] = matrix(v, shop);
+  const auto from_shop = matrix.row(shop);
+  return DetourCalculator(net, shop, std::move(to_shop),
+                          std::vector<double>(from_shop.begin(), from_shop.end()));
+}
+
+TEST(ApspDetour, MatchesDijkstraCalculatorOnFig4) {
+  const Fig4 fig;
+  const DetourCalculator dijkstra_based(fig.net, Fig4::shop);
+  const DetourCalculator apsp_based = matrix_fed(
+      fig.net, graph::all_pairs_shortest_paths(fig.net), Fig4::shop);
+  for (const auto& flow : fig.flows) {
+    EXPECT_EQ(apsp_based.detours_along_path(flow),
+              dijkstra_based.detours_along_path(flow));
+  }
+}
+
+TEST(ApspDetour, MatchesOnRandomNetworksBothModes) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    util::Rng rng(seed * 13 + 1);
+    const auto net = testing::random_network(4, 4, 6, rng);
+    const auto flows = testing::random_flows(net, 10, rng);
+    const auto shop = static_cast<graph::NodeId>(rng.next_below(net.num_nodes()));
+    const graph::DistanceMatrix matrix = graph::all_pairs_shortest_paths(net);
+    // Along-path: the matrix-fed calculator against the tree-built one.
+    const DetourCalculator reference(net, shop);
+    const DetourCalculator apsp = matrix_fed(net, matrix, shop);
+    // Shortest-path: the tree-built calculator against d' + d'' - d''' read
+    // straight off the matrix.
+    const DetourCalculator shortest(net, shop, DetourMode::kShortestPath);
+    for (const auto& flow : flows) {
+      const auto expected = reference.detours_along_path(flow);
+      const auto got = apsp.detours_along_path(flow);
+      const auto got_shortest = shortest.detours_along_path(flow);
+      ASSERT_EQ(expected.size(), got.size());
+      ASSERT_EQ(expected.size(), got_shortest.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_NEAR(got[i], expected[i], 1e-9) << "seed " << seed;
+        const double d1 = matrix(flow.path[i], shop);
+        const double d2 = matrix(shop, flow.destination);
+        const double d3 = matrix(flow.path[i], flow.destination);
+        const double want = d1 == graph::kUnreachable ||
+                                    d2 == graph::kUnreachable ||
+                                    d3 == graph::kUnreachable
+                                ? graph::kUnreachable
+                                : std::max(0.0, d1 + d2 - d3);
+        if (want == graph::kUnreachable) {
+          EXPECT_EQ(got_shortest[i], graph::kUnreachable) << "seed " << seed;
+        } else {
+          EXPECT_NEAR(got_shortest[i], want, 1e-9) << "seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(ApspDetour, SharedMatrixAcrossShops) {
+  const Fig4 fig;
+  const graph::DistanceMatrix matrix =
+      graph::all_pairs_shortest_paths(fig.net);
+  for (graph::NodeId shop = 0; shop < fig.net.num_nodes(); ++shop) {
+    const DetourCalculator shared = matrix_fed(fig.net, matrix, shop);
+    const DetourCalculator reference(fig.net, shop);
+    for (const auto& flow : fig.flows) {
+      EXPECT_EQ(shared.detours_along_path(flow),
+                reference.detours_along_path(flow));
+    }
+  }
+}
+
+TEST(ApspDetour, Validation) {
+  const Fig4 fig;
+  const std::vector<double> full(fig.net.num_nodes(), 0.0);
+  EXPECT_THROW(DetourCalculator(fig.net, 99, full, full), std::out_of_range);
+  const std::vector<double> wrong(3, 0.0);
+  EXPECT_THROW(DetourCalculator(fig.net, 0, wrong, full),
+               std::invalid_argument);
+  EXPECT_THROW(DetourCalculator(fig.net, 0, full, wrong),
+               std::invalid_argument);
+}
+
+TEST(ApspDetour, UnreachableShopInfinite) {
+  graph::RoadNetwork net;
+  const auto a = net.add_node({0.0, 0.0});
+  const auto b = net.add_node({1.0, 0.0});
+  const auto island = net.add_node({9.0, 9.0});
+  net.add_two_way_edge(a, b, 1.0);
+  const DetourCalculator calc =
+      matrix_fed(net, graph::all_pairs_shortest_paths(net), island);
+  const auto flow = make_shortest_path_flow(net, a, b, 1.0);
+  for (const double d : calc.detours_along_path(flow)) {
+    EXPECT_EQ(d, graph::kUnreachable);
+  }
+}
+
+TEST(ApspDetour, WorksInsidePlacementProblem) {
+  const Fig4 fig;
+  const ThresholdUtility utility(Fig4::threshold);
+  auto detours = std::make_unique<DetourCalculator>(matrix_fed(
+      fig.net, graph::all_pairs_shortest_paths(fig.net), Fig4::shop));
+  const core::PlacementProblem problem(fig.net, fig.flows, Fig4::shop, utility,
+                                       std::move(detours));
+  // Same incidence as the Dijkstra-backed problem: V3 reaches three flows.
+  EXPECT_EQ(problem.reach_at(Fig4::V3).size(), 3u);
 }
 
 // Theorem 1: on a shortest-path flow, detour distances are non-decreasing
