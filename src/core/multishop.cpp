@@ -6,7 +6,8 @@
 namespace rap::core {
 
 MultiShopDetour::MultiShopDetour(const graph::RoadNetwork& net,
-                                 const std::vector<graph::NodeId>& shops) {
+                                 const std::vector<graph::NodeId>& shops)
+    : net_(&net) {
   if (shops.empty()) {
     throw std::invalid_argument("MultiShopDetour: need at least one shop");
   }
@@ -19,12 +20,16 @@ MultiShopDetour::MultiShopDetour(const graph::RoadNetwork& net,
 
 std::vector<double> MultiShopDetour::detours_along_path(
     const traffic::TrafficFlow& flow) const {
-  std::vector<double> best = calculators_.front().detours_along_path(flow);
-  for (std::size_t s = 1; s < calculators_.size(); ++s) {
-    const std::vector<double> candidate =
-        calculators_[s].detours_along_path(flow);
+  // One walk serves every shop.
+  const std::vector<double> direct =
+      traffic::remaining_along_path(*net_, flow);  // d'''
+  std::vector<double> best(direct.size(), graph::kUnreachable);
+  for (const traffic::DetourCalculator& calc : calculators_) {
+    const double d2 = calc.from_shop()[flow.destination];
     for (std::size_t i = 0; i < best.size(); ++i) {
-      best[i] = std::min(best[i], candidate[i]);
+      best[i] = std::min(best[i], traffic::detour_distance(
+                                      calc.to_shop()[flow.path[i]], d2,
+                                      direct[i]));
     }
   }
   return best;

@@ -30,6 +30,7 @@ class MultiShopDetour final : public traffic::DetourSource {
       const traffic::TrafficFlow& flow) const override;
 
  private:
+  const graph::RoadNetwork* net_;
   std::vector<traffic::DetourCalculator> calculators_;
 };
 

@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "src/graph/dijkstra.h"
-
 namespace rap::graph {
 namespace {
 
@@ -21,46 +19,29 @@ double direct_edge_length(const RoadNetwork& net, NodeId from, NodeId to) {
 
 }  // namespace
 
+// Only the first node of a walk needs a range check: each later one is the
+// head of an edge out of a valid node, or the step fails.
 bool is_walk(const RoadNetwork& net, std::span<const NodeId> path) {
-  if (path.empty()) return false;
-  for (const NodeId v : path) {
-    if (v >= net.num_nodes()) return false;
-  }
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (!std::isfinite(direct_edge_length(net, path[i], path[i + 1]))) {
+  if (path.empty() || path.front() >= net.num_nodes()) return false;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    if (!std::isfinite(direct_edge_length(net, path[i - 1], path[i]))) {
       return false;
     }
   }
   return true;
 }
 
-double path_length(const RoadNetwork& net, std::span<const NodeId> path) {
-  if (!is_walk(net, path)) {
-    throw std::invalid_argument("path_length: not a walk in this network");
-  }
-  double total = 0.0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    total += direct_edge_length(net, path[i], path[i + 1]);
-  }
-  return total;
-}
-
 std::vector<double> cumulative_lengths(const RoadNetwork& net,
                                        std::span<const NodeId> path) {
-  if (!is_walk(net, path)) {
-    throw std::invalid_argument("cumulative_lengths: not a walk");
-  }
+  bool walk = !path.empty() && path.front() < net.num_nodes();
   std::vector<double> out(path.size(), 0.0);
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    out[i] = out[i - 1] + direct_edge_length(net, path[i - 1], path[i]);
+  for (std::size_t i = 1; walk && i < path.size(); ++i) {
+    const double step = direct_edge_length(net, path[i - 1], path[i]);
+    walk = std::isfinite(step);
+    out[i] = out[i - 1] + step;
   }
+  if (!walk) throw std::invalid_argument("cumulative_lengths: not a walk");
   return out;
-}
-
-bool is_shortest_path(const RoadNetwork& net, std::span<const NodeId> path) {
-  const double walked = path_length(net, path);  // validates the walk
-  const double optimal = dijkstra_distance(net, path.front(), path.back());
-  return walked <= optimal * (1.0 + 1e-9) + 1e-9;
 }
 
 }  // namespace rap::graph

@@ -1,4 +1,4 @@
-// Path utilities: validation, length, prefix sums of the distance travelled,
+// Path utilities: validation and prefix sums of the distance travelled,
 // used to compute the paper's d''' (remaining distance to the destination
 // along the driver's route).
 #pragma once
@@ -13,20 +13,11 @@ namespace rap::graph {
 /// True if consecutive nodes are joined by an edge in the network.
 [[nodiscard]] bool is_walk(const RoadNetwork& net, std::span<const NodeId> path);
 
-/// Total length of the walk; throws std::invalid_argument if `path` is not a
-/// walk or is empty. A single node has length 0. When parallel edges exist
-/// the shortest one is charged.
-[[nodiscard]] double path_length(const RoadNetwork& net,
-                                 std::span<const NodeId> path);
-
-/// cumulative[i] = distance travelled from path.front() to path[i];
-/// cumulative.back() == path_length(path).
+/// cumulative[i] = distance travelled from path.front() to path[i], so
+/// cumulative.back() is the walk's length (0 for a single node). When
+/// parallel edges exist the shortest one is charged. Checks and sums in one
+/// pass; throws std::invalid_argument if `path` is empty or not a walk.
 [[nodiscard]] std::vector<double> cumulative_lengths(
     const RoadNetwork& net, std::span<const NodeId> path);
-
-/// True if the walk's length equals the shortest-path distance between its
-/// endpoints (within a 1e-9 relative tolerance).
-[[nodiscard]] bool is_shortest_path(const RoadNetwork& net,
-                                    std::span<const NodeId> path);
 
 }  // namespace rap::graph

@@ -1,11 +1,11 @@
 #include "src/manhattan/flexible_eval.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "src/graph/dijkstra.h"
+#include "src/traffic/detour.h"
 
 namespace rap::manhattan {
 namespace {
@@ -24,30 +24,20 @@ FlexibleProblem::FlexibleProblem(const graph::RoadNetwork& net,
     traffic::validate_flow(net, flow);
   }
   const std::size_t n = net.num_nodes();
-  const graph::ShortestPathTree to_shop =
-      graph::dijkstra(net, shop, graph::Direction::kReverse);
-  const graph::ShortestPathTree from_shop =
-      graph::dijkstra(net, shop, graph::Direction::kForward);
+  const traffic::DetourCalculator shop_trees(net, shop);  // d' and d''
 
   // Dijkstra caches keyed by endpoint: many flows share origins/destinations.
-  std::unordered_map<graph::NodeId, graph::ShortestPathTree> from_origin;
-  std::unordered_map<graph::NodeId, graph::ShortestPathTree> to_destination;
-  const auto forward_tree = [&](graph::NodeId origin)
+  using TreeCache = std::unordered_map<graph::NodeId, graph::ShortestPathTree>;
+  TreeCache from_origin;
+  TreeCache to_destination;
+  const auto cached_tree = [&](TreeCache& cache, graph::NodeId root,
+                               graph::Direction direction)
       -> const graph::ShortestPathTree& {
-    const auto it = from_origin.find(origin);
-    if (it != from_origin.end()) return it->second;
-    return from_origin
-        .emplace(origin, graph::dijkstra(net, origin, graph::Direction::kForward))
-        .first->second;
-  };
-  const auto reverse_tree = [&](graph::NodeId destination)
-      -> const graph::ShortestPathTree& {
-    const auto it = to_destination.find(destination);
-    if (it != to_destination.end()) return it->second;
-    return to_destination
-        .emplace(destination,
-                 graph::dijkstra(net, destination, graph::Direction::kReverse))
-        .first->second;
+    auto it = cache.find(root);
+    if (it == cache.end()) {
+      it = cache.emplace(root, graph::dijkstra(net, root, direction)).first;
+    }
+    return it->second;
   };
 
   // Collect (node, flow, detour) triples over shortest-path-DAG membership.
@@ -59,24 +49,22 @@ FlexibleProblem::FlexibleProblem(const graph::RoadNetwork& net,
   vehicles_at_node_.assign(n, 0.0);
   for (traffic::FlowIndex f = 0; f < flows_.size(); ++f) {
     const traffic::TrafficFlow& flow = flows_[f];
-    const graph::ShortestPathTree& fwd = forward_tree(flow.origin);
-    const graph::ShortestPathTree& rev = reverse_tree(flow.destination);
+    const graph::ShortestPathTree& fwd =
+        cached_tree(from_origin, flow.origin, graph::Direction::kForward);
+    const graph::ShortestPathTree& rev = cached_tree(
+        to_destination, flow.destination, graph::Direction::kReverse);
     const double total = fwd.distance(flow.destination);
     if (total == graph::kUnreachable) continue;  // isolated OD: unreachable
-    const double shop_to_dest = from_shop.distance(flow.destination);
+    const double shop_to_dest = shop_trees.from_shop()[flow.destination];
     for (graph::NodeId v = 0; v < n; ++v) {
       const double a = fwd.distance(v);
       const double b = rev.distance(v);
       if (a == graph::kUnreachable || b == graph::kUnreachable) continue;
       if (a + b > total + kTol * (1.0 + total)) continue;  // not on the DAG
       vehicles_at_node_[v] += flow.daily_vehicles;
-      const double to_shop_dist = to_shop.distance(v);
-      double detour = graph::kUnreachable;
-      if (to_shop_dist != graph::kUnreachable &&
-          shop_to_dest != graph::kUnreachable) {
-        detour = std::max(0.0, to_shop_dist + shop_to_dest - b);
-      }
-      triples.push_back({v, {f, detour}});
+      triples.push_back({v,
+                         {f, traffic::detour_distance(shop_trees.to_shop()[v],
+                                                      shop_to_dest, b)}});
     }
   }
 

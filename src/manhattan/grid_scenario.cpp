@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "src/graph/dijkstra.h"
+#include "src/traffic/detour.h"
 
 namespace rap::manhattan {
 namespace {
@@ -43,8 +44,9 @@ bool GridScenario::on_some_shortest_path(citygen::GridCoord entry,
 
 double GridScenario::detour_at(citygen::GridCoord v,
                                citygen::GridCoord exit) const noexcept {
-  return l1(v, shop_, spacing_) + l1(shop_, exit, spacing_) -
-         l1(v, exit, spacing_);
+  return traffic::detour_distance(l1(v, shop_, spacing_),
+                                  l1(shop_, exit, spacing_),
+                                  l1(v, exit, spacing_));
 }
 
 double GridScenario::best_detour(

@@ -12,8 +12,9 @@ namespace rap::obs {
 // util::RunningStats) serialise as null.
 std::string json_number_repr(double value) {
   if (!std::isfinite(value)) return "null";
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::abs(value) < 9.0e15) {
+  // Magnitude first: casting a double beyond long long's range is undefined.
+  if (std::abs(value) < 9.0e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
     return std::to_string(static_cast<long long>(value));
   }
   char buffer[32];

@@ -7,19 +7,15 @@
 //       d''  = shortest distance from the shop to the destination j,
 //       d''' = distance from v to j "directly".
 //
-// For a flow travelling a shortest path, the remaining distance along the
-// path equals the shortest-path distance, so the two readings of d'''
-// coincide. Trace-extracted paths can deviate slightly from shortest, so
-// both modes are provided:
-//   kAlongPath     — d''' is the remaining distance along the driver's own
-//                    route (their frame of reference); the default.
-//   kShortestPath  — d''' is the network shortest-path distance v -> j
-//                    (one cached reverse Dijkstra per distinct destination).
+// d''' is the remaining distance along the driver's own route, their frame
+// of reference. On a shortest-path flow it equals the network shortest-path
+// distance v -> j; trace-extracted paths can deviate slightly, and
+// bench/ablation_design prices that second reading for comparison.
 // Detours are clamped at 0 (a shop directly on the route costs nothing) and
 // are +infinity when the shop cannot be reached from v or j from the shop.
 #pragma once
 
-#include <unordered_map>
+#include <algorithm>
 #include <vector>
 
 #include "src/graph/dijkstra.h"
@@ -28,7 +24,24 @@
 
 namespace rap::traffic {
 
-enum class DetourMode { kAlongPath, kShortestPath };
+/// The detour rule for one stop, d = d' + d'' - d''': kUnreachable when any
+/// leg is unreachable, otherwise clamped at 0.
+[[nodiscard]] inline double detour_distance(double d1, double d2,
+                                            double d3) noexcept {
+  if (d1 == graph::kUnreachable || d2 == graph::kUnreachable ||
+      d3 == graph::kUnreachable) {
+    return graph::kUnreachable;
+  }
+  return std::max(0.0, d1 + d2 - d3);
+}
+
+/// d''' at every stop of the flow's path: the distance left along it.
+/// Walks the path once. Throws std::invalid_argument unless it is a
+/// non-empty walk ending at flow.destination, so every path node and the
+/// destination index per-node arrays safely; validate_flow's other checks
+/// are the caller's (IncidenceIndex runs them).
+[[nodiscard]] std::vector<double> remaining_along_path(
+    const graph::RoadNetwork& net, const TrafficFlow& flow);
 
 /// Anything that can price a flow's detour at every node of its path.
 /// DetourCalculator is the single-shop implementation; the multi-shop
@@ -51,25 +64,20 @@ class DetourSource {
 class DetourCalculator final : public DetourSource {
  public:
   /// Runs the two shop Dijkstras eagerly (O(|E| log |V|) each).
-  DetourCalculator(const graph::RoadNetwork& net, graph::NodeId shop,
-                   DetourMode mode = DetourMode::kAlongPath);
+  DetourCalculator(const graph::RoadNetwork& net, graph::NodeId shop);
 
-  /// A kAlongPath calculator over already computed d' and d'' arrays (one
-  /// distance per node, kUnreachable where disconnected) — the serve
-  /// store's rehydration path, and shop siting's shared-matrix path (the
-  /// shop's matrix column and row). Prices bitwise like the Dijkstra-built
-  /// one when the arrays are the trees' distances.
+  /// A calculator over already computed d' and d'' arrays (one distance per
+  /// node, kUnreachable where disconnected) — the serve store's rehydration
+  /// path, and shop siting's shared-matrix path (the shop's matrix column
+  /// and row). Prices bitwise like the Dijkstra-built one when the arrays
+  /// are the trees' distances.
   /// Throws std::invalid_argument unless both arrays cover every node.
   DetourCalculator(const graph::RoadNetwork& net, graph::NodeId shop,
                    std::vector<double> to_shop, std::vector<double> from_shop);
 
   [[nodiscard]] graph::NodeId shop() const noexcept { return shop_; }
 
-  /// d' — shortest distance from `node` to the shop.
-  [[nodiscard]] double distance_to_shop(graph::NodeId node) const;
-  /// d'' — shortest distance from the shop to `node`.
-  [[nodiscard]] double distance_from_shop(graph::NodeId node) const;
-  /// d' and d'' for every node.
+  /// d' (shortest distance to the shop) and d'' (from the shop) per node.
   [[nodiscard]] const std::vector<double>& to_shop() const noexcept {
     return to_shop_;
   }
@@ -78,22 +86,15 @@ class DetourCalculator final : public DetourSource {
   }
 
   /// Detour distances at every node of the flow's path, in path order.
-  /// The flow must be valid on the network (validate_flow).
+  /// Checks the path as remaining_along_path does.
   [[nodiscard]] std::vector<double> detours_along_path(
       const TrafficFlow& flow) const override;
 
  private:
-  [[nodiscard]] const graph::ShortestPathTree& tree_to_destination(
-      graph::NodeId destination) const;
-
   const graph::RoadNetwork* net_;
   graph::NodeId shop_;
-  DetourMode mode_;
   std::vector<double> to_shop_;    // reverse Dijkstra from the shop: d'
   std::vector<double> from_shop_;  // forward Dijkstra from the shop: d''
-  // kShortestPath mode: per-destination reverse trees, built on demand.
-  mutable std::unordered_map<graph::NodeId, graph::ShortestPathTree>
-      to_destination_;
 };
 
 }  // namespace rap::traffic

@@ -117,7 +117,8 @@ TEST(ShortestPathFn, ReturnsOptimalWalk) {
     const auto path = shortest_path(net, a, b);
     ASSERT_TRUE(path.has_value());
     EXPECT_TRUE(is_walk(net, *path));
-    EXPECT_NEAR(path_length(net, *path), dijkstra_distance(net, a, b), 1e-9);
+    EXPECT_NEAR(cumulative_lengths(net, *path).back(),
+                dijkstra_distance(net, a, b), 1e-9);
   }
 }
 

@@ -59,13 +59,13 @@ void expect_all_pairs_match(const RoadNetwork& net) {
   for (NodeId s = 0; s < n; ++s) {
     const traffic::DetourCalculator trees(net, s);
     for (NodeId t = 0; t < n; ++t) {
-      ASSERT_EQ(matrix(s, t), trees.distance_from_shop(t))
+      ASSERT_EQ(matrix(s, t), trees.from_shop()[t])
           << "forward tree s=" << s << " t=" << t;
       ASSERT_EQ(matrix(s, t), dijkstra_distance(net, s, t))
           << "point query s=" << s << " t=" << t;
-      ASSERT_EQ(reverse_matrix(s, t), trees.distance_to_shop(t))
+      ASSERT_EQ(reverse_matrix(s, t), trees.to_shop()[t])
           << "reverse tree s=" << s << " t=" << t;
-      expect_equal_up_to_rounding(matrix(t, s), trees.distance_to_shop(t),
+      expect_equal_up_to_rounding(matrix(t, s), trees.to_shop()[t],
                                   net.num_nodes());
     }
   }
@@ -81,7 +81,7 @@ TEST(OracleDifferential, GridCityAllBackends) {
   for (NodeId s = 0; s < n; ++s) {
     const traffic::DetourCalculator trees(city.network(), s);
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(matrix(v, s), trees.distance_to_shop(v)) << s << " " << v;
+      ASSERT_EQ(matrix(v, s), trees.to_shop()[v]) << s << " " << v;
     }
   }
 }
@@ -131,9 +131,9 @@ TEST(OracleDifferential, DisconnectedComponents) {
   net.add_edge(3, trap, 2.5);
   expect_all_pairs_match(net);
   const traffic::DetourCalculator at_trap(net, trap);
-  EXPECT_EQ(at_trap.distance_from_shop(0), kUnreachable);
-  EXPECT_EQ(at_trap.distance_to_shop(0), 3.0 + 2.5);
-  EXPECT_EQ(at_trap.distance_to_shop(a), kUnreachable);
+  EXPECT_EQ(at_trap.from_shop()[0], kUnreachable);
+  EXPECT_EQ(at_trap.to_shop()[0], 3.0 + 2.5);
+  EXPECT_EQ(at_trap.to_shop()[a], kUnreachable);
 }
 
 TEST(OracleDifferential, IrregularLengthsStressFloatingPoint) {
@@ -178,9 +178,6 @@ TEST(OracleErrors, BadNodeIdsThrow) {
   EXPECT_THROW(dijkstra_distance(net, 0, bad), std::out_of_range);
   EXPECT_THROW(dijkstra_distance(net, bad, 0), std::out_of_range);
   EXPECT_THROW(traffic::DetourCalculator(net, bad), std::out_of_range);
-  const traffic::DetourCalculator trees(net, 0);
-  EXPECT_THROW(trees.distance_to_shop(bad), std::out_of_range);
-  EXPECT_THROW(trees.distance_from_shop(bad), std::out_of_range);
 }
 
 }  // namespace

@@ -47,19 +47,24 @@ TEST(PathLength, SumsEdges) {
   net.add_two_way_edge(a, b, 1.5);
   net.add_two_way_edge(b, c, 2.5);
   const std::vector<NodeId> path{a, b, c};
-  EXPECT_DOUBLE_EQ(path_length(net, path), 4.0);
+  EXPECT_DOUBLE_EQ(cumulative_lengths(net, path).back(), 4.0);
 }
 
 TEST(PathLength, SingleNodeIsZero) {
   const RoadNetwork net = testing::line_network(2);
   const std::vector<NodeId> single{0};
-  EXPECT_DOUBLE_EQ(path_length(net, single), 0.0);
+  EXPECT_DOUBLE_EQ(cumulative_lengths(net, single).back(), 0.0);
 }
 
+// One pass checks and sums: anything but a non-empty walk is
+// invalid_argument, whichever position holds the bad node.
 TEST(PathLength, ThrowsOnNonWalk) {
   const RoadNetwork net = testing::line_network(3);
-  const std::vector<NodeId> skip{0, 2};
-  EXPECT_THROW(path_length(net, skip), std::invalid_argument);
+  for (const std::vector<NodeId>& bad : std::vector<std::vector<NodeId>>{
+           {0, 2}, {}, {9}, {9, 0}, {0, 9}, {0, 1, 9}, {0, 1, 0, 2}}) {
+    EXPECT_THROW((void)cumulative_lengths(net, bad), std::invalid_argument)
+        << bad.size();
+  }
 }
 
 TEST(PathLength, UsesShortestParallelEdge) {
@@ -69,7 +74,7 @@ TEST(PathLength, UsesShortestParallelEdge) {
   net.add_edge(a, b, 5.0);
   net.add_edge(a, b, 2.0);
   const std::vector<NodeId> path{a, b};
-  EXPECT_DOUBLE_EQ(path_length(net, path), 2.0);
+  EXPECT_DOUBLE_EQ(cumulative_lengths(net, path).back(), 2.0);
 }
 
 TEST(CumulativeLengths, PrefixSums) {
@@ -89,22 +94,8 @@ TEST(CumulativeLengths, BackEqualsTotal) {
   const auto path = shortest_path(net, 0, static_cast<NodeId>(net.num_nodes() - 1));
   ASSERT_TRUE(path.has_value());
   const auto cum = cumulative_lengths(net, *path);
-  EXPECT_DOUBLE_EQ(cum.back(), path_length(net, *path));
+  EXPECT_DOUBLE_EQ(cum.back(), dijkstra_distance(net, path->front(), path->back()));
   EXPECT_DOUBLE_EQ(cum.front(), 0.0);
-}
-
-TEST(IsShortestPath, DetectsOptimality) {
-  const RoadNetwork net = testing::line_network(5);
-  const std::vector<NodeId> direct{0, 1, 2};
-  const std::vector<NodeId> wandering{0, 1, 2, 1, 2};
-  EXPECT_TRUE(is_shortest_path(net, direct));
-  EXPECT_FALSE(is_shortest_path(net, wandering));
-}
-
-TEST(IsShortestPath, TrivialPath) {
-  const RoadNetwork net = testing::line_network(2);
-  const std::vector<NodeId> single{1};
-  EXPECT_TRUE(is_shortest_path(net, single));
 }
 
 }  // namespace

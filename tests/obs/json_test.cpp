@@ -116,6 +116,18 @@ TEST(ToJson, EscapesMetricNames) {
   EXPECT_NE(json.find(R"(weird\"name\\with\nstuff)"), std::string::npos);
 }
 
+// Beyond long long's range the integer fast path must not even be tried: the
+// cast would be undefined (the sanitize build's float-cast-overflow check
+// traps it). Either side of the 9e15 switch prints as before.
+TEST(JsonNumberRepr, HugeMagnitudesSkipTheIntegerCast) {
+  EXPECT_EQ(json_number_repr(8.999999999999999e15), "8999999999999999");
+  EXPECT_EQ(json_number_repr(9.0e15), "9e+15");
+  EXPECT_EQ(json_number_repr(1e300), "1e+300");
+  EXPECT_EQ(json_number_repr(-1e300), "-1e+300");
+  EXPECT_EQ(json_number_repr(1e19), "1e+19");
+  EXPECT_EQ(json_number_repr(-1e19), "-1e+19");
+}
+
 TEST(WriteJson, CreatesParentDirectories) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "rap_obs_json_test";

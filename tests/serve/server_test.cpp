@@ -197,6 +197,21 @@ TEST(ServeServer, TelemetryRecordsRequestMetrics) {
   EXPECT_EQ(counters.at("serve.cache.misses").value(), 1U);
 }
 
+// A NaN alpha must fail the load itself, not every later place/evaluate.
+TEST(ServeServer, NanAlphaLoadIsBadScenario) {
+  Server server;
+  const std::string nan_flows =
+      "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\\n"
+      "0,3,10,2,nan,0|1|3\\n";
+  EXPECT_EQ(expect_error(handle(
+                server, std::string(R"({"op":"load","network_csv":")") +
+                            kNetworkCsv + R"(","flows_csv":")" + nan_flows +
+                            R"(","utility":"linear","d":4,"shop":0})")),
+            "bad_scenario");
+  EXPECT_EQ(expect_error(handle(server, R"({"op":"place","k":1})")),
+            "no_session");
+}
+
 TEST(ServeServer, FailedLoadKeepsThePreviousSessionServing) {
   Server server;
   expect_ok(handle(server, load_request()));

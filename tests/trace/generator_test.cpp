@@ -6,7 +6,7 @@
 
 #include "src/citygen/grid_city.h"
 #include "src/geo/bbox.h"
-#include "src/graph/path.h"
+#include "tests/testing/shortest_paths.h"
 
 namespace rap::trace {
 namespace {
@@ -39,7 +39,7 @@ TEST(GenerateTrace, PlantedFlowsAreValidShortestPaths) {
   const SyntheticTrace trace = generate_trace(net, small_spec(), rng);
   for (const auto& flow : trace.planted_flows) {
     EXPECT_NO_THROW(traffic::validate_flow(net, flow));
-    EXPECT_TRUE(graph::is_shortest_path(net, flow.path));
+    EXPECT_TRUE(testing::is_shortest_path(net, flow.path));
     EXPECT_GE(flow.daily_vehicles, 1.0);
     EXPECT_DOUBLE_EQ(flow.passengers_per_vehicle, 100.0);
     EXPECT_DOUBLE_EQ(flow.alpha, 0.001);

@@ -119,6 +119,20 @@ TEST(FlowsCsv, ErrorsNameSourceAndLine) {
   }
 }
 
+TEST(FlowsCsv, NanAlphaIsRejectedAtItsLine) {
+  const graph::RoadNetwork net = testing::line_network(3);
+  try {
+    (void)flows_from_csv(
+        net,
+        "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n"
+        "0,2,1,1,nan,0|1|2\n");
+    FAIL() << "expected a validation error";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "<string>:2: validate_flow: alpha must be in [0, 1]");
+  }
+}
+
 TEST(FlowsCsv, FileRoundTrip) {
   const auto net = testing::line_network(5);
   std::vector<traffic::TrafficFlow> flows;

@@ -9,11 +9,23 @@
 #include "src/core/problem.h"
 #include "src/graph/apsp.h"
 #include "tests/testing/builders.h"
+#include "tests/testing/shortest_paths.h"
 
 namespace rap::traffic {
 namespace {
 
 using testing::Fig4;
+
+TEST(DetourDistance, ClampsAtZeroAndAnyUnreachableLegIsUnreachable) {
+  EXPECT_EQ(detour_distance(2.0, 3.0, 1.0), 4.0);
+  EXPECT_EQ(detour_distance(1.0, 2.0, 3.0), 0.0);  // shop on the route
+  EXPECT_EQ(detour_distance(0.0, 1.0, 5.0), 0.0);  // would be negative
+  constexpr double kInf = graph::kUnreachable;
+  EXPECT_EQ(detour_distance(kInf, 1.0, 1.0), kInf);
+  EXPECT_EQ(detour_distance(1.0, kInf, 1.0), kInf);
+  EXPECT_EQ(detour_distance(1.0, 1.0, kInf), kInf);
+  EXPECT_EQ(detour_distance(kInf, kInf, kInf), kInf);
+}
 
 TEST(DetourCalculator, Fig4HandComputedValues) {
   const Fig4 fig;
@@ -55,9 +67,11 @@ TEST(DetourCalculator, ShopOnRouteCostsNothing) {
 TEST(DetourCalculator, DistanceAccessors) {
   const Fig4 fig;
   const DetourCalculator calc(fig.net, Fig4::shop);
-  EXPECT_DOUBLE_EQ(calc.distance_to_shop(Fig4::V3), 2.0);
-  EXPECT_DOUBLE_EQ(calc.distance_from_shop(Fig4::V5), 3.0);
-  EXPECT_DOUBLE_EQ(calc.distance_to_shop(Fig4::V1), 0.0);
+  EXPECT_DOUBLE_EQ(calc.to_shop()[Fig4::V3], 2.0);
+  EXPECT_DOUBLE_EQ(calc.from_shop()[Fig4::V5], 3.0);
+  EXPECT_DOUBLE_EQ(calc.to_shop()[Fig4::V1], 0.0);
+  EXPECT_EQ(calc.to_shop().size(), fig.net.num_nodes());
+  EXPECT_EQ(calc.from_shop().size(), fig.net.num_nodes());
   EXPECT_EQ(calc.shop(), Fig4::shop);
 }
 
@@ -82,15 +96,35 @@ TEST(DetourCalculator, ValidatesFlow) {
   EXPECT_THROW(calc.detours_along_path(bad), std::invalid_argument);
 }
 
+// detours_along_path checks only what it reads: a non-empty walk (every node
+// in range) that ends at the flow's destination.
+TEST(DetourCalculator, RejectsPathsItCannotPrice) {
+  const Fig4 fig;
+  const DetourCalculator calc(fig.net, Fig4::shop);
+  TrafficFlow bad = fig.flows[0];
+  bad.path.clear();
+  EXPECT_THROW(calc.detours_along_path(bad), std::invalid_argument);
+  bad.path = {99};
+  EXPECT_THROW(calc.detours_along_path(bad), std::invalid_argument);
+  bad.path = {Fig4::V2, 99};
+  EXPECT_THROW(calc.detours_along_path(bad), std::invalid_argument);
+  bad = fig.flows[0];
+  bad.destination = Fig4::V3;  // path still ends at V5
+  EXPECT_THROW(calc.detours_along_path(bad), std::invalid_argument);
+  bad.destination = 99;
+  EXPECT_THROW(calc.detours_along_path(bad), std::invalid_argument);
+}
+
+// On a shortest-path flow the distance left along the path is the network
+// distance, so the along-path detours match the shortest-path reading.
 TEST(DetourCalculator, ModesAgreeOnShortestPathFlows) {
   util::Rng rng(55);
   const auto net = testing::random_network(5, 5, 8, rng);
   const auto flows = testing::random_flows(net, 20, rng);
-  const DetourCalculator along(net, 7, DetourMode::kAlongPath);
-  const DetourCalculator shortest(net, 7, DetourMode::kShortestPath);
+  const DetourCalculator along(net, 7);
   for (const auto& flow : flows) {
     const auto a = along.detours_along_path(flow);
-    const auto b = shortest.detours_along_path(flow);
+    const auto b = testing::shortest_path_detours(net, 7, flow);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_NEAR(a[i], b[i], 1e-9) << "position " << i;
@@ -100,17 +134,17 @@ TEST(DetourCalculator, ModesAgreeOnShortestPathFlows) {
 
 TEST(DetourCalculator, ShortestPathModeClampsWanderingRoutes) {
   // A wandering (non-shortest) path: along-path d''' is inflated, which
-  // reduces the computed detour; shortest-path mode uses the true distance.
+  // reduces the computed detour; the shortest-path reading uses the true
+  // distance.
   const auto net = testing::line_network(5);
   TrafficFlow flow;
   flow.origin = 0;
   flow.destination = 2;
   flow.path = {0, 1, 2, 3, 2};  // wanders to 3 and back
   flow.daily_vehicles = 1.0;
-  const DetourCalculator along(net, 4, DetourMode::kAlongPath);
-  const DetourCalculator shortest(net, 4, DetourMode::kShortestPath);
+  const DetourCalculator along(net, 4);
   const auto da = along.detours_along_path(flow);
-  const auto ds = shortest.detours_along_path(flow);
+  const auto ds = testing::shortest_path_detours(net, 4, flow);
   // At position 0: d' = 4, d'' = dist(4->2) = 2; along-path d''' = 4
   // (0->1->2->3->2) vs true shortest 2.
   EXPECT_DOUBLE_EQ(da[0], 2.0);
@@ -151,13 +185,14 @@ TEST(ApspDetour, MatchesOnRandomNetworksBothModes) {
     // Along-path: the matrix-fed calculator against the tree-built one.
     const DetourCalculator reference(net, shop);
     const DetourCalculator apsp = matrix_fed(net, matrix, shop);
-    // Shortest-path: the tree-built calculator against d' + d'' - d''' read
-    // straight off the matrix.
-    const DetourCalculator shortest(net, shop, DetourMode::kShortestPath);
+    // Shortest-path: the per-destination reverse-Dijkstra reading against
+    // d' + d'' - d''' read straight off the matrix. The flows are shortest
+    // paths, so the matrix-fed along-path detours match it too.
     for (const auto& flow : flows) {
       const auto expected = reference.detours_along_path(flow);
       const auto got = apsp.detours_along_path(flow);
-      const auto got_shortest = shortest.detours_along_path(flow);
+      const auto got_shortest =
+          testing::shortest_path_detours(net, shop, flow);
       ASSERT_EQ(expected.size(), got.size());
       ASSERT_EQ(expected.size(), got_shortest.size());
       for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -172,8 +207,10 @@ TEST(ApspDetour, MatchesOnRandomNetworksBothModes) {
                                 : std::max(0.0, d1 + d2 - d3);
         if (want == graph::kUnreachable) {
           EXPECT_EQ(got_shortest[i], graph::kUnreachable) << "seed " << seed;
+          EXPECT_EQ(got[i], graph::kUnreachable) << "seed " << seed;
         } else {
           EXPECT_NEAR(got_shortest[i], want, 1e-9) << "seed " << seed;
+          EXPECT_NEAR(got[i], want, 1e-9) << "seed " << seed;
         }
       }
     }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/graph/path.h"
+#include <limits>
+
 #include "tests/testing/builders.h"
+#include "tests/testing/shortest_paths.h"
 
 namespace rap::traffic {
 namespace {
@@ -67,6 +69,8 @@ TEST(ValidateFlow, RejectsBadAlpha) {
   EXPECT_THROW(validate_flow(net, flow), std::invalid_argument);
   flow.alpha = -0.1;
   EXPECT_THROW(validate_flow(net, flow), std::invalid_argument);
+  flow.alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(validate_flow(net, flow), std::invalid_argument);
 }
 
 TEST(ValidateFlow, ZeroVehiclesIsLegal) {
@@ -90,7 +94,7 @@ TEST(MakeShortestPathFlow, BuildsOptimalPath) {
   const auto flow = make_shortest_path_flow(net, 0, 15, 10.0, 100.0, 0.5);
   EXPECT_EQ(flow.origin, 0u);
   EXPECT_EQ(flow.destination, 15u);
-  EXPECT_TRUE(graph::is_shortest_path(net, flow.path));
+  EXPECT_TRUE(testing::is_shortest_path(net, flow.path));
   EXPECT_DOUBLE_EQ(flow.daily_vehicles, 10.0);
   EXPECT_DOUBLE_EQ(flow.alpha, 0.5);
 }

@@ -4,7 +4,7 @@
 // lists transposed into the node -> flows CSR). On seeded grids with
 // looping random-walk paths — repeated nodes, non-integer chord lengths,
 // fractional volumes — every at_node list, passing_vehicles and
-// passing_flow_count must agree bitwise, under both detour modes.
+// passing_flow_count must agree bitwise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,30 +112,27 @@ TEST(IncidenceParity, NodeAxisMatchesTwoAxisConstructionBitwise) {
     }
     const auto shop =
         static_cast<graph::NodeId>(rng.next_below(net.num_nodes()));
-    for (const DetourMode mode :
-         {DetourMode::kAlongPath, DetourMode::kShortestPath}) {
-      const DetourCalculator calc(net, shop, mode);
-      const IncidenceIndex index(net, flows, calc, graph::kUnreachable);
-      const TwoAxisReference want(net, flows, calc);
-      ASSERT_EQ(index.num_entries(), want.node_entries.size())
-          << "seed " << seed;
-      for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
-        const auto got = index.at_node(v);
-        const std::size_t begin = want.node_start[v];
-        ASSERT_EQ(got.size(), want.node_start[v + 1] - begin)
-            << "seed " << seed << " node " << v;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          const NodeIncidence& expected = want.node_entries[begin + i];
-          EXPECT_EQ(got[i].flow, expected.flow) << "seed " << seed;
-          EXPECT_EQ(bits(got[i].detour), bits(expected.detour))
-              << "seed " << seed << " node " << v << " flow " << got[i].flow;
-        }
-        EXPECT_EQ(bits(index.passing_vehicles(v)),
-                  bits(want.vehicles_at_node[v]))
-            << "seed " << seed << " node " << v;
-        EXPECT_EQ(index.passing_flow_count(v), want.node_start[v + 1] - begin);
-        entries_checked += got.size();
+    const DetourCalculator calc(net, shop);
+    const IncidenceIndex index(net, flows, calc, graph::kUnreachable);
+    const TwoAxisReference want(net, flows, calc);
+    ASSERT_EQ(index.num_entries(), want.node_entries.size())
+        << "seed " << seed;
+    for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
+      const auto got = index.at_node(v);
+      const std::size_t begin = want.node_start[v];
+      ASSERT_EQ(got.size(), want.node_start[v + 1] - begin)
+          << "seed " << seed << " node " << v;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const NodeIncidence& expected = want.node_entries[begin + i];
+        EXPECT_EQ(got[i].flow, expected.flow) << "seed " << seed;
+        EXPECT_EQ(bits(got[i].detour), bits(expected.detour))
+            << "seed " << seed << " node " << v << " flow " << got[i].flow;
       }
+      EXPECT_EQ(bits(index.passing_vehicles(v)),
+                bits(want.vehicles_at_node[v]))
+          << "seed " << seed << " node " << v;
+      EXPECT_EQ(index.passing_flow_count(v), want.node_start[v + 1] - begin);
+      entries_checked += got.size();
     }
   }
   // The instances really exercised the repeated-node path.
