@@ -66,10 +66,11 @@ int main(int argc, char** argv) {
   std::cout << "expected customers/day with k=" << k << ", linear utility\n";
   report("Algorithm 3 (corners)",
          manhattan::two_stage_grid_placement(
-             model, k, manhattan::TwoStageVariant::kCorners));
+             model, scenario, flows, k, manhattan::TwoStageVariant::kCorners));
   report("Algorithm 4 (midpoints)",
          manhattan::two_stage_grid_placement(
-             model, k, manhattan::TwoStageVariant::kMidpoints));
+             model, scenario, flows, k,
+             manhattan::TwoStageVariant::kMidpoints));
   report("Algorithm 2 (composite)",
          core::composite_greedy_placement(model, k));
   report("Algorithm 1 (coverage)", core::greedy_coverage_placement(model, k));

@@ -5,57 +5,27 @@
 namespace rap::core {
 
 FilteredCoverageModel::FilteredCoverageModel(const CoverageModel& base,
-                                             std::vector<bool> active)
-    : base_(&base), active_(std::move(active)) {
-  if (active_.size() != base.num_flows()) {
+                                             const std::vector<bool>& active)
+    : CoverageModel(base.network(), base.shop(), base.utility()) {
+  if (active.size() != base.num_flows()) {
     throw std::invalid_argument(
         "FilteredCoverageModel: active mask size != num_flows");
   }
+  weights_ = base.weights_;
+  for (std::size_t f = 0; f < active.size(); ++f) {
+    if (!active[f]) weights_[f].population = 0.0;
+  }
+  vehicles_ = base.vehicles_;
   const std::size_t n = base.num_nodes();
   node_start_.assign(n + 1, 0);
-  vehicles_at_node_.assign(n, 0.0);
+  passes_.assign(n, 0);
   for (graph::NodeId v = 0; v < n; ++v) {
-    std::uint32_t kept = 0;
     for (const traffic::NodeIncidence& inc : base.reach_at(v)) {
-      if (active_[inc.flow]) ++kept;
+      if (active[inc.flow]) entries_.push_back(inc);
     }
-    node_start_[v + 1] = node_start_[v] + kept;
+    node_start_[v + 1] = static_cast<std::uint32_t>(entries_.size());
+    passes_[v] = node_start_[v + 1] - node_start_[v];
   }
-  node_entries_.resize(node_start_.back());
-  for (graph::NodeId v = 0; v < n; ++v) {
-    std::uint32_t cursor = node_start_[v];
-    for (const traffic::NodeIncidence& inc : base.reach_at(v)) {
-      if (!active_[inc.flow]) continue;
-      node_entries_[cursor++] = inc;
-    }
-    vehicles_at_node_[v] = base.passing_vehicles(v);
-  }
-}
-
-std::span<const traffic::NodeIncidence> FilteredCoverageModel::reach_at(
-    graph::NodeId node) const {
-  base_->network().check_node(node);
-  return {node_entries_.data() + node_start_[node],
-          node_entries_.data() + node_start_[node + 1]};
-}
-
-double FilteredCoverageModel::customers(traffic::FlowIndex flow,
-                                        double detour) const {
-  if (flow >= active_.size()) {
-    throw std::out_of_range("FilteredCoverageModel::customers: bad flow");
-  }
-  if (!active_[flow]) return 0.0;
-  return base_->customers(flow, detour);
-}
-
-double FilteredCoverageModel::passing_vehicles(graph::NodeId node) const {
-  base_->network().check_node(node);
-  return vehicles_at_node_[node];
-}
-
-std::size_t FilteredCoverageModel::passing_flow_count(
-    graph::NodeId node) const {
-  return reach_at(node).size();
 }
 
 }  // namespace rap::core

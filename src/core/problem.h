@@ -1,19 +1,23 @@
-// The RAP placement problem (Section III-A) behind an abstract coverage
-// interface.
+// The RAP coverage table (Section III-A) and the general-scenario problem.
 //
 // CoverageModel is what every placement algorithm consumes: for each
-// intersection, which flows can be reached from there and at what detour
-// distance. Two implementations exist:
-//   * PlacementProblem (this file) — the general scenario: flows travel a
-//     fixed path, so a RAP reaches a flow only at the path's intersections;
-//   * manhattan::FlexibleProblem — the Section IV scenario: flows choose
-//     among all of their shortest paths, so a RAP reaches a flow at any
-//     intersection of the shortest-path DAG.
-// Keeping the algorithms against the interface is exactly what lets
-// Algorithms 1/2 and the baselines run unchanged under both scenarios
-// (Figs. 12 vs 13).
+// intersection, which flows a RAP there reaches and at what detour distance.
+// It is one concrete table, filled through one CoverageBuilder. The four
+// models differ only in what they stage into it:
+//   * PlacementProblem (this file) — the general scenario: a flow travels a
+//     fixed path, so a RAP reaches it only at the path's intersections;
+//   * manhattan::FlexibleProblem — the Section IV scenario on a real
+//     network: any intersection of the flow's shortest-path DAG;
+//   * manhattan::GridCoverageModel — the ideal Manhattan grid: any
+//     intersection of the flow's bounding rectangle;
+//   * FilteredCoverageModel — another model's table restricted to a subset
+//     of its flows (Algorithm 3's straight-flow stage).
+// One table under all of them is what lets Algorithms 1/2 and the baselines
+// run unchanged under both scenarios (Figs. 12 vs 13). The models add no
+// state of their own, so any of them can be held as a plain CoverageModel.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -21,7 +25,6 @@
 #include "src/graph/road_network.h"
 #include "src/traffic/detour.h"
 #include "src/traffic/flow.h"
-#include "src/traffic/incidence.h"
 #include "src/traffic/utility.h"
 
 namespace rap::core {
@@ -35,46 +38,140 @@ struct PlacementResult {
   double customers = 0.0;
 };
 
-/// Coverage interface consumed by all placement algorithms.
+/// Node -> (flow, detour) coverage table consumed by all placement
+/// algorithms. Built by CoverageBuilder; move-only.
 class CoverageModel {
  public:
-  virtual ~CoverageModel() = default;
+  CoverageModel(CoverageModel&&) noexcept = default;
+  CoverageModel& operator=(CoverageModel&&) noexcept = default;
+  CoverageModel(const CoverageModel&) = delete;
+  CoverageModel& operator=(const CoverageModel&) = delete;
+  ~CoverageModel() = default;
 
-  [[nodiscard]] virtual const graph::RoadNetwork& network() const noexcept = 0;
-  [[nodiscard]] virtual const traffic::UtilityFunction& utility()
-      const noexcept = 0;
+  [[nodiscard]] const graph::RoadNetwork& network() const noexcept {
+    return *net_;
+  }
+  [[nodiscard]] const traffic::UtilityFunction& utility() const noexcept {
+    return *utility_;
+  }
   /// The shop intersection, or kInvalidNode when not a single-shop model.
-  [[nodiscard]] virtual graph::NodeId shop() const noexcept = 0;
+  [[nodiscard]] graph::NodeId shop() const noexcept { return shop_; }
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return network().num_nodes();
   }
-  [[nodiscard]] virtual std::size_t num_flows() const noexcept = 0;
+  [[nodiscard]] std::size_t num_flows() const noexcept {
+    return weights_.size();
+  }
+  /// Kept (flow, node) entries: the total length of every reach list.
+  [[nodiscard]] std::size_t num_entries() const noexcept {
+    return entries_.size();
+  }
 
   /// Flows reachable from `node` with the detour distance a RAP there would
   /// offer them, in ascending flow order. A model may leave out a flow whose
   /// customers() at that detour is 0: no gain or objective can tell.
-  [[nodiscard]] virtual std::span<const traffic::NodeIncidence> reach_at(
-      graph::NodeId node) const = 0;
+  [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
+      graph::NodeId node) const;
 
   /// Expected customers from flow `flow` at best detour `detour`:
   /// f(detour) * population; 0 for infinite detour.
-  [[nodiscard]] virtual double customers(traffic::FlowIndex flow,
-                                         double detour) const = 0;
+  [[nodiscard]] double customers(traffic::FlowIndex flow,
+                                 double detour) const;
 
   /// Daily vehicles passing `node` (MaxVehicles baseline ranking).
-  [[nodiscard]] virtual double passing_vehicles(graph::NodeId node) const = 0;
-  /// Distinct flows passing `node` (MaxCardinality baseline ranking).
-  [[nodiscard]] virtual std::size_t passing_flow_count(
-      graph::NodeId node) const = 0;
+  [[nodiscard]] double passing_vehicles(graph::NodeId node) const;
+  /// Distinct flows passing `node` (MaxCardinality baseline ranking),
+  /// including those a reach list leaves out.
+  [[nodiscard]] std::size_t passing_flow_count(graph::NodeId node) const;
 
- protected:
-  CoverageModel() = default;
-  CoverageModel(const CoverageModel&) = default;
-  CoverageModel& operator=(const CoverageModel&) = default;
+ private:
+  friend class CoverageBuilder;
+  friend class FilteredCoverageModel;
+
+  /// What customers() needs of a flow: its population() and alpha.
+  struct FlowWeight {
+    double population = 0.0;
+    double alpha = 1.0;
+  };
+
+  CoverageModel(const graph::RoadNetwork& net, graph::NodeId shop,
+                const traffic::UtilityFunction& utility);
+  void check_node(graph::NodeId node) const;
+
+  const graph::RoadNetwork* net_;
+  graph::NodeId shop_;
+  const traffic::UtilityFunction* utility_;
+  std::vector<FlowWeight> weights_;
+  std::vector<std::uint32_t> node_start_;  // CSR offsets, size num_nodes + 1
+  std::vector<traffic::NodeIncidence> entries_;
+  std::vector<std::uint32_t> passes_;  // distinct flows passing each node
+  std::vector<double> vehicles_;       // daily vehicles passing each node
 };
 
-/// The general-scenario problem instance: fixed travel paths.
+/// Fills a CoverageModel one flow at a time, in ascending flow order.
+/// add_flow opens the next flow; add_pass records that it passes a node at
+/// a detour, and a repeated node keeps its minimum detour over the visits.
+/// The pass counts and vehicle sums see every distinct pass, summed in flow
+/// order. A flow's entries beyond `max_detour` are dropped once the next
+/// flow opens, so the builder holds the kept entries plus one flow's
+/// passes, never every pass. build() counting-sorts the entries into the
+/// node CSR; flows arrive in ascending order, so every reach list does too.
+class CoverageBuilder {
+ public:
+  /// `net` and `utility` must outlive the built model. `max_detour` is
+  /// utility.range() to keep only the entries a RAP can use (every utility
+  /// is exactly 0 beyond it), or graph::kUnreachable to keep every pass.
+  CoverageBuilder(const graph::RoadNetwork& net, graph::NodeId shop,
+                  const traffic::UtilityFunction& utility, double max_detour);
+
+  /// Opens the next flow: each node it passes adds `daily_vehicles` to that
+  /// node's vehicle sum, and `population` and `alpha` weigh its customers.
+  /// Throws std::invalid_argument unless daily_vehicles and population are
+  /// finite and >= 0 and alpha is in [0, 1].
+  void add_flow(double daily_vehicles, double population, double alpha);
+  /// Sizes the per-flow weights for `count` flows up front.
+  void reserve_flows(std::size_t count) { model_.weights_.reserve(count); }
+
+  /// The open flow passes `node`, where a RAP offers it `detour`. Throws
+  /// std::out_of_range on a bad node and std::logic_error before the first
+  /// add_flow.
+  void add_pass(graph::NodeId node, double detour);
+
+  [[nodiscard]] CoverageModel build() &&;
+
+ private:
+  struct Staged {  // 16 B: a reach-list entry plus its node
+    graph::NodeId node;
+    traffic::FlowIndex flow;
+    double detour;
+  };
+  void prune_open_flow();
+
+  CoverageModel model_;
+  double max_detour_;
+  double open_vehicles_ = 0.0;
+  std::size_t open_begin_ = 0;             // the open flow's first entry
+  std::vector<std::uint32_t> last_flow_;   // last flow that passed each node
+  std::vector<std::uint32_t> staged_at_;   // that flow's entry at the node
+  std::vector<Staged> staged_;
+};
+
+/// The fixed-path table (Section III-A): validates every flow, prices its
+/// path with `detours` and stages each distinct path node at the flow's
+/// minimum detour over its visits (the first visit, by Theorem 1, on
+/// shortest paths). Throws std::invalid_argument on a bad flow.
+[[nodiscard]] CoverageModel fixed_path_coverage(
+    const graph::RoadNetwork& net,
+    const std::vector<traffic::TrafficFlow>& flows, graph::NodeId shop,
+    const traffic::UtilityFunction& utility,
+    const traffic::DetourSource& detours, double max_detour);
+
+/// The general-scenario problem instance: the fixed-path table at
+/// max_detour = utility.range(). A flow beyond the range at a node attracts
+/// exactly 0 customers there, and any entry that could beat it has a
+/// smaller detour, so dropping it changes no gain, objective or tie;
+/// passing_flow_count and passing_vehicles still count every passing flow.
 class PlacementProblem final : public CoverageModel {
  public:
   /// Single-shop problem. `net` and `utility` must outlive the problem;
@@ -94,57 +191,6 @@ class PlacementProblem final : public CoverageModel {
                    graph::NodeId shop,
                    const traffic::UtilityFunction& utility,
                    std::unique_ptr<const traffic::DetourSource> detours);
-
-  PlacementProblem(const PlacementProblem&) = delete;
-  PlacementProblem& operator=(const PlacementProblem&) = delete;
-  PlacementProblem(PlacementProblem&&) = default;
-  PlacementProblem& operator=(PlacementProblem&&) = default;
-
-  [[nodiscard]] const graph::RoadNetwork& network() const noexcept override {
-    return *net_;
-  }
-  [[nodiscard]] const traffic::UtilityFunction& utility() const noexcept override {
-    return *utility_;
-  }
-  [[nodiscard]] graph::NodeId shop() const noexcept override { return shop_; }
-  [[nodiscard]] std::size_t num_flows() const noexcept override {
-    return weights_.size();
-  }
-  /// Only the flows whose detour at `node` is within utility().range(): a
-  /// flow beyond it attracts exactly 0 customers there (the range()
-  /// contract), and any entry that could beat it has a smaller detour, so
-  /// dropping it changes no gain, objective or tie. passing_flow_count and
-  /// passing_vehicles still count every flow passing `node`.
-  [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
-      graph::NodeId node) const override {
-    return incidence_.at_node(node);
-  }
-  [[nodiscard]] double customers(traffic::FlowIndex flow,
-                                 double detour) const override;
-  [[nodiscard]] double passing_vehicles(graph::NodeId node) const override {
-    return incidence_.passing_vehicles(node);
-  }
-  [[nodiscard]] std::size_t passing_flow_count(
-      graph::NodeId node) const override {
-    return incidence_.passing_flow_count(node);
-  }
-
-  [[nodiscard]] const traffic::IncidenceIndex& incidence() const noexcept {
-    return incidence_;
-  }
-
- private:
-  /// What customers() needs of a flow: its population() and alpha.
-  struct FlowWeight {
-    double population = 0.0;
-    double alpha = 1.0;
-  };
-
-  const graph::RoadNetwork* net_;
-  graph::NodeId shop_;
-  const traffic::UtilityFunction* utility_;
-  traffic::IncidenceIndex incidence_;
-  std::vector<FlowWeight> weights_;
 };
 
 }  // namespace rap::core

@@ -132,21 +132,15 @@ ExperimentResult run_experiment(const Workload& workload,
     const graph::NodeId shop = shop_pool[rng.next_below(shop_pool.size())];
 
     // Build the coverage model for this repetition's shop.
-    std::unique_ptr<core::CoverageModel> owned;
-    const manhattan::FlexibleProblem* flexible = nullptr;
-    {
+    const core::CoverageModel model = [&]() -> core::CoverageModel {
       const obs::Span span("model_build");
       if (config.manhattan_scenario) {
-        auto fp = std::make_unique<manhattan::FlexibleProblem>(
-            *workload.net, workload.flows, shop, *utility);
-        flexible = fp.get();
-        owned = std::move(fp);
-      } else {
-        owned = std::make_unique<core::PlacementProblem>(
-            *workload.net, workload.flows, shop, *utility);
+        return manhattan::FlexibleProblem(*workload.net, workload.flows, shop,
+                                          *utility);
       }
-    }
-    const core::CoverageModel& model = *owned;
+      return core::PlacementProblem(*workload.net, workload.flows, shop,
+                                    *utility);
+    }();
     const geo::BBox region = geo::BBox::centered_square(
         workload.net->position(shop), config.range);
 
@@ -161,9 +155,10 @@ ExperimentResult run_experiment(const Workload& workload,
                 ? manhattan::TwoStageVariant::kCorners
                 : manhattan::TwoStageVariant::kMidpoints;
         for (std::size_t ki = 0; ki < config.ks.size(); ++ki) {
-          values[a][ki] = manhattan::two_stage_network_placement(
-                              *flexible, region, config.ks[ki], variant)
-                              .customers;
+          values[a][ki] =
+              manhattan::two_stage_network_placement(
+                  model, workload.flows, region, config.ks[ki], variant)
+                  .customers;
         }
         continue;
       }

@@ -1,7 +1,5 @@
 #include "src/manhattan/flexible_eval.h"
 
-#include <cmath>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "src/graph/dijkstra.h"
@@ -12,17 +10,11 @@ namespace {
 
 constexpr double kTol = 1e-9;
 
-}  // namespace
-
-FlexibleProblem::FlexibleProblem(const graph::RoadNetwork& net,
-                                 std::vector<traffic::TrafficFlow> flows,
-                                 graph::NodeId shop,
-                                 const traffic::UtilityFunction& utility)
-    : net_(&net), flows_(std::move(flows)), shop_(shop), utility_(&utility) {
+core::CoverageModel flexible_coverage(
+    const graph::RoadNetwork& net,
+    const std::vector<traffic::TrafficFlow>& flows, graph::NodeId shop,
+    const traffic::UtilityFunction& utility) {
   net.check_node(shop);
-  for (const traffic::TrafficFlow& flow : flows_) {
-    traffic::validate_flow(net, flow);
-  }
   const std::size_t n = net.num_nodes();
   const traffic::DetourCalculator shop_trees(net, shop);  // d' and d''
 
@@ -40,15 +32,11 @@ FlexibleProblem::FlexibleProblem(const graph::RoadNetwork& net,
     return it->second;
   };
 
-  // Collect (node, flow, detour) triples over shortest-path-DAG membership.
-  struct Triple {
-    graph::NodeId node;
-    traffic::NodeIncidence incidence;
-  };
-  std::vector<Triple> triples;
-  vehicles_at_node_.assign(n, 0.0);
-  for (traffic::FlowIndex f = 0; f < flows_.size(); ++f) {
-    const traffic::TrafficFlow& flow = flows_[f];
+  // Stage every node of each flow's shortest-path DAG.
+  core::CoverageBuilder builder(net, shop, utility, graph::kUnreachable);
+  for (const traffic::TrafficFlow& flow : flows) {
+    traffic::validate_flow(net, flow);
+    builder.add_flow(flow.daily_vehicles, flow.population(), flow.alpha);
     const graph::ShortestPathTree& fwd =
         cached_tree(from_origin, flow.origin, graph::Direction::kForward);
     const graph::ShortestPathTree& rev = cached_tree(
@@ -61,48 +49,19 @@ FlexibleProblem::FlexibleProblem(const graph::RoadNetwork& net,
       const double b = rev.distance(v);
       if (a == graph::kUnreachable || b == graph::kUnreachable) continue;
       if (a + b > total + kTol * (1.0 + total)) continue;  // not on the DAG
-      vehicles_at_node_[v] += flow.daily_vehicles;
-      triples.push_back({v,
-                         {f, traffic::detour_distance(shop_trees.to_shop()[v],
-                                                      shop_to_dest, b)}});
+      builder.add_pass(v, traffic::detour_distance(shop_trees.to_shop()[v],
+                                                   shop_to_dest, b));
     }
   }
-
-  node_start_.assign(n + 1, 0);
-  for (const Triple& t : triples) ++node_start_[t.node + 1];
-  for (std::size_t v = 1; v <= n; ++v) node_start_[v] += node_start_[v - 1];
-  node_entries_.resize(triples.size());
-  std::vector<std::uint32_t> cursor(node_start_.begin(), node_start_.end() - 1);
-  for (const Triple& t : triples) {
-    node_entries_[cursor[t.node]++] = t.incidence;
-  }
+  return std::move(builder).build();
 }
 
-std::span<const traffic::NodeIncidence> FlexibleProblem::reach_at(
-    graph::NodeId node) const {
-  net_->check_node(node);
-  return {node_entries_.data() + node_start_[node],
-          node_entries_.data() + node_start_[node + 1]};
-}
+}  // namespace
 
-double FlexibleProblem::customers(traffic::FlowIndex flow,
-                                  double detour) const {
-  if (flow >= flows_.size()) {
-    throw std::out_of_range("FlexibleProblem::customers: bad flow index");
-  }
-  if (std::isinf(detour)) return 0.0;
-  const traffic::TrafficFlow& f = flows_[flow];
-  return utility_->probability(detour, f.alpha) * f.population();
-}
-
-double FlexibleProblem::passing_vehicles(graph::NodeId node) const {
-  net_->check_node(node);
-  return vehicles_at_node_[node];
-}
-
-std::size_t FlexibleProblem::passing_flow_count(graph::NodeId node) const {
-  net_->check_node(node);
-  return node_start_[node + 1] - node_start_[node];
-}
+FlexibleProblem::FlexibleProblem(const graph::RoadNetwork& net,
+                                 const std::vector<traffic::TrafficFlow>& flows,
+                                 graph::NodeId shop,
+                                 const traffic::UtilityFunction& utility)
+    : core::CoverageModel(flexible_coverage(net, flows, shop, utility)) {}
 
 }  // namespace rap::manhattan

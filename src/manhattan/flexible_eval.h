@@ -11,11 +11,11 @@
 // flows per RAP than the fixed-path model — exactly why the paper measures
 // more customers in Fig. 13 than in Fig. 12.
 //
-// FlexibleProblem implements core::CoverageModel, so Algorithms 1/2, the
-// exhaustive optimum, and all baselines run unchanged against it.
+// FlexibleProblem stages these entries into a core::CoverageModel, so
+// Algorithms 1/2, the exhaustive optimum, and all baselines run unchanged
+// against it.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "src/core/problem.h"
@@ -24,53 +24,17 @@ namespace rap::manhattan {
 
 class FlexibleProblem final : public core::CoverageModel {
  public:
-  /// Builds the flexible-route reach index: per flow, one Dijkstra from the
+  /// Stages every flow's shortest-path DAG: per flow, one Dijkstra from the
   /// origin and one reverse Dijkstra from the destination (cached across
-  /// flows sharing endpoints), plus the two shop trees. Flows' stored paths
-  /// are only used as a fallback identity (origin/destination); they are
-  /// validated like everywhere else. Throws on bad input.
+  /// flows sharing endpoints), priced off the shop's two trees. Every DAG
+  /// node is kept (max_detour = kUnreachable). Only a flow's origin and
+  /// destination place it; its stored path is validated like everywhere
+  /// else, and the flows are read only during construction. Throws on bad
+  /// input.
   FlexibleProblem(const graph::RoadNetwork& net,
-                  std::vector<traffic::TrafficFlow> flows,
+                  const std::vector<traffic::TrafficFlow>& flows,
                   graph::NodeId shop,
                   const traffic::UtilityFunction& utility);
-
-  FlexibleProblem(const FlexibleProblem&) = delete;
-  FlexibleProblem& operator=(const FlexibleProblem&) = delete;
-  FlexibleProblem(FlexibleProblem&&) = default;
-  FlexibleProblem& operator=(FlexibleProblem&&) = default;
-
-  [[nodiscard]] const graph::RoadNetwork& network() const noexcept override {
-    return *net_;
-  }
-  [[nodiscard]] const traffic::UtilityFunction& utility() const noexcept override {
-    return *utility_;
-  }
-  [[nodiscard]] graph::NodeId shop() const noexcept override { return shop_; }
-  [[nodiscard]] std::size_t num_flows() const noexcept override {
-    return flows_.size();
-  }
-  [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
-      graph::NodeId node) const override;
-  [[nodiscard]] double customers(traffic::FlowIndex flow,
-                                 double detour) const override;
-  [[nodiscard]] double passing_vehicles(graph::NodeId node) const override;
-  [[nodiscard]] std::size_t passing_flow_count(
-      graph::NodeId node) const override;
-
-  [[nodiscard]] const std::vector<traffic::TrafficFlow>& flows() const noexcept {
-    return flows_;
-  }
-
- private:
-  const graph::RoadNetwork* net_;
-  std::vector<traffic::TrafficFlow> flows_;
-  graph::NodeId shop_;
-  const traffic::UtilityFunction* utility_;
-
-  // CSR: node -> (flow, detour) over shortest-path-DAG membership.
-  std::vector<std::uint32_t> node_start_;
-  std::vector<traffic::NodeIncidence> node_entries_;
-  std::vector<double> vehicles_at_node_;
 };
 
 }  // namespace rap::manhattan

@@ -1,27 +1,18 @@
 #include "src/manhattan/grid_model.h"
 
-#include <cmath>
-#include <stdexcept>
+#include <algorithm>
 
 namespace rap::manhattan {
+namespace {
 
-GridCoverageModel::GridCoverageModel(const GridScenario& scenario,
-                                     std::span<const GridFlow> flows,
-                                     const traffic::UtilityFunction& utility)
-    : scenario_(&scenario),
-      flows_(flows),
-      utility_(&utility),
-      shop_node_(scenario.shop_node()) {
-  const std::size_t n = network().num_nodes();
-  struct Triple {
-    graph::NodeId node;
-    traffic::NodeIncidence incidence;
-  };
-  std::vector<Triple> triples;
-  vehicles_at_node_.assign(n, 0.0);
+core::CoverageModel grid_coverage(const GridScenario& scenario,
+                                  std::span<const GridFlow> flows,
+                                  const traffic::UtilityFunction& utility) {
   const citygen::GridCity& city = scenario.city();
-  for (traffic::FlowIndex f = 0; f < flows_.size(); ++f) {
-    const GridFlow& flow = flows_[f];
+  core::CoverageBuilder builder(city.network(), scenario.shop_node(), utility,
+                                graph::kUnreachable);
+  for (const GridFlow& flow : flows) {
+    builder.add_flow(flow.daily_vehicles, flow.population(), flow.alpha);
     const std::size_t col_lo = std::min(flow.entry.col, flow.exit.col);
     const std::size_t col_hi = std::max(flow.entry.col, flow.exit.col);
     const std::size_t row_lo = std::min(flow.entry.row, flow.exit.row);
@@ -29,47 +20,19 @@ GridCoverageModel::GridCoverageModel(const GridScenario& scenario,
     for (std::size_t row = row_lo; row <= row_hi; ++row) {
       for (std::size_t col = col_lo; col <= col_hi; ++col) {
         const citygen::GridCoord coord{col, row};
-        const graph::NodeId node = city.node_at(coord);
-        triples.push_back(
-            {node, {f, scenario.detour_at(coord, flow.exit)}});
-        vehicles_at_node_[node] += flow.daily_vehicles;
+        builder.add_pass(city.node_at(coord),
+                         scenario.detour_at(coord, flow.exit));
       }
     }
   }
-  node_start_.assign(n + 1, 0);
-  for (const Triple& t : triples) ++node_start_[t.node + 1];
-  for (std::size_t v = 1; v <= n; ++v) node_start_[v] += node_start_[v - 1];
-  node_entries_.resize(triples.size());
-  std::vector<std::uint32_t> cursor(node_start_.begin(), node_start_.end() - 1);
-  for (const Triple& t : triples) {
-    node_entries_[cursor[t.node]++] = t.incidence;
-  }
+  return std::move(builder).build();
 }
 
-std::span<const traffic::NodeIncidence> GridCoverageModel::reach_at(
-    graph::NodeId node) const {
-  network().check_node(node);
-  return {node_entries_.data() + node_start_[node],
-          node_entries_.data() + node_start_[node + 1]};
-}
+}  // namespace
 
-double GridCoverageModel::customers(traffic::FlowIndex flow,
-                                    double detour) const {
-  if (flow >= flows_.size()) {
-    throw std::out_of_range("GridCoverageModel::customers: bad flow index");
-  }
-  if (std::isinf(detour)) return 0.0;
-  const GridFlow& f = flows_[flow];
-  return utility_->probability(detour, f.alpha) * f.population();
-}
-
-double GridCoverageModel::passing_vehicles(graph::NodeId node) const {
-  network().check_node(node);
-  return vehicles_at_node_[node];
-}
-
-std::size_t GridCoverageModel::passing_flow_count(graph::NodeId node) const {
-  return reach_at(node).size();
-}
+GridCoverageModel::GridCoverageModel(const GridScenario& scenario,
+                                     std::span<const GridFlow> flows,
+                                     const traffic::UtilityFunction& utility)
+    : core::CoverageModel(grid_coverage(scenario, flows, utility)) {}
 
 }  // namespace rap::manhattan

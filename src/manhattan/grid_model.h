@@ -1,11 +1,10 @@
-// CoverageModel over the ideal grid scenario: a RAP at node v reaches a
-// flow iff v lies inside the flow's bounding rectangle (route-aware reach).
-// Lets Algorithms 1/2, the exhaustive optimum and the baselines run on the
-// Section IV world unchanged.
+// Coverage over the ideal grid scenario: a RAP at node v reaches a flow iff
+// v lies inside the flow's bounding rectangle (route-aware reach). Staged
+// into a core::CoverageModel, so Algorithms 1/2, the exhaustive optimum and
+// the baselines run on the Section IV world unchanged.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "src/core/problem.h"
 #include "src/manhattan/grid_scenario.h"
@@ -14,47 +13,13 @@ namespace rap::manhattan {
 
 class GridCoverageModel final : public core::CoverageModel {
  public:
-  /// `scenario`, `flows` and `utility` must outlive the model.
+  /// Stages each flow's bounding rectangle, every node kept. `scenario`
+  /// and `utility` must outlive the model; `flows` are read only during
+  /// construction. Throws std::invalid_argument on a flow with non-finite
+  /// or negative volumes or an alpha outside [0, 1].
   GridCoverageModel(const GridScenario& scenario,
                     std::span<const GridFlow> flows,
                     const traffic::UtilityFunction& utility);
-
-  [[nodiscard]] const graph::RoadNetwork& network() const noexcept override {
-    return scenario_->city().network();
-  }
-  [[nodiscard]] const traffic::UtilityFunction& utility() const noexcept override {
-    return *utility_;
-  }
-  [[nodiscard]] graph::NodeId shop() const noexcept override {
-    return shop_node_;
-  }
-  [[nodiscard]] std::size_t num_flows() const noexcept override {
-    return flows_.size();
-  }
-  [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
-      graph::NodeId node) const override;
-  [[nodiscard]] double customers(traffic::FlowIndex flow,
-                                 double detour) const override;
-  [[nodiscard]] double passing_vehicles(graph::NodeId node) const override;
-  [[nodiscard]] std::size_t passing_flow_count(
-      graph::NodeId node) const override;
-
-  [[nodiscard]] const GridScenario& scenario() const noexcept {
-    return *scenario_;
-  }
-  [[nodiscard]] std::span<const GridFlow> flows() const noexcept {
-    return flows_;
-  }
-
- private:
-  const GridScenario* scenario_;
-  std::span<const GridFlow> flows_;
-  const traffic::UtilityFunction* utility_;
-  graph::NodeId shop_node_;
-
-  std::vector<std::uint32_t> node_start_;
-  std::vector<traffic::NodeIncidence> node_entries_;
-  std::vector<double> vehicles_at_node_;
 };
 
 }  // namespace rap::manhattan

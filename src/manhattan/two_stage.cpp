@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
@@ -15,6 +16,15 @@
 
 namespace rap::manhattan {
 namespace {
+
+// Stage 2 reads flow f of `flows` as flow f of `model`.
+void check_flow_count(const core::CoverageModel& model, std::size_t flows,
+                      const char* who) {
+  if (flows != model.num_flows()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": flows.size() != model.num_flows()");
+  }
+}
 
 // Exhaustive optimum when affordable, composite greedy otherwise.
 core::PlacementResult small_k_placement(const core::CoverageModel& model,
@@ -42,23 +52,23 @@ void greedy_extend(const core::CoverageModel& model,
 }
 
 // Mask of straight flows on the ideal grid.
-std::vector<bool> straight_mask_grid(const GridCoverageModel& model) {
-  std::vector<bool> mask(model.num_flows(), false);
-  for (std::size_t f = 0; f < model.flows().size(); ++f) {
-    mask[f] = classify_grid_flow(model.scenario(), model.flows()[f]) ==
-              GridFlowClass::kStraight;
+std::vector<bool> straight_mask_grid(const GridScenario& scenario,
+                                     std::span<const GridFlow> flows) {
+  std::vector<bool> mask(flows.size(), false);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    mask[f] =
+        classify_grid_flow(scenario, flows[f]) == GridFlowClass::kStraight;
   }
   return mask;
 }
 
 // Mask of straight flows judged by region crossing on the real network.
-std::vector<bool> straight_mask_network(const FlexibleProblem& model,
-                                        const geo::BBox& region,
-                                        double alignment_tol) {
-  std::vector<bool> mask(model.num_flows(), false);
-  for (std::size_t f = 0; f < model.flows().size(); ++f) {
-    mask[f] = classify_path_region(model.network(), model.flows()[f].path,
-                                   region, alignment_tol) ==
+std::vector<bool> straight_mask_network(
+    const graph::RoadNetwork& net, std::span<const traffic::TrafficFlow> flows,
+    const geo::BBox& region, double alignment_tol) {
+  std::vector<bool> mask(flows.size(), false);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    mask[f] = classify_path_region(net, flows[f].path, region, alignment_tol) ==
               GridFlowClass::kStraight;
   }
   return mask;
@@ -77,13 +87,20 @@ graph::NodeId nearest_node(const graph::RoadNetwork& net, geo::Point target) {
   return best;
 }
 
-// Re-values the straight-stage placement on the full model and optionally
-// spends any leftover budget there.
+// Stage 2 and the finish: from the stage-1 RAPs in `state`, greedily
+// covers the flows `straight_flows` marks, re-values that placement on the
+// full model and optionally spends any leftover budget there.
 core::PlacementResult finish(const core::CoverageModel& model,
-                             const core::PlacementState& staged, std::size_t k,
-                             const TwoStageOptions& options) {
+                             const core::PlacementState& state,
+                             const std::vector<bool>& straight_flows,
+                             std::size_t k, const TwoStageOptions& options) {
+  const core::FilteredCoverageModel straight(model, straight_flows);
+  core::PlacementState straight_state(straight);
+  for (const graph::NodeId v : state.placement()) straight_state.add(v);
+  greedy_extend(straight, straight_state, k - state.placement().size());
+
   core::PlacementState full(model);
-  for (const graph::NodeId v : staged.placement()) full.add(v);
+  for (const graph::NodeId v : straight_state.placement()) full.add(v);
   if (options.spend_leftover_budget && full.placement().size() < k) {
     greedy_extend(model, full, k - full.placement().size());
   }
@@ -92,14 +109,14 @@ core::PlacementResult finish(const core::CoverageModel& model,
 
 }  // namespace
 
-core::PlacementResult two_stage_grid_placement(const GridCoverageModel& model,
-                                               std::size_t k,
-                                               TwoStageVariant variant,
-                                               const TwoStageOptions& options) {
+core::PlacementResult two_stage_grid_placement(
+    const core::CoverageModel& model, const GridScenario& scenario,
+    std::span<const GridFlow> flows, std::size_t k, TwoStageVariant variant,
+    const TwoStageOptions& options) {
+  check_flow_count(model, flows.size(), "two_stage_grid_placement");
   k = core::checked_budget(model, k, "two_stage_grid_placement");
   if (k <= 4) return small_k_placement(model, k, options);
 
-  const GridScenario& scenario = model.scenario();
   const citygen::GridCity& city = scenario.city();
   const std::size_t last = scenario.n() - 1;
   const std::size_t mid = scenario.shop_coord().col;  // == row (square grid)
@@ -117,16 +134,15 @@ core::PlacementResult two_stage_grid_placement(const GridCoverageModel& model,
   state.add(city.node_at(corner_stage_coord(0, last)));
   state.add(city.node_at(corner_stage_coord(last, last)));
 
-  const core::FilteredCoverageModel straight(model, straight_mask_grid(model));
-  core::PlacementState straight_state(straight);
-  for (const graph::NodeId v : state.placement()) straight_state.add(v);
-  greedy_extend(straight, straight_state, k - state.placement().size());
-  return finish(model, straight_state, k, options);
+  return finish(model, state, straight_mask_grid(scenario, flows), k,
+                options);
 }
 
 core::PlacementResult two_stage_network_placement(
-    const FlexibleProblem& model, const geo::BBox& region, std::size_t k,
-    TwoStageVariant variant, const TwoStageOptions& options) {
+    const core::CoverageModel& model,
+    std::span<const traffic::TrafficFlow> flows, const geo::BBox& region,
+    std::size_t k, TwoStageVariant variant, const TwoStageOptions& options) {
+  check_flow_count(model, flows.size(), "two_stage_network_placement");
   k = core::checked_budget(model, k, "two_stage_network_placement");
   if (region.empty()) {
     throw std::invalid_argument("two_stage_network_placement: empty region");
@@ -151,12 +167,10 @@ core::PlacementResult two_stage_network_placement(
     if (node != graph::kInvalidNode) state.add(node);
   }
 
-  const core::FilteredCoverageModel straight(
-      model, straight_mask_network(model, region, options.alignment_tol));
-  core::PlacementState straight_state(straight);
-  for (const graph::NodeId v : state.placement()) straight_state.add(v);
-  greedy_extend(straight, straight_state, k - state.placement().size());
-  return finish(model, straight_state, k, options);
+  return finish(
+      model, state,
+      straight_mask_network(net, flows, region, options.alignment_tol), k,
+      options);
 }
 
 }  // namespace rap::manhattan

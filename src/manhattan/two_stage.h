@@ -18,6 +18,8 @@
 // is judged by where the flow's route crosses the region box.
 #pragma once
 
+#include <span>
+
 #include "src/core/problem.h"
 #include "src/geo/bbox.h"
 #include "src/manhattan/flexible_eval.h"
@@ -44,18 +46,25 @@ struct TwoStageOptions {
   bool spend_leftover_budget = true;
 };
 
-/// Two-stage placement on the ideal grid. Budget contract
-/// (core/k_policy.h): k == 0 throws, k > num_nodes clamps and sets the
-/// "placement.k_clamped" telemetry gauge.
+/// Two-stage placement on the ideal grid. `model` is the GridCoverageModel
+/// of `flows` on `scenario`, whose flows stage 2 classifies; throws
+/// std::invalid_argument when flows.size() != model.num_flows(). Budget
+/// contract (core/k_policy.h): k == 0 throws, k > num_nodes clamps and sets
+/// the "placement.k_clamped" telemetry gauge.
 [[nodiscard]] core::PlacementResult two_stage_grid_placement(
-    const GridCoverageModel& model, std::size_t k, TwoStageVariant variant,
+    const core::CoverageModel& model, const GridScenario& scenario,
+    std::span<const GridFlow> flows, std::size_t k, TwoStageVariant variant,
     const TwoStageOptions& options = {});
 
-/// Two-stage placement on a real network under flexible routing. `region`
-/// is the D x D square centred at the shop (the paper's Manhattan region).
-/// Budget contract as above; throws when the region is empty.
+/// Two-stage placement on a real network under flexible routing. `model`
+/// is the FlexibleProblem of `flows`, whose paths stage 2 classifies
+/// against `region`, the D x D square centred at the shop (the paper's
+/// Manhattan region). Budget and flow-count contracts as above; throws when
+/// the region is empty.
 [[nodiscard]] core::PlacementResult two_stage_network_placement(
-    const FlexibleProblem& model, const geo::BBox& region, std::size_t k,
-    TwoStageVariant variant, const TwoStageOptions& options = {});
+    const core::CoverageModel& model,
+    std::span<const traffic::TrafficFlow> flows, const geo::BBox& region,
+    std::size_t k, TwoStageVariant variant,
+    const TwoStageOptions& options = {});
 
 }  // namespace rap::manhattan

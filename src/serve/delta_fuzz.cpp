@@ -77,25 +77,33 @@ bool draw_op(util::Rng& rng, const Session& session, DeltaOp& op) {
   }
 }
 
-/// Applies an op the session must reject — an out-of-range index, or a
-/// scale factor whose product overflows the flow's volume — and checks that
-/// it throws and leaves flows() and model() as they were. Returns false and
-/// fills `message` otherwise.
+/// Applies an op the session must reject — an out-of-range index, a scale
+/// factor that overflows the flow's volume, or an added flow whose
+/// population overflows — and checks that it throws and leaves flows() and
+/// model() as they were. Returns false and fills `message` otherwise.
 bool reject_op(util::Rng& rng, Session& session, std::size_t round,
                std::string& message) {
+  constexpr double kMax = std::numeric_limits<double>::max();
   const std::vector<traffic::TrafficFlow> before = session.flows();
   const core::CoverageModel* const model = &session.model();
   DeltaOp op;
   op.kind = rng.next_bool(0.5) ? DeltaOp::Kind::kScaleFlow
                                : DeltaOp::Kind::kRemoveFlow;
   op.index = before.size() + rng.next_below(3);
-  if (op.kind == DeltaOp::Kind::kScaleFlow && !before.empty() &&
-      rng.next_bool(0.5)) {
+  if (!before.empty() && rng.next_bool(0.5)) {
     op.index = rng.next_below(before.size());
-    // Twice the largest double per vehicle (+inf below one vehicle): the
-    // product is +inf for any volume (NaN for a zero one), never finite.
-    op.factor = std::numeric_limits<double>::max() /
-                std::max(before[op.index].daily_vehicles, 1.0) * 2.0;
+    if (rng.next_bool(0.5)) {
+      // Twice the largest double per vehicle (+inf below one vehicle): the
+      // volume is +inf for any flow (NaN for a zero one), never finite.
+      op.kind = DeltaOp::Kind::kScaleFlow;
+      op.factor = kMax / std::max(before[op.index].daily_vehicles, 1.0) * 2.0;
+    } else {
+      // The flow's own walk with finite volumes whose product is +inf.
+      op.kind = DeltaOp::Kind::kAddFlow;
+      op.flow = before[op.index];
+      op.flow.daily_vehicles = kMax;
+      op.flow.passengers_per_vehicle = 2.0;
+    }
   }
   try {
     session.apply_delta(op);
@@ -108,7 +116,9 @@ bool reject_op(util::Rng& rng, Session& session, std::size_t round,
   std::ostringstream error;
   error.precision(17);
   error << "round " << round << ": "
-        << (op.kind == DeltaOp::Kind::kScaleFlow ? "scale_flow" : "remove_flow")
+        << (op.kind == DeltaOp::Kind::kAddFlow     ? "add_flow"
+            : op.kind == DeltaOp::Kind::kScaleFlow ? "scale_flow"
+                                                   : "remove_flow")
         << " index " << op.index << " factor " << op.factor
         << " was accepted or changed the session's flows or model";
   message = error.str();

@@ -7,9 +7,9 @@
 // problem solved by core::lazy_marginal_greedy_placement — node lists must
 // match exactly and objective values bit-for-bit (==, no tolerance), the
 // same contract the core differential fuzzer enforces. Now and then a round
-// also injects an op the session must reject (an overflowing scale factor
-// or an out-of-range index), which must throw and leave the session's flows
-// and model unchanged.
+// also injects an op the session must reject (an overflowing scale factor,
+// an added flow whose population overflows, or an out-of-range index),
+// which must throw and leave the session's flows and model unchanged.
 //
 // Scenarios drawn with the adversarial (non-monotone) utility are skipped:
 // warm-start CELF, like plain CELF, is only valid in the paper's monotone

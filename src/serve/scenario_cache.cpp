@@ -154,10 +154,10 @@ graph::NodeId pick_shop(const ScenarioSpec& spec, const graph::RoadNetwork& net,
 
 /// Approximate resident footprint for LRU accounting (DESIGN.md §13): the
 /// network CSR, the base flows with their paths, the shop's two trees, the
-/// problem's per-flow (population, alpha) pair, and the node -> flows
-/// incidence index at one 16-byte entry per live (flow, node) pair (detour
-/// within the utility's range) plus, per node, its CSR offset, pass count
-/// and vehicle sum.
+/// problem's per-flow (population, alpha) pair, and its coverage table at
+/// one 16-byte entry per live (flow, node) pair (detour within the
+/// utility's range) plus, per node, its CSR offset, pass count and vehicle
+/// sum.
 std::size_t estimate_bytes(const ServeScenario& scenario) {
   const std::size_t n = scenario.net.num_nodes();
   std::size_t bytes = sizeof(ServeScenario);
@@ -168,7 +168,7 @@ std::size_t estimate_bytes(const ServeScenario& scenario) {
   }
   bytes += n * 2 * sizeof(double);                      // d', d''
   bytes += scenario.flows.size() * 2 * sizeof(double);  // weights
-  bytes += scenario.problem->incidence().num_entries() *
+  bytes += scenario.problem->num_entries() *
            sizeof(traffic::NodeIncidence);
   // Per node: CSR offset, pass count, vehicle sum.
   bytes += n * (2 * sizeof(std::uint32_t) + sizeof(double));

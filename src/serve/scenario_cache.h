@@ -4,7 +4,7 @@
 // flows, utility, shop, the shop's detour engine (two shop-rooted Dijkstra
 // trees) and the base PlacementProblem. Building one is the expensive part
 // of serving a `load` request — city generation or CSV parsing, map matching, the shop
-// Dijkstras, the incidence index — so scenarios are cached behind a 64-bit
+// Dijkstras, the coverage table — so scenarios are cached behind a 64-bit
 // content key and shared (shared_ptr) between the cache and any live
 // sessions.
 //
@@ -118,7 +118,7 @@ struct ServeScenario {
 void validate_spec(const ScenarioSpec& spec);
 
 /// Builds the full scenario for `spec` (expensive: generation/parsing,
-/// matching, the shop's two Dijkstras, incidence). `key` must be
+/// matching, the shop's two Dijkstras, coverage table). `key` must be
 /// scenario_key(spec).
 [[nodiscard]] std::shared_ptr<const ServeScenario> build_scenario(
     const ScenarioSpec& spec, std::uint64_t key);

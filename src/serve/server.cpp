@@ -190,7 +190,7 @@ Server::Server(ServerOptions options)
   if (!options_.store_dir.empty()) {
     store_ = std::make_unique<ScenarioStore>(options_.store_dir);
     // Rehydration replaces the builds a warm cache would have absorbed: no
-    // generation, no matching, no Dijkstras — just mmap + incidence.
+    // generation, no matching, no Dijkstras — just mmap + coverage table.
     rehydrated_at_start_ = store_->rehydrate_into(cache_);
     if (options_.log != nullptr && rehydrated_at_start_ > 0) {
       options_.log->log(
@@ -247,7 +247,7 @@ JsonValue Server::handle_load(ClientLock& client,
     if (scenario != nullptr) {
       source = "cache";
     } else if (store_ != nullptr) {
-      // Disk beats rebuild: one mmap + incidence instead of generation,
+      // Disk beats rebuild: one mmap + coverage table instead of generation,
       // matching and Dijkstras. load() is internally synchronized.
       scenario = store_->load(key);
       if (scenario != nullptr) {

@@ -41,10 +41,13 @@ void Session::apply_delta(const DeltaOp& op) {
       if (!(op.factor > 0.0)) {
         throw std::invalid_argument("scale_flow: factor must be > 0");
       }
-      // The rebuild's validate_flow rejects a non-finite volume, but only
-      // after the mutation; every check it makes must run here, first.
-      if (!std::isfinite(current[op.index].daily_vehicles * op.factor)) {
-        throw std::invalid_argument("scale_flow: factor overflows the volume");
+      // The rebuild's validate_flow rejects a non-finite volume or
+      // population, but only after the mutation; every check it makes must
+      // run here, first. A non-finite volume makes the population one too.
+      if (!std::isfinite(current[op.index].daily_vehicles * op.factor *
+                         current[op.index].passengers_per_vehicle)) {
+        throw std::invalid_argument(
+            "scale_flow: factor overflows the volume or population");
       }
       break;
   }
@@ -63,7 +66,7 @@ void Session::apply_delta(const DeltaOp& op) {
       break;
   }
   // The expensive inputs — network and the shop's two Dijkstra trees — are
-  // shared from the scenario; only the incidence index is rebuilt here.
+  // shared from the scenario; only the coverage table is rebuilt here.
   delta_problem_ = std::make_unique<core::PlacementProblem>(
       scenario_->net, own, scenario_->shop, *scenario_->utility,
       std::make_unique<SharedDetours>(scenario_->detours));

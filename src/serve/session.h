@@ -5,8 +5,8 @@
 // It reads the scenario's base flows until its first delta, which copies
 // them; every delta then rebuilds a private PlacementProblem over its own
 // flows — cheaply, because the scenario's shop detour
-// engine (two Dijkstras) is shared via SharedDetours and only the incidence
-// index is rebuilt. Between placements the session carries the warm-start
+// engine (two Dijkstras) is shared via SharedDetours and only the coverage
+// table is rebuilt. Between placements the session carries the warm-start
 // state (src/serve/delta.h): the first `place` runs cold and records exact
 // round-0 gains; every delta loosens them by an audited upper bound; later
 // `place` calls re-optimize warm and fall back to a full run only when the

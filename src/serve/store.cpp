@@ -25,10 +25,7 @@ namespace {
 
 constexpr char kMagic[8] = {'R', 'A', 'P', 'S', 'E', 'G', '1', '\n'};
 /// Fixed header size; every scalar field is 8 bytes except shop/reserved.
-constexpr std::size_t kHeaderBytes = 112;
-/// The engine name field of the segment strings: every scenario is priced
-/// by the shop's two trees.
-constexpr std::string_view kEngine = "dijkstra";
+constexpr std::size_t kHeaderBytes = 104;
 
 struct SegmentHeader {
   std::uint64_t version = 0;
@@ -42,7 +39,6 @@ struct SegmentHeader {
   double range = 0.0;
   std::uint32_t shop = 0;
   std::uint64_t summary_bytes = 0;
-  std::uint64_t engine_bytes = 0;
   std::uint64_t utility_bytes = 0;
 };
 
@@ -183,7 +179,6 @@ std::string serialize_segment(const ServeScenario& scenario) {
     for (const graph::NodeId node : flow.path) append_u32(payload, node);
   }
   append_raw(payload, scenario.summary.data(), scenario.summary.size());
-  append_raw(payload, kEngine.data(), kEngine.size());
   append_raw(payload, utility_name.data(), utility_name.size());
 
   std::string out;
@@ -201,7 +196,6 @@ std::string serialize_segment(const ServeScenario& scenario) {
   append_u32(out, scenario.shop);
   append_u32(out, 0);  // reserved
   append_u64(out, scenario.summary.size());
-  append_u64(out, kEngine.size());
   append_u64(out, utility_name.size());
   out += payload;
   return out;
@@ -235,7 +229,6 @@ SegmentHeader parse_header(SegmentReader& reader, std::uint64_t expected_key,
   header.shop = reader.u32();
   (void)reader.u32();  // reserved
   header.summary_bytes = reader.u64();
-  header.engine_bytes = reader.u64();
   header.utility_bytes = reader.u64();
   // Count sanity before any count-driven loop: ids are 32-bit, and every
   // per-item size below must fit the payload.
@@ -295,9 +288,6 @@ std::shared_ptr<const ServeScenario> parse_segment(const MappedSegment& map,
     scenario->flows.push_back(std::move(flow));
   }
   scenario->summary = std::string(reader.bytes(header.summary_bytes));
-  if (reader.bytes(header.engine_bytes) != kEngine) {
-    throw std::runtime_error("segment names an unknown detour engine");
-  }
   const std::string utility_name(reader.bytes(header.utility_bytes));
   if (reader.remaining() != 0) {
     throw std::runtime_error("segment has trailing bytes");
@@ -408,6 +398,8 @@ std::shared_ptr<const ServeScenario> ScenarioStore::load(std::uint64_t key) {
     obs::record_instant("serve.store.rehydrate", "key", key_filename(key));
     return scenario;
   } catch (const std::exception&) {
+    // Drop the rejected segment so the rebuild's put() can replace it.
+    (void)::unlink(segment_path(key).c_str());
     const util::MutexLock lock(mutex_);
     ++stats_.corrupt;
     return nullptr;

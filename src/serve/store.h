@@ -8,11 +8,11 @@
 // recomputing: the road network (positions + edges), the flow set (paths
 // included — no map matching), the shop, and the shop's two shortest-path
 // distance arrays d'/d'' (no Dijkstras). Rebuilding a scenario from a
-// segment costs one mmap plus the O(total path nodes) incidence index —
+// segment costs one mmap plus the O(total path nodes) coverage table —
 // placements on a rehydrated scenario are bitwise identical to placements
 // on a freshly built one (tests/serve/store_test.cpp holds this).
 //
-// Segment format ("rap.store.v1", tools/rap_serve --store-dir):
+// Segment format (version 2, tools/rap_serve --store-dir):
 //   <dir>/<%016x key>.rseg
 //   SegmentHeader (fixed size, magic "RAPSEG1\n", format version, payload
 //   byte count + FNV-1a 64 checksum, scalar scenario fields) followed by a
@@ -24,7 +24,7 @@
 //     flows       per flow: u32 origin, u32 destination, f64 vehicles,
 //                 f64 passengers_per_vehicle, f64 alpha, u64 path_len,
 //                 path_len x u32 path nodes
-//     strings     summary, engine name, utility name (raw bytes)
+//     strings     summary, utility name (raw bytes)
 // The content key IS the index: the directory of *.rseg files is the
 // content-keyed lookup structure, and the filename must match the header
 // key. Writes are crash-safe by construction — serialize to <name>.tmp,
@@ -36,11 +36,14 @@
 //
 // Versioning: bump kStoreFormatVersion on any layout change; loaders
 // reject other versions (counted corrupt), so a downgraded server treats
-// new-format segments as absent and rebuilds — never misreads.
+// new-format segments as absent and rebuilds — never misreads. load()
+// deletes every segment it rejects, torn or of another version, so the
+// rebuild's put() persists the key afresh. Version 2 dropped version 1's
+// detour-engine name string (always "dijkstra"), so a version-1 segment is
+// counted corrupt once, rebuilt and re-persisted.
 //
 // The d'/d'' arrays are O(n) and fully determine every detour, including
-// detours of flows added later by deltas; the engine name string is always
-// "dijkstra".
+// detours of flows added later by deltas.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +59,7 @@
 namespace rap::serve {
 
 /// Current segment layout version (header field; see file comment).
-inline constexpr std::uint64_t kStoreFormatVersion = 1;
+inline constexpr std::uint64_t kStoreFormatVersion = 2;
 
 /// The persistent segment store. Thread-safe: transports and the stdio loop
 /// may put/load concurrently (one internal mutex; segment IO is quick
@@ -80,7 +83,8 @@ class ScenarioStore {
   bool put(const ServeScenario& scenario) RAP_EXCLUDES(mutex_);
 
   /// Rehydrates one scenario by content key. Returns nullptr when the key
-  /// is absent or the segment fails validation (counted corrupt).
+  /// is absent or the segment fails validation (counted corrupt and
+  /// deleted).
   [[nodiscard]] std::shared_ptr<const ServeScenario> load(std::uint64_t key)
       RAP_EXCLUDES(mutex_);
 

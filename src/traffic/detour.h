@@ -35,11 +35,18 @@ namespace rap::traffic {
   return std::max(0.0, d1 + d2 - d3);
 }
 
+/// One entry of a coverage reach list: a flow and the detour a RAP at the
+/// list's node offers it.
+struct NodeIncidence {
+  FlowIndex flow = 0;
+  double detour = graph::kUnreachable;
+};
+
 /// d''' at every stop of the flow's path: the distance left along it.
 /// Walks the path once. Throws std::invalid_argument unless it is a
 /// non-empty walk ending at flow.destination, so every path node and the
 /// destination index per-node arrays safely; validate_flow's other checks
-/// are the caller's (IncidenceIndex runs them).
+/// are the caller's (core::fixed_path_coverage runs them).
 [[nodiscard]] std::vector<double> remaining_along_path(
     const graph::RoadNetwork& net, const TrafficFlow& flow);
 

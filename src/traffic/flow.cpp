@@ -28,6 +28,9 @@ void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow) {
     throw std::invalid_argument(
         "validate_flow: passengers_per_vehicle must be finite and > 0");
   }
+  if (!std::isfinite(flow.population())) {
+    throw std::invalid_argument("validate_flow: population overflows");
+  }
   if (!(flow.alpha >= 0.0 && flow.alpha <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("validate_flow: alpha must be in [0, 1]");
   }

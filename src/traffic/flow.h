@@ -37,8 +37,8 @@ struct TrafficFlow {
 };
 
 /// Throws std::invalid_argument unless the flow is well-formed on `net`:
-/// non-empty walk from origin to destination, positive volumes, alpha in
-/// [0, 1].
+/// non-empty walk from origin to destination, positive volumes whose
+/// product (the population) is finite, alpha in [0, 1].
 void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow);
 
 /// Builds a flow travelling a shortest path from `origin` to `destination`.

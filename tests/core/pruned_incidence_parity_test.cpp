@@ -3,9 +3,9 @@
 // PlacementProblem keeps a (flow, node) entry only when the flow's detour at
 // the node is within the utility's range D. A dropped entry attracts exactly
 // 0 customers, and any entry that could beat it has a smaller detour, so no
-// algorithm may see a difference. The reference here is a CoverageModel over
-// IncidenceIndex(..., graph::kUnreachable) — every pass kept — with the same
-// customers(). On seeded grids, a metro-like grid and the Seattle/Dublin
+// algorithm may see a difference. The reference here is
+// fixed_path_coverage(..., graph::kUnreachable) — every pass kept — with the
+// same customers(). On seeded grids, a metro-like grid and the Seattle/Dublin
 // presets, under the paper's three utilities and the fuzzer's step and
 // non-monotone families, every algorithm must return the same placement,
 // a bitwise-equal objective and the same number of gain evaluations.
@@ -30,7 +30,6 @@
 #include "src/obs/telemetry.h"
 #include "src/serve/scenario_cache.h"
 #include "src/serve/session.h"
-#include "src/traffic/incidence.h"
 #include "src/util/rng.h"
 #include "tests/testing/builders.h"
 
@@ -39,53 +38,14 @@ namespace {
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-/// The unpruned reference: every passing flow at every node, priced by
-/// `detours`, with `pruned`'s own customers().
-class FullIndexModel final : public CoverageModel {
- public:
-  FullIndexModel(const PlacementProblem& pruned,
-                 const std::vector<traffic::TrafficFlow>& flows,
-                 const traffic::DetourSource& detours)
-      : pruned_(&pruned),
-        index_(pruned.network(), flows, detours, graph::kUnreachable) {}
-
-  [[nodiscard]] const graph::RoadNetwork& network() const noexcept override {
-    return pruned_->network();
-  }
-  [[nodiscard]] const traffic::UtilityFunction& utility()
-      const noexcept override {
-    return pruned_->utility();
-  }
-  [[nodiscard]] graph::NodeId shop() const noexcept override {
-    return pruned_->shop();
-  }
-  [[nodiscard]] std::size_t num_flows() const noexcept override {
-    return pruned_->num_flows();
-  }
-  [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
-      graph::NodeId node) const override {
-    return index_.at_node(node);
-  }
-  [[nodiscard]] double customers(traffic::FlowIndex flow,
-                                 double detour) const override {
-    return pruned_->customers(flow, detour);
-  }
-  [[nodiscard]] double passing_vehicles(graph::NodeId node) const override {
-    return index_.passing_vehicles(node);
-  }
-  [[nodiscard]] std::size_t passing_flow_count(
-      graph::NodeId node) const override {
-    return index_.passing_flow_count(node);
-  }
-
-  [[nodiscard]] const traffic::IncidenceIndex& index() const noexcept {
-    return index_;
-  }
-
- private:
-  const PlacementProblem* pruned_;
-  traffic::IncidenceIndex index_;
-};
+/// The unpruned reference: the fixed-path table over the same flows and
+/// utility with every pass kept, so its customers() equal `pruned`'s.
+CoverageModel full_index(const PlacementProblem& pruned,
+                         const std::vector<traffic::TrafficFlow>& flows,
+                         const traffic::DetourSource& detours) {
+  return fixed_path_coverage(pruned.network(), flows, pruned.shop(),
+                             pruned.utility(), detours, graph::kUnreachable);
+}
 
 struct Instance {
   std::string name;
@@ -181,7 +141,7 @@ std::pair<PlacementResult, std::uint64_t> counted(const CoverageModel& model,
 /// Every pruned reach list is the full list minus the entries beyond D, and
 /// the baseline counts see every passing flow. Returns the entries kept.
 std::size_t check_index(const PlacementProblem& pruned,
-                        const FullIndexModel& full, double range,
+                        const CoverageModel& full, double range,
                         const std::string& what) {
   std::size_t kept = 0;
   for (graph::NodeId v = 0; v < pruned.num_nodes(); ++v) {
@@ -203,13 +163,13 @@ std::size_t check_index(const PlacementProblem& pruned,
         << what << " node " << v;
     kept += got.size();
   }
-  EXPECT_EQ(kept, pruned.incidence().num_entries()) << what;
+  EXPECT_EQ(kept, pruned.num_entries()) << what;
   return kept;
 }
 
 /// Every algorithm on `pruned` against the same algorithm on `full`.
 void check_algorithms(const PlacementProblem& pruned,
-                      const FullIndexModel& full, bool monotone, bool exact,
+                      const CoverageModel& full, bool monotone, bool exact,
                       const std::string& what) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{6}}) {
     const std::string at = what + " k=" + std::to_string(k);
@@ -291,10 +251,10 @@ std::pair<std::size_t, std::size_t> check_instance(const Instance& instance,
     const std::string what = instance.name + " " + utility->name();
     const PlacementProblem pruned(instance.net, instance.flows, instance.shop,
                                   *utility);
-    const FullIndexModel full(pruned, instance.flows, detours);
+    const CoverageModel full = full_index(pruned, instance.flows, detours);
     const std::size_t kept = check_index(pruned, full, instance.range, what);
     if (utility->name() == "linear") {
-      linear_entries = {kept, full.index().num_entries()};
+      linear_entries = {kept, full.num_entries()};
     }
     check_algorithms(pruned, full, utility->name() != "adversarial", exact,
                      what);
@@ -339,7 +299,8 @@ void check_session(const std::shared_ptr<const serve::ServeScenario>& scenario,
     const PlacementProblem weights(
         net, flows, scenario->shop, *scenario->utility,
         std::make_unique<serve::SharedDetours>(scenario->detours));
-    const FullIndexModel full(weights, flows, *scenario->detours);
+    const CoverageModel full =
+        full_index(weights, flows, *scenario->detours);
     const serve::WarmStartResult got = session.place(k);
     const serve::WarmStartResult want =
         serve::warm_start_marginal_greedy(full, k, warm, &warm);

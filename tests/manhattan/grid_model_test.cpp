@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
@@ -110,6 +113,23 @@ TEST(GridModel, RouteFlexibilityBeatsFixedPathCoverage) {
     reachable += !model.reach_at(v).empty();
   }
   EXPECT_EQ(reachable, 25u);  // whole rectangle, not just one 9-node path
+}
+
+TEST(GridModel, RejectsTheFlowsTheOtherModelsReject) {
+  // Each of these used to construct: a NaN volume read back as a NaN
+  // passing_vehicles and a lazy greedy that silently placed fewer RAPs, a
+  // negative one as a greedy that placed none, and alpha 2 threw only at
+  // the first gain evaluation.
+  const GridScenario scenario(5, 1.0);
+  const traffic::LinearUtility utility(1000.0);
+  std::vector<std::vector<GridFlow>> bad(3, two_flows());
+  bad[0][1].daily_vehicles = std::numeric_limits<double>::quiet_NaN();
+  bad[1][1].daily_vehicles = -50.0;
+  bad[2][1].alpha = 2.0;
+  for (const std::vector<GridFlow>& flows : bad) {
+    EXPECT_THROW(GridCoverageModel(scenario, flows, utility),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
@@ -41,8 +42,25 @@ TEST(TwoStageGrid, RejectsZeroK) {
   const traffic::ThresholdUtility utility(100.0);
   const GridCoverageModel model(scenario, flows, utility);
   EXPECT_THROW(
-      two_stage_grid_placement(model, 0, TwoStageVariant::kCorners),
+      two_stage_grid_placement(
+          model, scenario, flows, 0, TwoStageVariant::kCorners),
       std::invalid_argument);
+}
+
+TEST(TwoStageGrid, RejectsFlowsThatAreNotTheModels) {
+  // Stage 2 classifies `flows` against the model's flow indices, so they
+  // must be the flows the model was built from.
+  const GridScenario scenario(5, 1.0);
+  const auto flows = mixed_flows(scenario, 10, 1);
+  const traffic::ThresholdUtility utility(100.0);
+  const GridCoverageModel model(scenario, flows, utility);
+  const std::span<const GridFlow> fewer(flows.data(), flows.size() - 1);
+  // k <= 4 returns before stage 2 but is checked all the same.
+  for (const std::size_t k : {std::size_t{3}, std::size_t{8}}) {
+    EXPECT_THROW(two_stage_grid_placement(model, scenario, fewer, k,
+                                          TwoStageVariant::kCorners),
+                 std::invalid_argument);
+  }
 }
 
 TEST(TwoStageGrid, OverBudgetClampsAndSetsTheGauge) {
@@ -57,7 +75,8 @@ TEST(TwoStageGrid, OverBudgetClampsAndSetsTheGauge) {
   {
     const obs::TelemetryScope scope(telemetry);
     const core::PlacementResult result =
-        two_stage_grid_placement(model, n + 7, TwoStageVariant::kCorners);
+        two_stage_grid_placement(
+            model, scenario, flows, n + 7, TwoStageVariant::kCorners);
     EXPECT_LE(result.nodes.size(), n);
   }
   EXPECT_DOUBLE_EQ(telemetry.metrics.gauge("placement.k_clamped").value(),
@@ -71,7 +90,8 @@ TEST(TwoStageGrid, SmallKMatchesExhaustive) {
   const GridCoverageModel model(scenario, flows, utility);
   for (const std::size_t k : {1u, 2u, 3u}) {
     const double two_stage =
-        two_stage_grid_placement(model, k, TwoStageVariant::kCorners).customers;
+        two_stage_grid_placement(
+            model, scenario, flows, k, TwoStageVariant::kCorners).customers;
     const double opt = core::exhaustive_optimal_placement(model, k).customers;
     EXPECT_NEAR(two_stage, opt, 1e-9) << "k=" << k;
   }
@@ -83,7 +103,8 @@ TEST(TwoStageGrid, CornersVariantPlacesCorners) {
   const traffic::ThresholdUtility utility(100.0);
   const GridCoverageModel model(scenario, flows, utility);
   const auto result =
-      two_stage_grid_placement(model, 8, TwoStageVariant::kCorners);
+      two_stage_grid_placement(
+          model, scenario, flows, 8, TwoStageVariant::kCorners);
   const std::set<graph::NodeId> placed(result.nodes.begin(), result.nodes.end());
   for (const graph::NodeId corner : scenario.city().corner_nodes()) {
     EXPECT_TRUE(placed.contains(corner));
@@ -97,7 +118,8 @@ TEST(TwoStageGrid, MidpointsVariantPlacesMidpoints) {
   const traffic::LinearUtility utility(8.0);
   const GridCoverageModel model(scenario, flows, utility);
   const auto result =
-      two_stage_grid_placement(model, 6, TwoStageVariant::kMidpoints);
+      two_stage_grid_placement(
+          model, scenario, flows, 6, TwoStageVariant::kMidpoints);
   const std::set<graph::NodeId> placed(result.nodes.begin(), result.nodes.end());
   const citygen::GridCity& city = scenario.city();
   // Midpoints between corners (0/4) and shop (2,2) snap to (1,1) etc.
@@ -138,7 +160,8 @@ TEST(TwoStageGrid, Theorem3RatioOnStraightAndTurnedFlows) {
 
   const std::size_t k = 6;
   const auto placement =
-      two_stage_grid_placement(model, k, TwoStageVariant::kCorners);
+      two_stage_grid_placement(
+          model, scenario, flows, k, TwoStageVariant::kCorners);
   const double achieved =
       core::evaluate_placement(filtered, placement.nodes);
   const double opt =
@@ -155,7 +178,8 @@ TEST(TwoStageGrid, ValueMatchesEvaluator) {
   const GridCoverageModel model(scenario, flows, utility);
   for (const std::size_t k : {5u, 7u, 9u}) {
     const auto result =
-        two_stage_grid_placement(model, k, TwoStageVariant::kMidpoints);
+        two_stage_grid_placement(
+            model, scenario, flows, k, TwoStageVariant::kMidpoints);
     EXPECT_NEAR(result.customers,
                 core::evaluate_placement(model, result.nodes), 1e-9);
   }
@@ -191,7 +215,7 @@ TEST_F(TwoStageNetwork, PlacesNearRegionCorners) {
   const FlexibleProblem model(city_.network(), flows_, city_.node_at(4, 4),
                               utility_);
   const auto result = two_stage_network_placement(
-      model, region_, 8, TwoStageVariant::kCorners);
+      model, flows_, region_, 8, TwoStageVariant::kCorners);
   const std::set<graph::NodeId> placed(result.nodes.begin(), result.nodes.end());
   EXPECT_TRUE(placed.contains(city_.node_at(0, 0)));
   EXPECT_TRUE(placed.contains(city_.node_at(8, 0)));
@@ -203,7 +227,7 @@ TEST_F(TwoStageNetwork, MidpointVariantPlacesBetweenCornerAndShop) {
   const FlexibleProblem model(city_.network(), flows_, city_.node_at(4, 4),
                               utility_);
   const auto result = two_stage_network_placement(
-      model, region_, 8, TwoStageVariant::kMidpoints);
+      model, flows_, region_, 8, TwoStageVariant::kMidpoints);
   const std::set<graph::NodeId> placed(result.nodes.begin(), result.nodes.end());
   EXPECT_TRUE(placed.contains(city_.node_at(2, 2)));
   EXPECT_TRUE(placed.contains(city_.node_at(6, 6)));
@@ -215,7 +239,7 @@ TEST_F(TwoStageNetwork, SmallKUsesExhaustive) {
   TwoStageOptions options;
   options.exhaustive_cap = 200'000;
   const auto two_stage = two_stage_network_placement(
-      model, region_, 1, TwoStageVariant::kCorners, options);
+      model, flows_, region_, 1, TwoStageVariant::kCorners, options);
   const auto opt = core::exhaustive_optimal_placement(model, 1);
   EXPECT_NEAR(two_stage.customers, opt.customers, 1e-9);
 }
@@ -223,12 +247,19 @@ TEST_F(TwoStageNetwork, SmallKUsesExhaustive) {
 TEST_F(TwoStageNetwork, Validation) {
   const FlexibleProblem model(city_.network(), flows_, city_.node_at(4, 4),
                               utility_);
-  EXPECT_THROW(two_stage_network_placement(model, region_, 0,
+  EXPECT_THROW(two_stage_network_placement(model, flows_, region_, 0,
                                            TwoStageVariant::kCorners),
                std::invalid_argument);
-  EXPECT_THROW(two_stage_network_placement(model, geo::BBox{}, 5,
+  EXPECT_THROW(two_stage_network_placement(model, flows_, geo::BBox{}, 5,
                                            TwoStageVariant::kCorners),
                std::invalid_argument);
+  const std::span<const traffic::TrafficFlow> fewer(flows_.data(),
+                                                    flows_.size() - 1);
+  for (const std::size_t k : {std::size_t{3}, std::size_t{8}}) {
+    EXPECT_THROW(two_stage_network_placement(model, fewer, region_, k,
+                                             TwoStageVariant::kCorners),
+                 std::invalid_argument);
+  }
 }
 
 TEST_F(TwoStageNetwork, BudgetRespected) {
@@ -236,7 +267,7 @@ TEST_F(TwoStageNetwork, BudgetRespected) {
                               utility_);
   for (const std::size_t k : {5u, 6u, 10u}) {
     const auto result = two_stage_network_placement(
-        model, region_, k, TwoStageVariant::kCorners);
+        model, flows_, region_, k, TwoStageVariant::kCorners);
     EXPECT_LE(result.nodes.size(), k);
   }
 }
@@ -257,7 +288,8 @@ TEST(TwoStageGrid, Theorem4RatioOnStraightAndTurnedFlows) {
         model, straight_turned_mask(scenario, flows));
     const std::size_t k = 6;
     const auto placement =
-        two_stage_grid_placement(model, k, TwoStageVariant::kMidpoints);
+        two_stage_grid_placement(
+            model, scenario, flows, k, TwoStageVariant::kMidpoints);
     const double achieved = core::evaluate_placement(filtered, placement.nodes);
     const double opt =
         core::exhaustive_optimal_placement(filtered, k, {2'000'000}).customers;
@@ -282,10 +314,12 @@ TEST(TwoStageGrid, FaithfulModeLeavesLeftoverBudgetIdle) {
   TwoStageOptions faithful;
   faithful.spend_leftover_budget = false;
   const auto literal =
-      two_stage_grid_placement(model, 8, TwoStageVariant::kCorners, faithful);
+      two_stage_grid_placement(
+          model, scenario, flows, 8, TwoStageVariant::kCorners, faithful);
   EXPECT_LE(literal.nodes.size(), 5u);  // 4 corners + <= 1 straight RAP
   const auto extended =
-      two_stage_grid_placement(model, 8, TwoStageVariant::kCorners);
+      two_stage_grid_placement(
+          model, scenario, flows, 8, TwoStageVariant::kCorners);
   EXPECT_GE(extended.customers, literal.customers);
 }
 
@@ -301,9 +335,11 @@ TEST(TwoStageGrid, ExtensionNeverWorseThanFaithful) {
       for (const TwoStageVariant variant :
            {TwoStageVariant::kCorners, TwoStageVariant::kMidpoints}) {
         const double literal =
-            two_stage_grid_placement(model, k, variant, faithful).customers;
+            two_stage_grid_placement(
+                model, scenario, flows, k, variant, faithful).customers;
         const double extended =
-            two_stage_grid_placement(model, k, variant).customers;
+            two_stage_grid_placement(
+                model, scenario, flows, k, variant).customers;
         EXPECT_GE(extended, literal - 1e-9) << "seed " << seed;
       }
     }

@@ -208,6 +208,40 @@ TEST(ServeSession, OverflowingScaleIsRejectedWithoutMutating) {
   expect_parity(session, 2, "after a delta following the rejection");
 }
 
+TEST(ServeSession, OverflowingPopulationIsRejectedWithoutMutating) {
+  // Each volume finite, their product (the population) +inf: an added flow
+  // of 1e300 vehicles * 1e300 passengers, and flow 0 (12 vehicles, 2
+  // passengers each) scaled to 1e308 vehicles. Both must throw before
+  // anything changes, and later deltas must still apply.
+  Session session(make_scenario());
+  (void)session.place(2);
+  DeltaOp add;
+  add.kind = DeltaOp::Kind::kAddFlow;
+  add.flow = session.flows()[1];
+  add.flow.daily_vehicles = 1e300;
+  add.flow.passengers_per_vehicle = 1e300;
+  DeltaOp scale;
+  scale.kind = DeltaOp::Kind::kScaleFlow;
+  scale.index = 0;
+  scale.factor = 1e308 / 12.0;
+  for (const DeltaOp& overflow : {add, scale}) {
+    const std::vector<traffic::TrafficFlow> before = session.flows();
+    const core::CoverageModel* model = &session.model();
+    EXPECT_THROW(session.apply_delta(overflow), std::invalid_argument);
+    EXPECT_EQ(session.flows(), before);
+    EXPECT_EQ(&session.model(), model);
+    EXPECT_EQ(session.stats().deltas, 0U);
+  }
+  expect_parity(session, 2, "after rejected population overflows");
+
+  DeltaOp remove;
+  remove.kind = DeltaOp::Kind::kRemoveFlow;
+  remove.index = 2;
+  session.apply_delta(remove);
+  EXPECT_EQ(session.model().num_flows(), 2U);
+  expect_parity(session, 2, "after a delta following the rejections");
+}
+
 TEST(ServeSession, EvaluateMatchesLibraryEvaluator) {
   Session session(make_scenario());
   const std::vector<graph::NodeId> placement{1, 4};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -152,6 +153,50 @@ TEST(ServeStore, CorruptSegmentIsSkippedAndRebuilt) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServeStore, VersionOneSegmentIsCorruptAndRebuilt) {
+  // Version 1 carried a detour-engine name string that version 2 dropped;
+  // a segment stamped version 1 must be counted corrupt and rebuilt, never
+  // misread.
+  const std::string dir = temp_store_dir("version1");
+  {
+    Server server(store_options(dir));
+    (void)expect_ok(server, load_request(7));
+  }
+  std::filesystem::path segment;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    segment = entry.path();
+  }
+  ASSERT_FALSE(segment.empty());
+  {
+    // The u64 format version follows the 8-byte magic.
+    std::fstream file(segment,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    std::uint64_t version = 0;
+    file.seekg(8);
+    file.read(reinterpret_cast<char*>(&version), sizeof version);
+    ASSERT_EQ(version, kStoreFormatVersion);
+    version = 1;
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&version), sizeof version);
+  }
+
+  Server restarted(store_options(dir));
+  EXPECT_EQ(restarted.rehydrated_at_start(), 0U);
+  ASSERT_NE(restarted.store(), nullptr);
+  EXPECT_EQ(restarted.store()->stats().corrupt, 1U);
+  const JsonValue::Object loaded = expect_ok(restarted, load_request(7));
+  EXPECT_EQ(loaded.at("source").as_string(), "built");
+  EXPECT_EQ(loaded.at("engine").as_string(), "dijkstra");  // rap.serve.v1
+  // The rebuild replaced the rejected segment, so the next restart
+  // rehydrates it.
+  EXPECT_EQ(restarted.store()->stats().persisted, 1U);
+
+  Server again(store_options(dir));
+  EXPECT_EQ(again.rehydrated_at_start(), 1U);
+  EXPECT_EQ(again.store()->stats().corrupt, 0U);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServeStore, TruncatedSegmentIsCorrupt) {
   const std::string dir = temp_store_dir("truncated");
   {
@@ -169,6 +214,7 @@ TEST(ServeStore, TruncatedSegmentIsCorrupt) {
   Server restarted(store_options(dir));
   EXPECT_EQ(restarted.rehydrated_at_start(), 0U);
   EXPECT_EQ(restarted.store()->stats().corrupt, 1U);
+  EXPECT_EQ(restarted.store()->segment_count(), 0U);  // deleted for the rebuild
   std::filesystem::remove_all(dir);
 }
 

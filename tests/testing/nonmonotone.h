@@ -1,61 +1,54 @@
-// A two-node, one-flow CoverageModel with a hand-picked NON-monotone
-// customers function: the closer node (smaller detour) attracts FEWER
-// customers. Exercises the guarded branch in PlacementState::add() /
-// gain_if_added (src/core/evaluator.cpp) and the order-dependent
-// contribution semantics the (A3)/(A4) audit invariants distinguish.
+// A two-node, one-flow coverage table over a hand-picked NON-monotone
+// utility: the closer node (smaller detour) attracts FEWER customers.
+// Exercises the guarded branch in PlacementState::add() / gain_if_added
+// (src/core/evaluator.cpp) and the order-dependent contribution semantics
+// the (A3)/(A4) audit invariants distinguish.
 //
 //   node 0: detour 2, customers 9     node 1: detour 1, customers 3
 #pragma once
 
-#include <span>
+#include <string>
 
 #include "src/core/problem.h"
 #include "src/graph/road_network.h"
-#include "src/traffic/incidence.h"
 #include "src/traffic/utility.h"
 
 namespace rap::testing {
 
+/// 1/4 up to detour 1, 3/4 beyond it: non-monotone, unlike every utility
+/// the paper uses.
+class NonMonotoneUtility final : public traffic::UtilityFunction {
+ public:
+  [[nodiscard]] double probability(double detour,
+                                   double /*alpha*/) const override {
+    return detour <= 1.0 ? 0.25 : 0.75;
+  }
+  [[nodiscard]] double range() const noexcept override { return 10.0; }
+  [[nodiscard]] std::string name() const override { return "nonmonotone"; }
+};
+
 class NonMonotoneModel final : public core::CoverageModel {
  public:
-  NonMonotoneModel() {
-    net_.add_node({0.0, 0.0});
-    net_.add_node({1.0, 0.0});
-    net_.add_two_way_edge(0, 1, 1.0);
-  }
-
-  [[nodiscard]] const graph::RoadNetwork& network() const noexcept override {
-    return net_;
-  }
-  [[nodiscard]] const traffic::UtilityFunction& utility()
-      const noexcept override {
-    return utility_;
-  }
-  [[nodiscard]] graph::NodeId shop() const noexcept override { return 0; }
-  [[nodiscard]] std::size_t num_flows() const noexcept override { return 1; }
-
-  [[nodiscard]] std::span<const traffic::NodeIncidence> reach_at(
-      graph::NodeId node) const override {
-    static constexpr traffic::NodeIncidence kAtFar[] = {{0, 2.0}};
-    static constexpr traffic::NodeIncidence kAtNear[] = {{0, 1.0}};
-    return node == 0 ? kAtFar : kAtNear;
-  }
-
-  [[nodiscard]] double customers(traffic::FlowIndex /*flow*/,
-                                 double detour) const override {
-    return detour <= 1.0 ? 3.0 : 9.0;  // non-monotone: closer pays less
-  }
-
-  [[nodiscard]] double passing_vehicles(graph::NodeId) const override {
-    return 1.0;
-  }
-  [[nodiscard]] std::size_t passing_flow_count(graph::NodeId) const override {
-    return 1;
-  }
+  NonMonotoneModel() : core::CoverageModel(build()) {}
 
  private:
-  graph::RoadNetwork net_;
-  traffic::ThresholdUtility utility_{10.0};  // unused by customers()
+  static core::CoverageModel build() {
+    static const graph::RoadNetwork net = [] {
+      graph::RoadNetwork out;
+      out.add_node({0.0, 0.0});
+      out.add_node({1.0, 0.0});
+      out.add_two_way_edge(0, 1, 1.0);
+      return out;
+    }();
+    static const NonMonotoneUtility utility;
+    core::CoverageBuilder builder(net, /*shop=*/0, utility,
+                                  graph::kUnreachable);
+    builder.add_flow(/*daily_vehicles=*/1.0, /*population=*/12.0,
+                     /*alpha=*/1.0);
+    builder.add_pass(0, 2.0);  // 3/4 x 12 = 9 customers
+    builder.add_pass(1, 1.0);  // 1/4 x 12 = 3 customers
+    return std::move(builder).build();
+  }
 };
 
 }  // namespace rap::testing

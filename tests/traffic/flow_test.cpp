@@ -62,6 +62,15 @@ TEST(ValidateFlow, RejectsBadVolumes) {
   EXPECT_THROW(validate_flow(net, flow), std::invalid_argument);
 }
 
+TEST(ValidateFlow, RejectsOverflowingPopulation) {
+  // Each volume is finite; their product is +inf.
+  const auto net = testing::line_network(4);
+  auto flow = valid_flow(net);
+  flow.daily_vehicles = 1e300;
+  flow.passengers_per_vehicle = 1e300;
+  EXPECT_THROW(validate_flow(net, flow), std::invalid_argument);
+}
+
 TEST(ValidateFlow, RejectsBadAlpha) {
   const auto net = testing::line_network(4);
   auto flow = valid_flow(net);
