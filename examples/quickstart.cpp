@@ -3,6 +3,7 @@
 //
 // Run: ./quickstart
 #include <iostream>
+#include <utility>
 
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
@@ -15,17 +16,19 @@ int main() {
 
   // 1. The street map: intersections with coordinates, two-way streets.
   //    (This is the 6-intersection example of the paper's Fig. 4.)
-  graph::RoadNetwork net;
-  const graph::NodeId v1 = net.add_node({0.0, 0.0});  // the shop's corner
-  const graph::NodeId v2 = net.add_node({0.0, 1.0});
-  const graph::NodeId v3 = net.add_node({1.0, 1.0});
-  const graph::NodeId v4 = net.add_node({1.0, 0.0});
-  const graph::NodeId v5 = net.add_node({2.0, 1.0});
-  const graph::NodeId v6 = net.add_node({3.0, 1.0});
+  //    A builder collects them; build() freezes the finished network.
+  graph::NetworkBuilder builder;
+  const graph::NodeId v1 = builder.add_node({0.0, 0.0});  // the shop's corner
+  const graph::NodeId v2 = builder.add_node({0.0, 1.0});
+  const graph::NodeId v3 = builder.add_node({1.0, 1.0});
+  const graph::NodeId v4 = builder.add_node({1.0, 0.0});
+  const graph::NodeId v5 = builder.add_node({2.0, 1.0});
+  const graph::NodeId v6 = builder.add_node({3.0, 1.0});
   for (const auto& [a, b] : {std::pair{v1, v2}, {v1, v4}, {v2, v3},
                              {v3, v4}, {v3, v5}, {v5, v6}}) {
-    net.add_two_way_edge(a, b, 1.0);
+    builder.add_two_way_edge(a, b, 1.0);
   }
+  const graph::RoadNetwork net = std::move(builder).build();
 
   // 2. The daily traffic flows T(i,j): who drives where, and how many.
   std::vector<traffic::TrafficFlow> flows;

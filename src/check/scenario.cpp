@@ -5,6 +5,7 @@
 #include <numbers>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "src/geo/point.h"
 #include "src/util/rng.h"
@@ -97,10 +98,10 @@ std::unique_ptr<Scenario> generate_scenario(std::uint64_t seed) {
   // independent of the test-only builders in tests/testing/builders.h.
   const std::size_t cols = 3 + static_cast<std::size_t>(rng.next_below(4));
   const std::size_t rows = 3 + static_cast<std::size_t>(rng.next_below(4));
+  graph::NetworkBuilder net;
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      scenario->net.add_node(
-          {static_cast<double>(c), static_cast<double>(r)});
+      net.add_node({static_cast<double>(c), static_cast<double>(r)});
     }
   }
   const auto at = [&](std::size_t c, std::size_t r) {
@@ -109,25 +110,24 @@ std::unique_ptr<Scenario> generate_scenario(std::uint64_t seed) {
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       if (c + 1 < cols) {
-        scenario->net.add_two_way_edge(at(c, r), at(c + 1, r), 1.0);
+        net.add_two_way_edge(at(c, r), at(c + 1, r), 1.0);
       }
       if (r + 1 < rows) {
-        scenario->net.add_two_way_edge(at(c, r), at(c, r + 1), 1.0);
+        net.add_two_way_edge(at(c, r), at(c, r + 1), 1.0);
       }
     }
   }
-  const std::size_t n = scenario->net.num_nodes();
+  const std::size_t n = net.num_nodes();
   const std::size_t extra = static_cast<std::size_t>(rng.next_below(7));
   for (std::size_t i = 0; i < extra; ++i) {
     const auto a = static_cast<graph::NodeId>(rng.next_below(n));
     const auto b = static_cast<graph::NodeId>(rng.next_below(n));
     if (a == b) continue;
-    const double len =
-        std::max(0.5, geo::euclidean_distance(scenario->net.position(a),
-                                              scenario->net.position(b)) *
-                          0.9);
-    scenario->net.add_two_way_edge(a, b, len);
+    const double len = std::max(
+        0.5, geo::euclidean_distance(net.position(a), net.position(b)) * 0.9);
+    net.add_two_way_edge(a, b, len);
   }
+  scenario->net = std::move(net).build();
 
   const std::size_t num_flows = 4 + static_cast<std::size_t>(rng.next_below(21));
   while (scenario->flows.size() < num_flows) {

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace rap::citygen {
 
@@ -13,24 +14,26 @@ GridCity::GridCity(const GridSpec& spec) : spec_(spec) {
   if (!(spec.spacing > 0.0)) {
     throw std::invalid_argument("GridCity: spacing must be > 0");
   }
+  graph::NetworkBuilder net;
   for (std::size_t row = 0; row < spec.rows; ++row) {
     for (std::size_t col = 0; col < spec.cols; ++col) {
-      network_.add_node({spec.origin.x + static_cast<double>(col) * spec.spacing,
-                         spec.origin.y + static_cast<double>(row) * spec.spacing});
+      net.add_node({spec.origin.x + static_cast<double>(col) * spec.spacing,
+                    spec.origin.y + static_cast<double>(row) * spec.spacing});
     }
   }
   for (std::size_t row = 0; row < spec.rows; ++row) {
     for (std::size_t col = 0; col < spec.cols; ++col) {
       if (col + 1 < spec.cols) {
-        network_.add_two_way_edge(node_at(col, row), node_at(col + 1, row),
-                                  spec.spacing);
+        net.add_two_way_edge(node_at(col, row), node_at(col + 1, row),
+                             spec.spacing);
       }
       if (row + 1 < spec.rows) {
-        network_.add_two_way_edge(node_at(col, row), node_at(col, row + 1),
-                                  spec.spacing);
+        net.add_two_way_edge(node_at(col, row), node_at(col, row + 1),
+                             spec.spacing);
       }
     }
   }
+  network_ = std::move(net).build();
 }
 
 graph::NodeId GridCity::node_at(GridCoord coord) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace rap::citygen {
 namespace {
@@ -51,7 +52,7 @@ PartialGridCity::PartialGridCity(const PartialGridSpec& spec, util::Rng& rng)
   }
   const std::size_t ideal_segments = segments.size();
 
-  graph::RoadNetwork scratch;
+  graph::NetworkBuilder scratch;
   std::vector<graph::NodeId> scratch_id(node_alive.size(), graph::kInvalidNode);
   std::vector<GridCoord> scratch_coord;
   for (std::size_t row = 0; row < g.rows; ++row) {
@@ -94,20 +95,13 @@ PartialGridCity::PartialGridCity(const PartialGridSpec& spec, util::Rng& rng)
 
   // Stage 2: keep only the largest strongly connected component so every
   // surviving OD pair is mutually reachable.
-  const std::vector<graph::NodeId> keep = scratch.largest_scc();
-  std::vector<graph::NodeId> remap(scratch.num_nodes(), graph::kInvalidNode);
+  const graph::RoadNetwork whole = std::move(scratch).build();
+  const std::vector<graph::NodeId> keep = whole.largest_scc();
+  network_ = graph::induced_subnetwork(whole, keep);
   by_coord_.assign(g.cols * g.rows, std::nullopt);
-  for (const graph::NodeId old_id : keep) {
-    const graph::NodeId new_id = network_.add_node(scratch.position(old_id));
-    remap[old_id] = new_id;
-    coords_.push_back(scratch_coord[old_id]);
-    by_coord_[cell(scratch_coord[old_id])] = new_id;
-  }
-  for (const graph::Edge& e : scratch.edges()) {
-    if (remap[e.from] != graph::kInvalidNode &&
-        remap[e.to] != graph::kInvalidNode) {
-      network_.add_edge(remap[e.from], remap[e.to], e.length);
-    }
+  for (graph::NodeId id = 0; id < keep.size(); ++id) {
+    coords_.push_back(scratch_coord[keep[id]]);
+    by_coord_[cell(coords_.back())] = id;
   }
 }
 

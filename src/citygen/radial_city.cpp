@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace rap::citygen {
@@ -29,7 +30,7 @@ void validate(const RadialSpec& spec) {
   }
 }
 
-void add_street_checked(graph::RoadNetwork& net, graph::NodeId a,
+void add_street_checked(graph::NetworkBuilder& net, graph::NodeId a,
                         graph::NodeId b, double oneway_prob, util::Rng& rng) {
   if (a == b) return;
   const double length =
@@ -50,7 +51,7 @@ void add_street_checked(graph::RoadNetwork& net, graph::NodeId a,
 
 graph::RoadNetwork build_radial_city(const RadialSpec& spec, util::Rng& rng) {
   validate(spec);
-  graph::RoadNetwork scratch;
+  graph::NetworkBuilder scratch;
   const graph::NodeId center = scratch.add_node(spec.center);
 
   // Ring r (1-based) has nodes_on_first_ring + (r-1) * nodes_per_ring_step
@@ -112,19 +113,8 @@ graph::RoadNetwork build_radial_city(const RadialSpec& spec, util::Rng& rng) {
   }
 
   // Keep the largest strongly connected component.
-  const std::vector<graph::NodeId> keep = scratch.largest_scc();
-  graph::RoadNetwork out;
-  std::vector<graph::NodeId> remap(scratch.num_nodes(), graph::kInvalidNode);
-  for (const graph::NodeId old_id : keep) {
-    remap[old_id] = out.add_node(scratch.position(old_id));
-  }
-  for (const graph::Edge& e : scratch.edges()) {
-    if (remap[e.from] != graph::kInvalidNode &&
-        remap[e.to] != graph::kInvalidNode) {
-      out.add_edge(remap[e.from], remap[e.to], e.length);
-    }
-  }
-  return out;
+  const graph::RoadNetwork whole = std::move(scratch).build();
+  return graph::induced_subnetwork(whole, whole.largest_scc());
 }
 
 }  // namespace rap::citygen

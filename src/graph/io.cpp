@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "src/util/csv.h"
 #include "src/util/strings.h"
@@ -44,14 +45,20 @@ NodeId parse_node(const ParsePosition& at, std::string_view text) {
 /// Parses a network from `input` (CSV text or a stream of it).
 template <typename Input>
 RoadNetwork parse_network(Input& input, std::string_view source_name) {
-  RoadNetwork net;
+  NetworkBuilder net;
   const auto parse_row = [&](const util::CsvRecordView& record) {
     const std::span<const std::string_view> row = record.fields;
     const ParsePosition at{source_name, record.line};
     if (row.empty()) return;
     if (row[0] == "node") {
       if (row.size() != 3) fail(at, "node row needs x,y");
-      net.add_node({parse_double(at, row[1]), parse_double(at, row[2])});
+      const geo::Point position{parse_double(at, row[1]),
+                                parse_double(at, row[2])};
+      try {
+        net.add_node(position);
+      } catch (const std::invalid_argument& error) {
+        fail(at, error.what());  // a non-finite coordinate
+      }
     } else if (row[0] == "edge") {
       if (row.size() != 4) fail(at, "edge row needs from,to,length");
       const NodeId from = parse_node(at, row[1]);
@@ -76,7 +83,7 @@ RoadNetwork parse_network(Input& input, std::string_view source_name) {
   } catch (const util::CsvSyntaxError& error) {
     throw std::invalid_argument(std::string(source_name) + ": " + error.what());
   }
-  return net;
+  return std::move(net).build();
 }
 
 /// The one network writer behind both network_to_csv and write_network_csv.

@@ -3,124 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace rap::graph {
 
-RoadNetwork::RoadNetwork(const RoadNetwork& other)
-    : positions_(other.positions_), edges_(other.edges_) {}
-
-// Assignment requires exclusive access (standard container semantics), so
-// the adjacency cache reset takes no lock and is exempt from analysis.
-RoadNetwork& RoadNetwork::operator=(const RoadNetwork& other)
-    RAP_NO_THREAD_SAFETY_ANALYSIS {
-  if (this != &other) {
-    positions_ = other.positions_;
-    edges_ = other.edges_;
-    out_adj_ = {};
-    in_adj_ = {};
-    adjacency_valid_.store(false, std::memory_order_relaxed);
-  }
-  return *this;
-}
-
-RoadNetwork::RoadNetwork(RoadNetwork&& other) noexcept
-    : positions_(std::move(other.positions_)),
-      edges_(std::move(other.edges_)),
-      out_adj_(std::move(other.out_adj_)),
-      in_adj_(std::move(other.in_adj_)),
-      adjacency_valid_(
-          other.adjacency_valid_.load(std::memory_order_relaxed)) {
-  other.adjacency_valid_.store(false, std::memory_order_relaxed);
-}
-
-// Assignment requires exclusive access on both sides; no lock, no analysis.
-RoadNetwork& RoadNetwork::operator=(RoadNetwork&& other) noexcept
-    RAP_NO_THREAD_SAFETY_ANALYSIS {
-  if (this != &other) {
-    positions_ = std::move(other.positions_);
-    edges_ = std::move(other.edges_);
-    out_adj_ = std::move(other.out_adj_);
-    in_adj_ = std::move(other.in_adj_);
-    adjacency_valid_.store(
-        other.adjacency_valid_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    other.adjacency_valid_.store(false, std::memory_order_relaxed);
-  }
-  return *this;
-}
-
-NodeId RoadNetwork::add_node(geo::Point position) {
-  positions_.push_back(position);
-  adjacency_valid_.store(false, std::memory_order_relaxed);
-  return static_cast<NodeId>(positions_.size() - 1);
-}
-
-EdgeId RoadNetwork::add_edge(NodeId from, NodeId to, double length) {
-  check_node(from);
-  check_node(to);
-  if (from == to) {
-    throw std::invalid_argument("RoadNetwork::add_edge: self-loop");
-  }
-  if (!(length > 0.0) || !std::isfinite(length)) {
-    throw std::invalid_argument(
-        "RoadNetwork::add_edge: length must be finite and > 0");
-  }
-  edges_.push_back(Edge{from, to, length});
-  adjacency_valid_.store(false, std::memory_order_relaxed);
-  return static_cast<EdgeId>(edges_.size() - 1);
-}
-
-EdgeId RoadNetwork::add_two_way_edge(NodeId a, NodeId b, double length) {
-  const EdgeId forward = add_edge(a, b, length);
-  add_edge(b, a, length);
-  return forward;
-}
-
-EdgeId RoadNetwork::add_street(NodeId a, NodeId b) {
-  check_node(a);
-  check_node(b);
-  return add_two_way_edge(a, b, euclidean_distance(positions_[a], positions_[b]));
-}
-
-geo::Point RoadNetwork::position(NodeId node) const {
-  check_node(node);
-  return positions_[node];
-}
-
-const Edge& RoadNetwork::edge(EdgeId id) const {
-  if (id >= edges_.size()) {
-    throw std::out_of_range("RoadNetwork::edge: bad edge id");
-  }
-  return edges_[id];
-}
-
-// Lock-free read of the published CSR: ensure_adjacency's acquire load of
-// adjacency_valid_ orders the guarded build before this access.
-std::span<const EdgeId> RoadNetwork::out_edges(NodeId node) const
-    RAP_NO_THREAD_SAFETY_ANALYSIS {
-  check_node(node);
-  ensure_adjacency();
-  return {out_adj_.entries.data() + out_adj_.start[node],
-          out_adj_.entries.data() + out_adj_.start[node + 1]};
-}
-
-// Lock-free read of the published CSR: ensure_adjacency's acquire load of
-// adjacency_valid_ orders the guarded build before this access.
-std::span<const EdgeId> RoadNetwork::in_edges(NodeId node) const
-    RAP_NO_THREAD_SAFETY_ANALYSIS {
-  check_node(node);
-  ensure_adjacency();
-  return {in_adj_.entries.data() + in_adj_.start[node],
-          in_adj_.entries.data() + in_adj_.start[node + 1]};
-}
-
-std::size_t RoadNetwork::out_degree(NodeId node) const {
-  return out_edges(node).size();
-}
-
-std::size_t RoadNetwork::in_degree(NodeId node) const {
-  return in_edges(node).size();
-}
+RoadNetwork::RoadNetwork(std::vector<geo::Point> positions,
+                         std::vector<Edge> edges)
+    : positions_(std::move(positions)),
+      edges_(std::move(edges)),
+      out_(build_adjacency(/*incoming=*/false)),
+      in_(build_adjacency(/*incoming=*/true)) {}
 
 geo::BBox RoadNetwork::bounds() const {
   geo::BBox box;
@@ -128,24 +20,8 @@ geo::BBox RoadNetwork::bounds() const {
   return box;
 }
 
-void RoadNetwork::check_node(NodeId node) const {
-  if (node >= positions_.size()) {
-    throw std::out_of_range("RoadNetwork: bad node id");
-  }
-}
-
-void RoadNetwork::ensure_adjacency() const {
-  // Double-checked locking: the release store publishes the CSR arrays to
-  // any reader whose acquire load sees `true`, so concurrent const callers
-  // (parallel Dijkstra sweeps) never observe a half-built adjacency.
-  if (adjacency_valid_.load(std::memory_order_acquire)) return;
-  const util::MutexLock lock(adjacency_mutex_);
-  if (adjacency_valid_.load(std::memory_order_relaxed)) return;
-  out_adj_ = build_adjacency(/*incoming=*/false);
-  in_adj_ = build_adjacency(/*incoming=*/true);
-  adjacency_valid_.store(true, std::memory_order_release);
-}
-
+// Counting sort by endpoint: each node's list keeps ascending edge-id order,
+// which fixes the order Dijkstra relaxes edges in and so its tie-breaks.
 RoadNetwork::Adjacency RoadNetwork::build_adjacency(bool incoming) const {
   Adjacency adj;
   adj.start.assign(positions_.size() + 1, 0);
@@ -162,6 +38,69 @@ RoadNetwork::Adjacency RoadNetwork::build_adjacency(bool incoming) const {
     adj.entries[cursor[key]++] = id;
   }
   return adj;
+}
+
+NodeId NetworkBuilder::add_node(geo::Point position) {
+  if (!std::isfinite(position.x) || !std::isfinite(position.y)) {
+    throw std::invalid_argument(
+        "RoadNetwork::add_node: coordinates must be finite");
+  }
+  positions_.push_back(position);
+  return static_cast<NodeId>(positions_.size() - 1);
+}
+
+EdgeId NetworkBuilder::add_edge(NodeId from, NodeId to, double length) {
+  check_node(from);
+  check_node(to);
+  if (from == to) {
+    throw std::invalid_argument("RoadNetwork::add_edge: self-loop");
+  }
+  if (!(length > 0.0) || !std::isfinite(length)) {
+    throw std::invalid_argument(
+        "RoadNetwork::add_edge: length must be finite and > 0");
+  }
+  edges_.push_back(Edge{from, to, length});
+  return static_cast<EdgeId>(edges_.size() - 1);
+}
+
+EdgeId NetworkBuilder::add_two_way_edge(NodeId a, NodeId b, double length) {
+  const EdgeId forward = add_edge(a, b, length);
+  add_edge(b, a, length);
+  return forward;
+}
+
+EdgeId NetworkBuilder::add_street(NodeId a, NodeId b) {
+  return add_two_way_edge(a, b, euclidean_distance(position(a), position(b)));
+}
+
+geo::Point NetworkBuilder::position(NodeId node) const {
+  check_node(node);
+  return positions_[node];
+}
+
+RoadNetwork NetworkBuilder::build() && {
+  return RoadNetwork(std::move(positions_), std::move(edges_));
+}
+
+void NetworkBuilder::check_node(NodeId node) const {
+  if (node >= positions_.size()) {
+    throw std::out_of_range("RoadNetwork: bad node id");
+  }
+}
+
+RoadNetwork induced_subnetwork(const RoadNetwork& net,
+                               std::span<const NodeId> keep) {
+  NetworkBuilder out;
+  std::vector<NodeId> remap(net.num_nodes(), kInvalidNode);
+  for (const NodeId old_id : keep) {
+    remap[old_id] = out.add_node(net.position(old_id));
+  }
+  for (const Edge& e : net.edges()) {
+    if (remap[e.from] != kInvalidNode && remap[e.to] != kInvalidNode) {
+      out.add_edge(remap[e.from], remap[e.to], e.length);
+    }
+  }
+  return std::move(out).build();
 }
 
 namespace {

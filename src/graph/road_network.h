@@ -3,21 +3,19 @@
 // edges; one-way streets a single edge — matching Section III-A of the paper
 // ("one-way and two-way streets").
 //
-// Thread safety: concurrent const access (including the lazily built
-// adjacency behind out_edges/in_edges) is safe; mutation requires exclusive
-// access, like a standard container.
+// A NetworkBuilder assembles the graph and checks each node and edge as it
+// is added; build() freezes it into a RoadNetwork, whose constructor makes
+// the out and in adjacency (CSR) once. A RoadNetwork is immutable after
+// build(), so concurrent reads need no synchronisation.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "src/geo/bbox.h"
 #include "src/geo/point.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace rap::graph {
 
@@ -34,18 +32,82 @@ struct Edge {
 
 class RoadNetwork {
  public:
+  /// The empty network.
   RoadNetwork() = default;
 
-  // The adjacency cache's mutex/atomic make the defaults ill-formed; copies
-  // take only the graph itself (the copy rebuilds its adjacency on demand),
-  // moves carry the cache along.
-  RoadNetwork(const RoadNetwork& other);
-  RoadNetwork& operator=(const RoadNetwork& other);
-  RoadNetwork(RoadNetwork&& other) noexcept;
-  RoadNetwork& operator=(RoadNetwork&& other) noexcept;
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return positions_.size(); }
+  [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
 
+  [[nodiscard]] geo::Point position(NodeId node) const {
+    check_node(node);
+    return positions_[node];
+  }
+  [[nodiscard]] const std::vector<geo::Point>& positions() const noexcept {
+    return positions_;
+  }
+  [[nodiscard]] const Edge& edge(EdgeId id) const {
+    if (id >= edges_.size()) {
+      throw std::out_of_range("RoadNetwork::edge: bad edge id");
+    }
+    return edges_[id];
+  }
+  [[nodiscard]] const std::vector<Edge>& edges() const noexcept { return edges_; }
+
+  /// Outgoing edge ids of a node, in ascending id order.
+  [[nodiscard]] std::span<const EdgeId> out_edges(NodeId node) const {
+    check_node(node);
+    return out_.of(node);
+  }
+  /// Incoming edge ids of a node (for reverse Dijkstra), ascending.
+  [[nodiscard]] std::span<const EdgeId> in_edges(NodeId node) const {
+    check_node(node);
+    return in_.of(node);
+  }
+
+  /// Bounding box of all node positions.
+  [[nodiscard]] geo::BBox bounds() const;
+
+  /// True if every node can reach every other node (strong connectivity).
+  [[nodiscard]] bool is_strongly_connected() const;
+
+  /// Ids of all nodes in the largest strongly connected component.
+  [[nodiscard]] std::vector<NodeId> largest_scc() const;
+
+  /// Validates a node id, throwing std::out_of_range on failure.
+  void check_node(NodeId node) const {
+    if (node >= positions_.size()) {
+      throw std::out_of_range("RoadNetwork: bad node id");
+    }
+  }
+
+ private:
+  friend class NetworkBuilder;
+
+  struct Adjacency {
+    std::vector<std::uint32_t> start;  // CSR offsets, size num_nodes+1
+    std::vector<EdgeId> entries;
+
+    [[nodiscard]] std::span<const EdgeId> of(NodeId node) const {
+      return {entries.data() + start[node], entries.data() + start[node + 1]};
+    }
+  };
+
+  /// Takes checked nodes and edges (NetworkBuilder's) and indexes them.
+  RoadNetwork(std::vector<geo::Point> positions, std::vector<Edge> edges);
+
+  [[nodiscard]] Adjacency build_adjacency(bool incoming) const;
+
+  std::vector<geo::Point> positions_;
+  std::vector<Edge> edges_;
+  Adjacency out_;
+  Adjacency in_;
+};
+
+/// Assembles a RoadNetwork node by node and edge by edge.
+class NetworkBuilder {
+ public:
   /// Adds an intersection at `position`; returns its id (ids are dense,
-  /// starting at 0).
+  /// starting at 0). Throws on a non-finite coordinate.
   NodeId add_node(geo::Point position);
 
   /// Adds a one-way street. Throws on invalid endpoints, self-loops, or
@@ -60,59 +122,22 @@ class RoadNetwork {
   EdgeId add_street(NodeId a, NodeId b);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return positions_.size(); }
-  [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
-
   [[nodiscard]] geo::Point position(NodeId node) const;
-  [[nodiscard]] const std::vector<geo::Point>& positions() const noexcept {
-    return positions_;
-  }
-  [[nodiscard]] const Edge& edge(EdgeId id) const;
-  [[nodiscard]] const std::vector<Edge>& edges() const noexcept { return edges_; }
 
-  /// Outgoing edge ids of a node. Valid until the next add_edge call after
-  /// which the adjacency is lazily rebuilt.
-  [[nodiscard]] std::span<const EdgeId> out_edges(NodeId node) const;
-  /// Incoming edge ids of a node (for reverse Dijkstra).
-  [[nodiscard]] std::span<const EdgeId> in_edges(NodeId node) const;
-
-  [[nodiscard]] std::size_t out_degree(NodeId node) const;
-  [[nodiscard]] std::size_t in_degree(NodeId node) const;
-
-  /// Bounding box of all node positions.
-  [[nodiscard]] geo::BBox bounds() const;
-
-  /// True if every node can reach every other node (strong connectivity).
-  [[nodiscard]] bool is_strongly_connected() const;
-
-  /// Ids of all nodes in the largest strongly connected component.
-  [[nodiscard]] std::vector<NodeId> largest_scc() const;
-
-  /// Validates a node id, throwing std::out_of_range on failure.
-  void check_node(NodeId node) const;
+  /// Moves the nodes and edges into a RoadNetwork.
+  [[nodiscard]] RoadNetwork build() &&;
 
  private:
-  struct Adjacency {
-    std::vector<std::uint32_t> start;  // CSR offsets, size num_nodes+1
-    std::vector<EdgeId> entries;
-  };
-
-  void ensure_adjacency() const RAP_EXCLUDES(adjacency_mutex_);
-  [[nodiscard]] Adjacency build_adjacency(bool incoming) const;
+  void check_node(NodeId node) const;
 
   std::vector<geo::Point> positions_;
   std::vector<Edge> edges_;
-
-  // Lazily built CSR caches with double-checked locking: concurrent readers
-  // (e.g. the parallel APSP's Dijkstra workers) may race to build them, so
-  // the valid flag is an acquire/release atomic and construction is
-  // serialised by the mutex (see ensure_adjacency). The GUARDED_BY covers
-  // the build; the lock-free reads in out_edges/in_edges are ordered by the
-  // acquire load of adjacency_valid_ — a publication pattern the analysis
-  // cannot see, suppressed (with justification) at those two definitions.
-  mutable util::Mutex adjacency_mutex_;
-  mutable Adjacency out_adj_ RAP_GUARDED_BY(adjacency_mutex_);
-  mutable Adjacency in_adj_ RAP_GUARDED_BY(adjacency_mutex_);
-  mutable std::atomic<bool> adjacency_valid_{false};
 };
+
+/// The subnetwork induced by `keep`, an ascending list of node ids of `net`:
+/// new node i is `keep[i]`, and the edges between kept nodes keep their
+/// order.
+[[nodiscard]] RoadNetwork induced_subnetwork(const RoadNetwork& net,
+                                             std::span<const NodeId> keep);
 
 }  // namespace rap::graph

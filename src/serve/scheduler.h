@@ -13,8 +13,8 @@
 // (src/serve/scenario_cache.h): built scenarios are pinned behind
 // shared_ptr<const ServeScenario> and never mutated, sessions copy-on-write
 // their private flow state, and every shared engine a session touches
-// (RoadNetwork adjacency, the DetourCalculator trees) is
-// documented safe for concurrent const access. Cross-client shared state —
+// (the immutable RoadNetwork, the DetourCalculator trees) is
+// read-only after construction. Cross-client shared state —
 // the scenario cache, the server's stats — is the Server's problem and is
 // guarded by its own short-lived locks, never held across a placement.
 //

@@ -26,12 +26,15 @@ namespace {
 constexpr char kMagic[8] = {'R', 'A', 'P', 'S', 'E', 'G', '1', '\n'};
 /// Fixed header size; every scalar field is 8 bytes except shop/reserved.
 constexpr std::size_t kHeaderBytes = 104;
+/// The header fields from here on (counts, range, shop, string lengths) are
+/// covered by the checksum along with the payload.
+constexpr std::size_t kSealedHeaderOffset = 40;
 
 struct SegmentHeader {
   std::uint64_t version = 0;
   std::uint64_t key = 0;
   std::uint64_t payload_bytes = 0;
-  std::uint64_t payload_hash = 0;
+  std::uint64_t checksum = 0;
   std::uint64_t num_nodes = 0;
   std::uint64_t num_edges = 0;
   std::uint64_t num_flows = 0;
@@ -181,22 +184,25 @@ std::string serialize_segment(const ServeScenario& scenario) {
   append_raw(payload, scenario.summary.data(), scenario.summary.size());
   append_raw(payload, utility_name.data(), utility_name.size());
 
+  std::string sealed;
+  append_u64(sealed, scenario.net.num_nodes());
+  append_u64(sealed, scenario.net.num_edges());
+  append_u64(sealed, scenario.flows.size());
+  append_u64(sealed, scenario.bytes);
+  append_f64(sealed, scenario.utility->range());
+  append_u32(sealed, scenario.shop);
+  append_u32(sealed, 0);  // reserved
+  append_u64(sealed, scenario.summary.size());
+  append_u64(sealed, utility_name.size());
+
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
   append_raw(out, kMagic, sizeof kMagic);
   append_u64(out, kStoreFormatVersion);
   append_u64(out, scenario.key);
   append_u64(out, payload.size());
-  append_u64(out, fnv1a64(payload));
-  append_u64(out, scenario.net.num_nodes());
-  append_u64(out, scenario.net.num_edges());
-  append_u64(out, scenario.flows.size());
-  append_u64(out, scenario.bytes);
-  append_f64(out, scenario.utility->range());
-  append_u32(out, scenario.shop);
-  append_u32(out, 0);  // reserved
-  append_u64(out, scenario.summary.size());
-  append_u64(out, utility_name.size());
+  append_u64(out, fnv1a64(payload, fnv1a64(sealed)));
+  out += sealed;
   out += payload;
   return out;
 }
@@ -220,7 +226,7 @@ SegmentHeader parse_header(SegmentReader& reader, std::uint64_t expected_key,
   if (header.payload_bytes != file_size - kHeaderBytes) {
     throw std::runtime_error("segment payload size mismatch");
   }
-  header.payload_hash = reader.u64();
+  header.checksum = reader.u64();
   header.num_nodes = reader.u64();
   header.num_edges = reader.u64();
   header.num_flows = reader.u64();
@@ -247,26 +253,30 @@ std::shared_ptr<const ServeScenario> parse_segment(const MappedSegment& map,
                                                    std::uint64_t key) {
   SegmentReader header_reader(map.data, kHeaderBytes);
   const SegmentHeader header = parse_header(header_reader, key, map.size);
+  const std::string_view sealed(map.data + kSealedHeaderOffset,
+                                kHeaderBytes - kSealedHeaderOffset);
   const std::string_view payload(map.data + kHeaderBytes,
                                  map.size - kHeaderBytes);
-  if (fnv1a64(payload) != header.payload_hash) {
+  if (fnv1a64(payload, fnv1a64(sealed)) != header.checksum) {
     throw std::runtime_error("segment checksum mismatch");
   }
 
   SegmentReader reader(payload.data(), payload.size());
   auto scenario = std::make_shared<ServeScenario>();
   scenario->key = header.key;
+  graph::NetworkBuilder net;
   for (std::uint64_t i = 0; i < header.num_nodes; ++i) {
     const double x = reader.f64();
     const double y = reader.f64();
-    (void)scenario->net.add_node(geo::Point{x, y});
+    (void)net.add_node(geo::Point{x, y});
   }
   for (std::uint64_t i = 0; i < header.num_edges; ++i) {
     const graph::NodeId from = reader.u32();
     const graph::NodeId to = reader.u32();
     const double length = reader.f64();
-    (void)scenario->net.add_edge(from, to, length);
+    (void)net.add_edge(from, to, length);
   }
+  scenario->net = std::move(net).build();
   std::vector<double> to_shop(header.num_nodes);
   for (double& distance : to_shop) distance = reader.f64();
   std::vector<double> from_shop(header.num_nodes);

@@ -12,11 +12,11 @@
 // placements on a rehydrated scenario are bitwise identical to placements
 // on a freshly built one (tests/serve/store_test.cpp holds this).
 //
-// Segment format (version 2, tools/rap_serve --store-dir):
+// Segment format (version 3, tools/rap_serve --store-dir):
 //   <dir>/<%016x key>.rseg
-//   SegmentHeader (fixed size, magic "RAPSEG1\n", format version, payload
-//   byte count + FNV-1a 64 checksum, scalar scenario fields) followed by a
-//   packed payload:
+//   SegmentHeader (fixed size, magic "RAPSEG1\n", format version, key,
+//   payload byte count, FNV-1a 64 checksum, then the scalar scenario fields
+//   — counts, range, shop, string lengths) followed by a packed payload:
 //     positions   num_nodes x { f64 x, f64 y }
 //     edges       num_edges x { u32 from, u32 to, f64 length }
 //     to_shop     num_nodes x f64     (d' — distance v -> shop)
@@ -25,6 +25,9 @@
 //                 f64 passengers_per_vehicle, f64 alpha, u64 path_len,
 //                 path_len x u32 path nodes
 //     strings     summary, utility name (raw bytes)
+// The checksum covers the scalar fields after it and the payload; the
+// magic, version, key and byte count before it are each checked on their
+// own, so no stored byte goes unverified.
 // The content key IS the index: the directory of *.rseg files is the
 // content-keyed lookup structure, and the filename must match the header
 // key. Writes are crash-safe by construction — serialize to <name>.tmp,
@@ -39,8 +42,9 @@
 // new-format segments as absent and rebuilds — never misreads. load()
 // deletes every segment it rejects, torn or of another version, so the
 // rebuild's put() persists the key afresh. Version 2 dropped version 1's
-// detour-engine name string (always "dijkstra"), so a version-1 segment is
-// counted corrupt once, rebuilt and re-persisted.
+// detour-engine name string (always "dijkstra"); version 3 extended the
+// checksum, which covered only the payload, over the scalar header fields.
+// An older segment is counted corrupt once, rebuilt and re-persisted.
 //
 // The d'/d'' arrays are O(n) and fully determine every detour, including
 // detours of flows added later by deltas.
@@ -59,7 +63,7 @@
 namespace rap::serve {
 
 /// Current segment layout version (header field; see file comment).
-inline constexpr std::uint64_t kStoreFormatVersion = 2;
+inline constexpr std::uint64_t kStoreFormatVersion = 3;
 
 /// The persistent segment store. Thread-safe: transports and the stdio loop
 /// may put/load concurrently (one internal mutex; segment IO is quick

@@ -87,22 +87,24 @@ TEST(Apsp, DiagonalIsZero) {
 }
 
 TEST(Apsp, DisconnectedPairsAreInfinite) {
-  RoadNetwork net;
-  net.add_node({0.0, 0.0});
-  net.add_node({1.0, 0.0});
+  NetworkBuilder builder;
+  builder.add_node({0.0, 0.0});
+  builder.add_node({1.0, 0.0});
+  const RoadNetwork net = std::move(builder).build();
   const DistanceMatrix d = all_pairs_shortest_paths(net);
   EXPECT_EQ(d(0, 1), kUnreachable);
   EXPECT_EQ(d(1, 0), kUnreachable);
 }
 
 TEST(Apsp, AsymmetricOnOneWayStreets) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  const NodeId c = net.add_node({0.5, 1.0});
-  net.add_edge(a, b, 1.0);
-  net.add_edge(b, c, 1.0);
-  net.add_edge(c, a, 1.0);
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  const NodeId c = builder.add_node({0.5, 1.0});
+  builder.add_edge(a, b, 1.0);
+  builder.add_edge(b, c, 1.0);
+  builder.add_edge(c, a, 1.0);
+  const RoadNetwork net = std::move(builder).build();
   const DistanceMatrix d = all_pairs_shortest_paths(net);
   EXPECT_DOUBLE_EQ(d(a, b), 1.0);
   EXPECT_DOUBLE_EQ(d(b, a), 2.0);
@@ -174,8 +176,9 @@ TEST(ParallelApsp, GraphSmallerThanThreadCount) {
 TEST(ParallelApsp, SingleNodeGraph) {
   const ConfigGuard guard;
   util::set_parallel_config({4});
-  RoadNetwork net;
-  net.add_node({0.0, 0.0});
+  NetworkBuilder builder;
+  builder.add_node({0.0, 0.0});
+  const RoadNetwork net = std::move(builder).build();
   const DistanceMatrix d = all_pairs_shortest_paths(net);
   ASSERT_EQ(d.size(), 1u);
   EXPECT_DOUBLE_EQ(d(0, 0), 0.0);

@@ -23,9 +23,10 @@ TEST(Dijkstra, SourceDistanceIsZero) {
 }
 
 TEST(Dijkstra, UnreachableIsInfinite) {
-  RoadNetwork net;
-  net.add_node({0.0, 0.0});
-  net.add_node({1.0, 0.0});
+  NetworkBuilder builder;
+  builder.add_node({0.0, 0.0});
+  builder.add_node({1.0, 0.0});
+  const RoadNetwork net = std::move(builder).build();
   const ShortestPathTree tree = dijkstra(net, 0);
   EXPECT_EQ(tree.distance(1), kUnreachable);
   EXPECT_FALSE(tree.reachable(1));
@@ -33,21 +34,23 @@ TEST(Dijkstra, UnreachableIsInfinite) {
 }
 
 TEST(Dijkstra, RespectsEdgeDirection) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  net.add_edge(a, b, 1.0);
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  builder.add_edge(a, b, 1.0);
+  const RoadNetwork net = std::move(builder).build();
   EXPECT_DOUBLE_EQ(dijkstra(net, a).distance(b), 1.0);
   EXPECT_EQ(dijkstra(net, b).distance(a), kUnreachable);
 }
 
 TEST(Dijkstra, ReverseModeGivesDistanceToSource) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  const NodeId c = net.add_node({2.0, 0.0});
-  net.add_edge(a, b, 1.0);
-  net.add_edge(b, c, 2.0);
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  const NodeId c = builder.add_node({2.0, 0.0});
+  builder.add_edge(a, b, 1.0);
+  builder.add_edge(b, c, 2.0);
+  const RoadNetwork net = std::move(builder).build();
   const ShortestPathTree to_c = dijkstra(net, c, Direction::kReverse);
   EXPECT_DOUBLE_EQ(to_c.distance(a), 3.0);
   EXPECT_DOUBLE_EQ(to_c.distance(b), 2.0);
@@ -55,13 +58,14 @@ TEST(Dijkstra, ReverseModeGivesDistanceToSource) {
 }
 
 TEST(Dijkstra, PicksShorterOfTwoRoutes) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  const NodeId c = net.add_node({0.5, 1.0});
-  net.add_two_way_edge(a, b, 10.0);
-  net.add_two_way_edge(a, c, 2.0);
-  net.add_two_way_edge(c, b, 3.0);
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  const NodeId c = builder.add_node({0.5, 1.0});
+  builder.add_two_way_edge(a, b, 10.0);
+  builder.add_two_way_edge(a, c, 2.0);
+  builder.add_two_way_edge(c, b, 3.0);
+  const RoadNetwork net = std::move(builder).build();
   EXPECT_DOUBLE_EQ(dijkstra(net, a).distance(b), 5.0);
 }
 
@@ -123,9 +127,10 @@ TEST(ShortestPathFn, ReturnsOptimalWalk) {
 }
 
 TEST(ShortestPathFn, NulloptWhenDisconnected) {
-  RoadNetwork net;
-  net.add_node({0.0, 0.0});
-  net.add_node({1.0, 0.0});
+  NetworkBuilder builder;
+  builder.add_node({0.0, 0.0});
+  builder.add_node({1.0, 0.0});
+  const RoadNetwork net = std::move(builder).build();
   EXPECT_FALSE(shortest_path(net, 0, 1).has_value());
 }
 

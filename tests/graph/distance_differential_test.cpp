@@ -27,13 +27,13 @@ namespace rap::graph {
 namespace {
 
 RoadNetwork transposed(const RoadNetwork& net) {
-  RoadNetwork out;
+  NetworkBuilder out;
   for (std::size_t i = 0; i < net.num_nodes(); ++i) {
     out.add_node(net.position(static_cast<NodeId>(i)));
   }
   // Same edge order, so out_edges here list what in_edges lists there.
   for (const Edge& e : net.edges()) out.add_edge(e.to, e.from, e.length);
-  return out;
+  return std::move(out).build();
 }
 
 // Relative agreement for sums of the same edges in a different order: a
@@ -121,14 +121,20 @@ TEST(OracleDifferential, RandomChordNetworks) {
 // +infinity the matrix holds, and reachable pairs within each component
 // must still match bitwise.
 TEST(OracleDifferential, DisconnectedComponents) {
-  RoadNetwork net = testing::line_network(4);
-  // A second, unreachable component.
-  const NodeId a = net.add_node({10.0, 0.0});
-  const NodeId b = net.add_node({11.0, 0.0});
-  net.add_two_way_edge(a, b, 1.0);
+  // testing::line_network(4)'s line 0-1-2-3...
+  NetworkBuilder builder;
+  for (NodeId i = 0; i < 4; ++i) {
+    builder.add_node({static_cast<double>(i), 0.0});
+  }
+  for (NodeId i = 0; i + 1 < 4; ++i) builder.add_two_way_edge(i, i + 1, 1.0);
+  // ...a second, unreachable component.
+  const NodeId a = builder.add_node({10.0, 0.0});
+  const NodeId b = builder.add_node({11.0, 0.0});
+  builder.add_two_way_edge(a, b, 1.0);
   // A one-way trap: reachable from the line, no way back.
-  const NodeId trap = net.add_node({5.0, 5.0});
-  net.add_edge(3, trap, 2.5);
+  const NodeId trap = builder.add_node({5.0, 5.0});
+  builder.add_edge(3, trap, 2.5);
+  const RoadNetwork net = std::move(builder).build();
   expect_all_pairs_match(net);
   const traffic::DetourCalculator at_trap(net, trap);
   EXPECT_EQ(at_trap.from_shop()[0], kUnreachable);
@@ -142,16 +148,16 @@ TEST(OracleDifferential, IrregularLengthsStressFloatingPoint) {
   // matrix's Dijkstra rows would differ by ulps here.
   for (std::uint64_t seed = 21; seed <= 26; ++seed) {
     util::Rng rng(seed);
-    RoadNetwork net = testing::random_network(4, 4, 3, rng);
+    const RoadNetwork net = testing::random_network(4, 4, 3, rng);
     // Re-price every edge with an irrational-ish length.
-    RoadNetwork priced;
+    NetworkBuilder priced;
     for (std::size_t i = 0; i < net.num_nodes(); ++i) {
       priced.add_node(net.position(static_cast<NodeId>(i)));
     }
     for (const Edge& e : net.edges()) {
       priced.add_edge(e.from, e.to, e.length * (1.0 + rng.next_double()) / 3.0);
     }
-    expect_all_pairs_match(priced);
+    expect_all_pairs_match(std::move(priced).build());
   }
 }
 

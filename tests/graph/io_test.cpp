@@ -44,13 +44,14 @@ TEST(NetworkCsv, RoundTripGeneratedCity) {
 }
 
 TEST(NetworkCsv, PreservesOneWayStreets) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  net.add_edge(a, b, 2.5);  // one-way only
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  builder.add_edge(a, b, 2.5);  // one-way only
+  const RoadNetwork net = std::move(builder).build();
   const RoadNetwork parsed = network_from_csv(network_to_csv(net));
-  EXPECT_EQ(parsed.out_degree(a), 1u);
-  EXPECT_EQ(parsed.out_degree(b), 0u);
+  EXPECT_EQ(parsed.out_edges(a).size(), 1u);
+  EXPECT_EQ(parsed.out_edges(b).size(), 0u);
 }
 
 TEST(NetworkCsv, EmptyNetwork) {
@@ -123,16 +124,17 @@ TEST(NetworkCsv, StreamedFileErrorsNamePathAndLine) {
 TEST(NetworkCsv, GoldenBytes) {
   // Negative coordinates, -0.0, 1e20 and exact binary ties (0.0078125 has
   // seven decimals; it rounds to even at six).
-  RoadNetwork net;
-  net.add_node({-1.5, 2.25});
-  net.add_node({-0.0, 1e20});
-  net.add_node({0.0078125, -0.0234375});
-  net.add_node({1234567.890123456, -98765.4321});
-  net.add_edge(0, 1, 0.125);
-  net.add_edge(1, 0, 2.5);
-  net.add_edge(1, 2, 1e20);
-  net.add_edge(2, 3, 0.0234375);
-  net.add_edge(3, 0, 141.4213562373095);
+  NetworkBuilder builder;
+  builder.add_node({-1.5, 2.25});
+  builder.add_node({-0.0, 1e20});
+  builder.add_node({0.0078125, -0.0234375});
+  builder.add_node({1234567.890123456, -98765.4321});
+  builder.add_edge(0, 1, 0.125);
+  builder.add_edge(1, 0, 2.5);
+  builder.add_edge(1, 2, 1e20);
+  builder.add_edge(2, 3, 0.0234375);
+  builder.add_edge(3, 0, 141.4213562373095);
+  const RoadNetwork net = std::move(builder).build();
   EXPECT_EQ(network_to_csv(net),
             "node,-1.500000,2.250000\n"
             "node,-0.000000,100000000000000000000.000000\n"
@@ -146,15 +148,16 @@ TEST(NetworkCsv, GoldenBytes) {
 }
 
 TEST(NetworkCsv, ValuesTooLongToFormatThrow) {
-  RoadNetwork net;
-  net.add_node({1e300, 0.0});
+  NetworkBuilder builder;
+  builder.add_node({1e300, 0.0});
+  const RoadNetwork net = std::move(builder).build();
   EXPECT_THROW((void)network_to_csv(net), std::runtime_error);
 }
 
 TEST(NetworkCsv, NumericFieldVerdicts) {
   // What the parser accepts in a number field, and the exact error text
   // of what it rejects: one source:line prefix, whether the number fails
-  // to parse or RoadNetwork rejects the parsed length.
+  // to parse or the builder rejects the parsed coordinate or length.
   const struct {
     std::string_view text;
     std::string_view node_x;
@@ -176,10 +179,10 @@ TEST(NetworkCsv, NumericFieldVerdicts) {
        "error: <string>:1: not a number: '1e-400'",
        "error: <string>:3: not a number: '1e-400'"},
       {"nan",
-       "ok nan",
+       "error: <string>:1: RoadNetwork::add_node: coordinates must be finite",
        "error: <string>:3: RoadNetwork::add_edge: length must be finite and > 0"},
       {"inf",
-       "ok inf",
+       "error: <string>:1: RoadNetwork::add_node: coordinates must be finite",
        "error: <string>:3: RoadNetwork::add_edge: length must be finite and > 0"},
       {"",
        "error: <string>:1: not a number: ''",
@@ -197,10 +200,10 @@ TEST(NetworkCsv, NumericFieldVerdicts) {
        "error: <string>:1: not a number: '1e-310'",
        "error: <string>:3: not a number: '1e-310'"},
       {"-nan",
-       "ok -nan",
+       "error: <string>:1: RoadNetwork::add_node: coordinates must be finite",
        "error: <string>:3: RoadNetwork::add_edge: length must be finite and > 0"},
       {"Infinity",
-       "ok inf",
+       "error: <string>:1: RoadNetwork::add_node: coordinates must be finite",
        "error: <string>:3: RoadNetwork::add_edge: length must be finite and > 0"},
       {"1.5 ",
        "error: <string>:1: not a number: '1.5 '",
@@ -239,7 +242,7 @@ TEST(NetworkCsv, NumericFieldVerdicts) {
        "error: <string>:1: not a number: '2.5e'",
        "error: <string>:3: not a number: '2.5e'"},
       {"nan(1)",
-       "ok nan",
+       "error: <string>:1: RoadNetwork::add_node: coordinates must be finite",
        "error: <string>:3: RoadNetwork::add_edge: length must be finite and > 0"},
   };
   for (const auto& c : cases) {

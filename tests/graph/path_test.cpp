@@ -29,10 +29,11 @@ TEST(IsWalk, InvalidWalks) {
 }
 
 TEST(IsWalk, RespectsDirection) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  net.add_edge(a, b, 1.0);
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  builder.add_edge(a, b, 1.0);
+  const RoadNetwork net = std::move(builder).build();
   const std::vector<NodeId> forward{a, b};
   const std::vector<NodeId> backward{b, a};
   EXPECT_TRUE(is_walk(net, forward));
@@ -40,12 +41,13 @@ TEST(IsWalk, RespectsDirection) {
 }
 
 TEST(PathLength, SumsEdges) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  const NodeId c = net.add_node({2.0, 0.0});
-  net.add_two_way_edge(a, b, 1.5);
-  net.add_two_way_edge(b, c, 2.5);
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  const NodeId c = builder.add_node({2.0, 0.0});
+  builder.add_two_way_edge(a, b, 1.5);
+  builder.add_two_way_edge(b, c, 2.5);
+  const RoadNetwork net = std::move(builder).build();
   const std::vector<NodeId> path{a, b, c};
   EXPECT_DOUBLE_EQ(cumulative_lengths(net, path).back(), 4.0);
 }
@@ -68,22 +70,24 @@ TEST(PathLength, ThrowsOnNonWalk) {
 }
 
 TEST(PathLength, UsesShortestParallelEdge) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  net.add_edge(a, b, 5.0);
-  net.add_edge(a, b, 2.0);
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  builder.add_edge(a, b, 5.0);
+  builder.add_edge(a, b, 2.0);
+  const RoadNetwork net = std::move(builder).build();
   const std::vector<NodeId> path{a, b};
   EXPECT_DOUBLE_EQ(cumulative_lengths(net, path).back(), 2.0);
 }
 
 TEST(CumulativeLengths, PrefixSums) {
-  RoadNetwork net;
-  const NodeId a = net.add_node({0.0, 0.0});
-  const NodeId b = net.add_node({1.0, 0.0});
-  const NodeId c = net.add_node({2.0, 0.0});
-  net.add_two_way_edge(a, b, 1.0);
-  net.add_two_way_edge(b, c, 3.0);
+  NetworkBuilder builder;
+  const NodeId a = builder.add_node({0.0, 0.0});
+  const NodeId b = builder.add_node({1.0, 0.0});
+  const NodeId c = builder.add_node({2.0, 0.0});
+  builder.add_two_way_edge(a, b, 1.0);
+  builder.add_two_way_edge(b, c, 3.0);
+  const RoadNetwork net = std::move(builder).build();
   const std::vector<NodeId> path{a, b, c};
   EXPECT_EQ(cumulative_lengths(net, path), (std::vector<double>{0.0, 1.0, 4.0}));
 }

@@ -138,6 +138,27 @@ TEST(MalformedRequestLoad, SeedAndJourneysRangeChecked) {
             "bad_request");
 }
 
+TEST(MalformedRequestLoad, NonFiniteNodeCoordinateIsBadScenario) {
+  // A NaN or infinite position used to load and then leak into GeoJSON as
+  // a bare `nan`; the network parser now rejects the row.
+  for (const char* node : {"node,nan,0", "node,0,inf", "node,-inf,0"}) {
+    Server server;
+    const JsonValue response = handle(
+        server, std::string(R"({"op":"load","network_csv":"node,0,0\n)") +
+                    node + R"(\nnode,2,0\nedge,0,1,1\nedge,1,0,1\n)" +
+                    R"(edge,1,2,1\nedge,2,1,1\n","flows_csv":")" +
+                    "origin,destination,daily_vehicles,"
+                    R"(passengers_per_vehicle,alpha,path\n0,2,5,1,1,0|1|2\n)" +
+                    R"(","utility":"linear","d":4,"shop":0})");
+    EXPECT_EQ(error_code(response), "bad_scenario") << node;
+    EXPECT_EQ(response.as_object().at("error").as_object().at("message")
+                  .as_string(),
+              "<network_csv>:2: RoadNetwork::add_node: coordinates must be "
+              "finite")
+        << node;
+  }
+}
+
 // --- deadline overflow ---------------------------------------------------
 
 TEST_F(MalformedRequest, HugeDeadlineMeansNoDeadlineNotThePast) {

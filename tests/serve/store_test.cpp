@@ -218,6 +218,41 @@ TEST(ServeStore, TruncatedSegmentIsCorrupt) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServeStore, FlippedHeaderFieldIsCorrupt) {
+  // The scalar header fields (scenario bytes at offset 64, the utility
+  // range at 72, shop and reserved at 80 and 84) sit outside the payload.
+  // A flipped bit there must fail the checksum like one in the payload;
+  // it must not rehydrate a scenario with another range or shop.
+  for (const std::streamoff offset : {64, 72, 78, 80, 84}) {
+    const std::string dir = temp_store_dir("header");
+    {
+      Server server(store_options(dir));
+      (void)expect_ok(server, load_request(8));
+    }
+    std::filesystem::path segment;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      segment = entry.path();
+    }
+    ASSERT_FALSE(segment.empty());
+    {
+      std::fstream file(segment,
+                        std::ios::in | std::ios::out | std::ios::binary);
+      file.seekg(offset);
+      char byte = 0;
+      file.read(&byte, 1);
+      byte = static_cast<char>(byte ^ 0x01);
+      file.seekp(offset);
+      file.write(&byte, 1);
+    }
+
+    Server restarted(store_options(dir));
+    EXPECT_EQ(restarted.rehydrated_at_start(), 0U) << "offset " << offset;
+    EXPECT_EQ(restarted.store()->stats().corrupt, 1U) << "offset " << offset;
+    EXPECT_EQ(restarted.store()->segment_count(), 0U) << "offset " << offset;
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST(ServeStore, DirectPutLoadRoundTrip) {
   const std::string dir = temp_store_dir("direct");
   ScenarioSpec spec;

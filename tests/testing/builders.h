@@ -2,6 +2,7 @@
 // Fig. 4 worked example) and random-instance generators for property tests.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "src/graph/road_network.h"
@@ -12,7 +13,7 @@ namespace rap::testing {
 
 /// Path graph 0 - 1 - ... - (n-1), unit two-way edges, on the x axis.
 [[nodiscard]] inline graph::RoadNetwork line_network(std::size_t n) {
-  graph::RoadNetwork net;
+  graph::NetworkBuilder net;
   for (std::size_t i = 0; i < n; ++i) {
     net.add_node({static_cast<double>(i), 0.0});
   }
@@ -20,7 +21,7 @@ namespace rap::testing {
     net.add_two_way_edge(static_cast<graph::NodeId>(i),
                          static_cast<graph::NodeId>(i + 1), 1.0);
   }
-  return net;
+  return std::move(net).build();
 }
 
 /// The Fig. 4 example network: six intersections V1..V6 (ids 0..5), unit
@@ -40,18 +41,20 @@ struct Fig4 {
   Fig4() {
     // Coordinates chosen so neighbouring intersections are 1 apart; only
     // the graph distances matter to the algorithms.
-    net.add_node({0.0, 0.0});   // V1 (shop)
-    net.add_node({0.0, 1.0});   // V2
-    net.add_node({1.0, 1.0});   // V3
-    net.add_node({1.0, 0.0});   // V4
-    net.add_node({2.0, 1.0});   // V5
-    net.add_node({3.0, 1.0});   // V6
-    net.add_two_way_edge(V1, V2, 1.0);
-    net.add_two_way_edge(V1, V4, 1.0);
-    net.add_two_way_edge(V2, V3, 1.0);
-    net.add_two_way_edge(V3, V4, 1.0);
-    net.add_two_way_edge(V3, V5, 1.0);
-    net.add_two_way_edge(V5, V6, 1.0);
+    graph::NetworkBuilder builder;
+    builder.add_node({0.0, 0.0});   // V1 (shop)
+    builder.add_node({0.0, 1.0});   // V2
+    builder.add_node({1.0, 1.0});   // V3
+    builder.add_node({1.0, 0.0});   // V4
+    builder.add_node({2.0, 1.0});   // V5
+    builder.add_node({3.0, 1.0});   // V6
+    builder.add_two_way_edge(V1, V2, 1.0);
+    builder.add_two_way_edge(V1, V4, 1.0);
+    builder.add_two_way_edge(V2, V3, 1.0);
+    builder.add_two_way_edge(V3, V4, 1.0);
+    builder.add_two_way_edge(V3, V5, 1.0);
+    builder.add_two_way_edge(V5, V6, 1.0);
+    net = std::move(builder).build();
     flows.push_back(make_flow(V2, {V2, V3, V5}, 6.0));  // T(2,5)
     flows.push_back(make_flow(V3, {V3, V5}, 3.0));      // T(3,5)
     flows.push_back(make_flow(V4, {V4, V3}, 6.0));      // T(4,3)
@@ -83,7 +86,7 @@ struct Fig4 {
                                                        std::size_t rows,
                                                        std::size_t extra,
                                                        util::Rng& rng) {
-  graph::RoadNetwork net;
+  graph::NetworkBuilder net;
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       net.add_node({static_cast<double>(c), static_cast<double>(r)});
@@ -106,7 +109,7 @@ struct Fig4 {
         0.5, euclidean_distance(net.position(a), net.position(b)) * 0.9);
     net.add_two_way_edge(a, b, len);
   }
-  return net;
+  return std::move(net).build();
 }
 
 /// `count` random shortest-path flows with Poisson-ish volumes.

@@ -34,11 +34,11 @@ class NonMonotoneModel final : public core::CoverageModel {
  private:
   static core::CoverageModel build() {
     static const graph::RoadNetwork net = [] {
-      graph::RoadNetwork out;
+      graph::NetworkBuilder out;
       out.add_node({0.0, 0.0});
       out.add_node({1.0, 0.0});
       out.add_two_way_edge(0, 1, 1.0);
-      return out;
+      return std::move(out).build();
     }();
     static const NonMonotoneUtility utility;
     core::CoverageBuilder builder(net, /*shop=*/0, utility,

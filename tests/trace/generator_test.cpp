@@ -163,8 +163,9 @@ TEST(GenerateTrace, ValidatesSpec) {
 }
 
 TEST(GenerateTrace, TinyNetworkRejected) {
-  graph::RoadNetwork net;
-  net.add_node({0.0, 0.0});
+  graph::NetworkBuilder builder;
+  builder.add_node({0.0, 0.0});
+  const graph::RoadNetwork net = std::move(builder).build();
   util::Rng rng(1);
   EXPECT_THROW(generate_trace(net, small_spec(), rng), std::invalid_argument);
 }

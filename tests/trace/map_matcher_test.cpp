@@ -74,9 +74,10 @@ TEST(MapMatcher, EmptyWhenNothingSnaps) {
 }
 
 TEST(MapMatcher, EmptyWhenDisconnected) {
-  graph::RoadNetwork net;
-  net.add_node({0.0, 0.0});
-  net.add_node({10.0, 0.0});  // no edge between them
+  graph::NetworkBuilder builder;
+  builder.add_node({0.0, 0.0});
+  builder.add_node({10.0, 0.0});  // no edge between them
+  const graph::RoadNetwork net = std::move(builder).build();
   const MapMatcher matcher(net, 0.5);
   const auto run = records_at({{0.0, 0.0}, {10.0, 0.0}});
   EXPECT_TRUE(matcher.match_run(run).empty());
@@ -103,13 +104,14 @@ TEST(MapMatcher, ResultIsAlwaysAWalk) {
 }
 
 TEST(MapMatcher, RespectsOneWayStreetsWhenStitching) {
-  graph::RoadNetwork net;
-  const auto a = net.add_node({0.0, 0.0});
-  const auto b = net.add_node({1.0, 0.0});
-  const auto c = net.add_node({0.5, 1.0});
-  net.add_edge(a, b, 1.0);
-  net.add_edge(b, c, 1.0);
-  net.add_edge(c, a, 1.0);  // one-way triangle
+  graph::NetworkBuilder builder;
+  const auto a = builder.add_node({0.0, 0.0});
+  const auto b = builder.add_node({1.0, 0.0});
+  const auto c = builder.add_node({0.5, 1.0});
+  builder.add_edge(a, b, 1.0);
+  builder.add_edge(b, c, 1.0);
+  builder.add_edge(c, a, 1.0);  // one-way triangle
+  const graph::RoadNetwork net = std::move(builder).build();
   const MapMatcher matcher(net, 0.3);
   // From b back to a the only route is via c.
   const auto run = records_at({{1.0, 0.0}, {0.0, 0.0}});

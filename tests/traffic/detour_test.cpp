@@ -76,11 +76,12 @@ TEST(DetourCalculator, DistanceAccessors) {
 }
 
 TEST(DetourCalculator, UnreachableShopGivesInfiniteDetours) {
-  graph::RoadNetwork net;
-  const auto a = net.add_node({0.0, 0.0});
-  const auto b = net.add_node({1.0, 0.0});
-  const auto island = net.add_node({9.0, 9.0});
-  net.add_two_way_edge(a, b, 1.0);
+  graph::NetworkBuilder builder;
+  const auto a = builder.add_node({0.0, 0.0});
+  const auto b = builder.add_node({1.0, 0.0});
+  const auto island = builder.add_node({9.0, 9.0});
+  builder.add_two_way_edge(a, b, 1.0);
+  const graph::RoadNetwork net = std::move(builder).build();
   const DetourCalculator calc(net, island);
   const auto flow = make_shortest_path_flow(net, a, b, 1.0);
   for (const double d : calc.detours_along_path(flow)) {
@@ -243,11 +244,12 @@ TEST(ApspDetour, Validation) {
 }
 
 TEST(ApspDetour, UnreachableShopInfinite) {
-  graph::RoadNetwork net;
-  const auto a = net.add_node({0.0, 0.0});
-  const auto b = net.add_node({1.0, 0.0});
-  const auto island = net.add_node({9.0, 9.0});
-  net.add_two_way_edge(a, b, 1.0);
+  graph::NetworkBuilder builder;
+  const auto a = builder.add_node({0.0, 0.0});
+  const auto b = builder.add_node({1.0, 0.0});
+  const auto island = builder.add_node({9.0, 9.0});
+  builder.add_two_way_edge(a, b, 1.0);
+  const graph::RoadNetwork net = std::move(builder).build();
   const DetourCalculator calc =
       matrix_fed(net, graph::all_pairs_shortest_paths(net), island);
   const auto flow = make_shortest_path_flow(net, a, b, 1.0);

@@ -109,9 +109,10 @@ TEST(MakeShortestPathFlow, BuildsOptimalPath) {
 }
 
 TEST(MakeShortestPathFlow, ThrowsWhenUnreachable) {
-  graph::RoadNetwork net;
-  net.add_node({0.0, 0.0});
-  net.add_node({1.0, 0.0});
+  graph::NetworkBuilder builder;
+  builder.add_node({0.0, 0.0});
+  builder.add_node({1.0, 0.0});
+  const graph::RoadNetwork net = std::move(builder).build();
   EXPECT_THROW(make_shortest_path_flow(net, 0, 1, 1.0), std::invalid_argument);
 }
 

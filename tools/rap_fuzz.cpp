@@ -2,6 +2,7 @@
 //
 //   rap_fuzz --scenarios=500 --seed=1 --dump-dir=fuzz_failures
 //   rap_fuzz --family=delta --scenarios=200 --seed=1
+//   rap_fuzz --family=segment --scenarios=500 --seed=1
 //   rap_fuzz --family=list
 //
 // Families (rap_fuzz --family=list prints this registry):
@@ -14,6 +15,11 @@
 //            greedy family, exactness against the exhaustive optimum at toy
 //            budgets, certificate replay, and bitwise serial-vs-parallel
 //            determinism (DESIGN.md §16);
+//   segment — store segments: persist a scenario, then bit-flip, truncate
+//            and tamper with the segment (tools/segment_fuzz.h); each one
+//            must be counted corrupt, or rehydrate and serve well-formed
+//            responses. Prints a digest of every segment and response, so
+//            runs at RAP_THREADS=1 and 4 must print the same line;
 //   all    — every family.
 //
 // On a core/exact failure, prints every violated check and writes the
@@ -23,6 +29,7 @@
 // inspectable without re-running the generator. Delta failures are reported
 // by seed + round (the seed replays the whole delta sequence).
 #include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -30,10 +37,13 @@
 #include <string>
 #include <string_view>
 
+#include <unistd.h>
+
 #include "src/check/bound_oracle.h"
 #include "src/check/differential.h"
 #include "src/serve/delta_fuzz.h"
 #include "src/util/cli.h"
+#include "tools/segment_fuzz.h"
 
 namespace {
 
@@ -48,6 +58,7 @@ constexpr FamilyInfo kFamilies[] = {
     {"core", "algorithm differential checks (default)"},
     {"delta", "serve-layer incremental updates vs from-scratch greedy"},
     {"exact", "certified upper bounds: soundness, exactness, determinism"},
+    {"segment", "store segments: corrupt ones rejected, the rest served"},
     {"all", "every family above"},
 };
 
@@ -160,6 +171,40 @@ std::uint64_t run_exact_family(std::uint64_t first_seed,
   return failures;
 }
 
+std::uint64_t run_segment_family(std::uint64_t first_seed,
+                                 std::uint64_t scenarios) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("rap_segment_fuzz_" + std::to_string(::getpid()));
+  std::uint64_t failures = 0;
+  std::size_t mutations = 0;
+  std::size_t rejected = 0;
+  std::size_t rehydrated = 0;
+  std::uint64_t digest = 0;
+  for (std::uint64_t i = 0; i < scenarios; ++i) {
+    const std::uint64_t seed = first_seed + i;
+    const rap::fuzz::SegmentFuzzReport report =
+        rap::fuzz::fuzz_segment_one(seed, dir);
+    mutations += report.mutations;
+    rejected += report.rejected;
+    rehydrated += report.rehydrated;
+    digest = digest * 31 + report.digest;
+    if (report.ok) continue;
+    ++failures;
+    std::cerr << "FAIL segment seed " << seed << ": " << report.message
+              << "\n";
+  }
+  std::filesystem::remove_all(dir);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(digest));
+  std::cout << "rap_fuzz: segment: " << scenarios << " scenario(s), "
+            << mutations << " mutation(s), " << rejected << " rejected, "
+            << rehydrated << " rehydrated, " << failures
+            << " failing scenario(s), digest " << hex << "\n";
+  return failures;
+}
+
 int run(int argc, char** argv) {
   const rap::util::CliFlags flags(argc, argv);
   const auto scenarios =
@@ -197,6 +242,9 @@ int run(int argc, char** argv) {
   if (family == "exact" || family == "all") {
     failures += run_exact_family(first_seed, scenarios, dump_dir,
                                  bound_options);
+  }
+  if (family == "segment" || family == "all") {
+    failures += run_segment_family(first_seed, scenarios);
   }
   return failures == 0 ? 0 : 1;
 }
