@@ -4,18 +4,15 @@
 // the placement problem with the shop there, runs the placement algorithm,
 // and ranks candidates by attracted customers.
 //
-// On small cities the evaluation loop shares one all-pairs matrix across all
-// candidate shops (the paper's O(|V|^3) preprocessing, amortised): each
-// candidate's DetourCalculator reads its d' and d'' arrays off the matrix's
-// shop column and row. Above kShopSitingDenseNodes, where the n^2 matrix is
-// unaffordable, each candidate runs its own two shop-rooted Dijkstras
-// instead, O(n) memory.
+// Each candidate is priced exactly like a directly built problem: its own
+// PlacementProblem, whose DetourCalculator runs the two shop-rooted
+// Dijkstras (O(n) memory), so a site's score is bitwise the score of
+// composite greedy on that problem.
 #pragma once
 
 #include <vector>
 
 #include "src/core/problem.h"
-#include "src/graph/apsp.h"
 
 namespace rap::eval {
 
@@ -32,10 +29,6 @@ struct ShopSitingOptions {
   /// Keep only the best `top` sites in the result (0 = all).
   std::size_t top = 0;
 };
-
-/// Node count up to which candidates share one dense matrix (2048^2 doubles
-/// = 32 MiB); above it each candidate runs two shop Dijkstras.
-inline constexpr std::size_t kShopSitingDenseNodes = 2048;
 
 /// Ranks candidate shop sites by the customers their best placement
 /// attracts (descending; ties towards the lower node id). Throws

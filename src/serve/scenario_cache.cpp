@@ -234,6 +234,15 @@ std::uint64_t scenario_key(const ScenarioSpec& spec) {
   return key;
 }
 
+void derive_scenario(ServeScenario& scenario) {
+  scenario.detours =
+      std::make_shared<traffic::DetourCalculator>(scenario.net, scenario.shop);
+  scenario.problem = std::make_unique<core::PlacementProblem>(
+      scenario.net, scenario.flows, scenario.shop, *scenario.utility,
+      std::make_unique<SharedDetours>(scenario.detours));
+  scenario.bytes = estimate_bytes(scenario);
+}
+
 std::shared_ptr<const ServeScenario> build_scenario(const ScenarioSpec& spec,
                                                     std::uint64_t key) {
   validate_spec(spec);
@@ -257,12 +266,7 @@ std::shared_ptr<const ServeScenario> build_scenario(const ScenarioSpec& spec,
   scenario->utility =
       traffic::make_utility(utility_kind_or_throw(spec.utility), spec.range);
   scenario->shop = pick_shop(spec, scenario->net, scenario->flows);
-  scenario->detours = std::make_shared<traffic::DetourCalculator>(
-      scenario->net, scenario->shop);
-  scenario->problem = std::make_unique<core::PlacementProblem>(
-      scenario->net, scenario->flows, scenario->shop, *scenario->utility,
-      std::make_unique<SharedDetours>(scenario->detours));
-  scenario->bytes = estimate_bytes(*scenario);
+  derive_scenario(*scenario);
   scenario->summary = source + ": " +
                       std::to_string(scenario->net.num_nodes()) +
                       " intersections, " + std::to_string(scenario->flows.size()) +

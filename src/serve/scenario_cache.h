@@ -117,6 +117,14 @@ struct ServeScenario {
 /// shop-class names); throws std::invalid_argument otherwise.
 void validate_spec(const ScenarioSpec& spec);
 
+/// Fills in the parts of a scenario that are computed from its inputs (net,
+/// flows, utility, shop): the shop's two Dijkstra trees, the base problem
+/// over SharedDetours, and the LRU byte estimate. build_scenario and store
+/// rehydration both call it, so a rehydrated scenario holds no derived value
+/// that a fresh build would not compute. Throws what the problem build
+/// throws (bad shop, invalid flows).
+void derive_scenario(ServeScenario& scenario);
+
 /// Builds the full scenario for `spec` (expensive: generation/parsing,
 /// matching, the shop's two Dijkstras, coverage table). `key` must be
 /// scenario_key(spec).

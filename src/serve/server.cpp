@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/graph/apsp.h"
 #include "src/obs/events.h"
 #include "src/traffic/flow.h"
 #include "src/util/thread_pool.h"
@@ -190,7 +189,8 @@ Server::Server(ServerOptions options)
   if (!options_.store_dir.empty()) {
     store_ = std::make_unique<ScenarioStore>(options_.store_dir);
     // Rehydration replaces the builds a warm cache would have absorbed: no
-    // generation, no matching, no Dijkstras — just mmap + coverage table.
+    // generation or matching — just mmap, the shop's two Dijkstras and the
+    // coverage table.
     rehydrated_at_start_ = store_->rehydrate_into(cache_);
     if (options_.log != nullptr && rehydrated_at_start_ > 0) {
       options_.log->log(

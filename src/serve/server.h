@@ -36,7 +36,7 @@
 // persisted to a crash-safe memory-mapped segment store
 // (src/serve/store.h) and the constructor rehydrates the cache from disk,
 // so a restarted server serves every previously stored scenario without
-// re-running city generation, map matching or the shop Dijkstras. A load
+// re-running city generation or map matching. A load
 // response reports where its scenario came from ("source": cache | store |
 // built).
 //

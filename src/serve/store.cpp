@@ -14,8 +14,6 @@
 #include <string_view>
 #include <utility>
 
-#include "src/core/problem.h"
-#include "src/graph/path.h"
 #include "src/obs/events.h"
 #include "src/obs/telemetry.h"
 #include "src/traffic/utility.h"
@@ -25,7 +23,7 @@ namespace {
 
 constexpr char kMagic[8] = {'R', 'A', 'P', 'S', 'E', 'G', '1', '\n'};
 /// Fixed header size; every scalar field is 8 bytes except shop/reserved.
-constexpr std::size_t kHeaderBytes = 104;
+constexpr std::size_t kHeaderBytes = 96;
 /// The header fields from here on (counts, range, shop, string lengths) are
 /// covered by the checksum along with the payload.
 constexpr std::size_t kSealedHeaderOffset = 40;
@@ -38,7 +36,6 @@ struct SegmentHeader {
   std::uint64_t num_nodes = 0;
   std::uint64_t num_edges = 0;
   std::uint64_t num_flows = 0;
-  std::uint64_t scenario_bytes = 0;
   double range = 0.0;
   std::uint32_t shop = 0;
   std::uint64_t summary_bytes = 0;
@@ -150,12 +147,11 @@ traffic::UtilityKind utility_kind_from_name(std::string_view name) {
   throw std::runtime_error("segment names unknown utility");
 }
 
-/// Serializes the scenario (with its shop's d'/d'' arrays) into the
-/// on-disk byte layout.
+/// Serializes the scenario's inputs into the on-disk byte layout.
 std::string serialize_segment(const ServeScenario& scenario) {
   const std::string utility_name = scenario.utility->name();
   std::string payload;
-  payload.reserve(scenario.net.num_nodes() * 32 +
+  payload.reserve(scenario.net.num_nodes() * 16 +
                   scenario.net.num_edges() * 16);
   for (const geo::Point& position : scenario.net.positions()) {
     append_f64(payload, position.x);
@@ -165,12 +161,6 @@ std::string serialize_segment(const ServeScenario& scenario) {
     append_u32(payload, edge.from);
     append_u32(payload, edge.to);
     append_f64(payload, edge.length);
-  }
-  for (const double distance : scenario.detours->to_shop()) {
-    append_f64(payload, distance);
-  }
-  for (const double distance : scenario.detours->from_shop()) {
-    append_f64(payload, distance);
   }
   for (const traffic::TrafficFlow& flow : scenario.flows) {
     append_u32(payload, flow.origin);
@@ -188,7 +178,6 @@ std::string serialize_segment(const ServeScenario& scenario) {
   append_u64(sealed, scenario.net.num_nodes());
   append_u64(sealed, scenario.net.num_edges());
   append_u64(sealed, scenario.flows.size());
-  append_u64(sealed, scenario.bytes);
   append_f64(sealed, scenario.utility->range());
   append_u32(sealed, scenario.shop);
   append_u32(sealed, 0);  // reserved
@@ -230,7 +219,6 @@ SegmentHeader parse_header(SegmentReader& reader, std::uint64_t expected_key,
   header.num_nodes = reader.u64();
   header.num_edges = reader.u64();
   header.num_flows = reader.u64();
-  header.scenario_bytes = reader.u64();
   header.range = reader.f64();
   header.shop = reader.u32();
   (void)reader.u32();  // reserved
@@ -277,10 +265,6 @@ std::shared_ptr<const ServeScenario> parse_segment(const MappedSegment& map,
     (void)net.add_edge(from, to, length);
   }
   scenario->net = std::move(net).build();
-  std::vector<double> to_shop(header.num_nodes);
-  for (double& distance : to_shop) distance = reader.f64();
-  std::vector<double> from_shop(header.num_nodes);
-  for (double& distance : from_shop) distance = reader.f64();
   scenario->flows.reserve(header.num_flows);
   for (std::uint64_t i = 0; i < header.num_flows; ++i) {
     traffic::TrafficFlow flow;
@@ -307,14 +291,10 @@ std::shared_ptr<const ServeScenario> parse_segment(const MappedSegment& map,
   scenario->shop = header.shop;
   scenario->utility =
       traffic::make_utility(utility_kind_from_name(utility_name), header.range);
-  scenario->detours = std::make_shared<traffic::DetourCalculator>(
-      scenario->net, scenario->shop, std::move(to_shop), std::move(from_shop));
-  // The problem rebuild below revalidates every flow against the rebuilt
-  // network, so a tampered path that survives the checksum still throws.
-  scenario->problem = std::make_unique<core::PlacementProblem>(
-      scenario->net, scenario->flows, scenario->shop, *scenario->utility,
-      std::make_unique<SharedDetours>(scenario->detours));
-  scenario->bytes = header.scenario_bytes;
+  // The derivation reruns the shop's Dijkstras and revalidates every flow
+  // against the rebuilt network, so a tampered path that survives the
+  // checksum still throws.
+  derive_scenario(*scenario);
   return scenario;
 }
 

@@ -2,25 +2,25 @@
 // scenario content.
 //
 // Building a ServeScenario is the expensive part of serving a load request
-// — city generation or CSV parsing, map matching, and the shop's two
-// Dijkstras. The store persists everything that pass produces, so a
-// restarted server REHYDRATES its LRU cache from disk instead of
-// recomputing: the road network (positions + edges), the flow set (paths
-// included — no map matching), the shop, and the shop's two shortest-path
-// distance arrays d'/d'' (no Dijkstras). Rebuilding a scenario from a
-// segment costs one mmap plus the O(total path nodes) coverage table —
-// placements on a rehydrated scenario are bitwise identical to placements
-// on a freshly built one (tests/serve/store_test.cpp holds this).
+// — city generation or CSV parsing, map matching, the shop's two
+// Dijkstras. The store persists what generation and matching produce, so
+// a restarted server REHYDRATES its LRU cache from disk instead of
+// regenerating: the road network (positions + edges), the flow set (paths
+// included — no map matching), the shop, the range and the utility name.
+// Nothing derived is stored: rehydration calls derive_scenario, as a build
+// does, which runs the shop's two Dijkstras and builds the O(total path
+// nodes) coverage table — so placements on a rehydrated scenario are
+// bitwise identical to placements on a freshly built one
+// (tests/serve/store_test.cpp holds this), and no stored value can make
+// them disagree.
 //
-// Segment format (version 3, tools/rap_serve --store-dir):
+// Segment format (version 4, tools/rap_serve --store-dir):
 //   <dir>/<%016x key>.rseg
-//   SegmentHeader (fixed size, magic "RAPSEG1\n", format version, key,
+//   SegmentHeader (96 bytes: magic "RAPSEG1\n", format version, key,
 //   payload byte count, FNV-1a 64 checksum, then the scalar scenario fields
 //   — counts, range, shop, string lengths) followed by a packed payload:
 //     positions   num_nodes x { f64 x, f64 y }
 //     edges       num_edges x { u32 from, u32 to, f64 length }
-//     to_shop     num_nodes x f64     (d' — distance v -> shop)
-//     from_shop   num_nodes x f64     (d'' — distance shop -> v)
 //     flows       per flow: u32 origin, u32 destination, f64 vehicles,
 //                 f64 passengers_per_vehicle, f64 alpha, u64 path_len,
 //                 path_len x u32 path nodes
@@ -43,11 +43,10 @@
 // deletes every segment it rejects, torn or of another version, so the
 // rebuild's put() persists the key afresh. Version 2 dropped version 1's
 // detour-engine name string (always "dijkstra"); version 3 extended the
-// checksum, which covered only the payload, over the scalar header fields.
-// An older segment is counted corrupt once, rebuilt and re-persisted.
-//
-// The d'/d'' arrays are O(n) and fully determine every detour, including
-// detours of flows added later by deltas.
+// checksum, which covered only the payload, over the scalar header fields;
+// version 4 dropped the shop's d'/d'' arrays and the byte estimate, which
+// rehydration now derives. An older segment is counted corrupt once,
+// rebuilt and re-persisted.
 #pragma once
 
 #include <cstdint>
@@ -56,14 +55,13 @@
 #include <vector>
 
 #include "src/serve/scenario_cache.h"
-#include "src/traffic/detour.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
 namespace rap::serve {
 
 /// Current segment layout version (header field; see file comment).
-inline constexpr std::uint64_t kStoreFormatVersion = 3;
+inline constexpr std::uint64_t kStoreFormatVersion = 4;
 
 /// The persistent segment store. Thread-safe: transports and the stdio loop
 /// may put/load concurrently (one internal mutex; segment IO is quick

@@ -1,7 +1,6 @@
 #include "src/traffic/detour.h"
 
 #include <stdexcept>
-#include <utility>
 
 #include "src/graph/path.h"
 
@@ -21,25 +20,11 @@ std::vector<double> remaining_along_path(const graph::RoadNetwork& net,
 
 DetourCalculator::DetourCalculator(const graph::RoadNetwork& net,
                                    graph::NodeId shop)
-    : DetourCalculator(
-          net, shop,
-          graph::dijkstra(net, shop, graph::Direction::kReverse).distances(),
-          graph::dijkstra(net, shop, graph::Direction::kForward).distances()) {}
-
-DetourCalculator::DetourCalculator(const graph::RoadNetwork& net,
-                                   graph::NodeId shop,
-                                   std::vector<double> to_shop,
-                                   std::vector<double> from_shop)
-    : net_(&net),
-      shop_(shop),
-      to_shop_(std::move(to_shop)),
-      from_shop_(std::move(from_shop)) {
+    : net_(&net), shop_(shop) {
   net.check_node(shop);
-  if (to_shop_.size() != net.num_nodes() ||
-      from_shop_.size() != net.num_nodes()) {
-    throw std::invalid_argument(
-        "DetourCalculator: distance arrays must cover every node");
-  }
+  to_shop_ = graph::dijkstra(net, shop, graph::Direction::kReverse).distances();
+  from_shop_ =
+      graph::dijkstra(net, shop, graph::Direction::kForward).distances();
 }
 
 std::vector<double> DetourCalculator::detours_along_path(

@@ -70,17 +70,9 @@ class DetourSource {
 
 class DetourCalculator final : public DetourSource {
  public:
-  /// Runs the two shop Dijkstras eagerly (O(|E| log |V|) each).
+  /// Checks the shop, then runs the two shop Dijkstras eagerly
+  /// (O(|E| log |V|) each). Their trees are the only source of d' and d''.
   DetourCalculator(const graph::RoadNetwork& net, graph::NodeId shop);
-
-  /// A calculator over already computed d' and d'' arrays (one distance per
-  /// node, kUnreachable where disconnected) — the serve store's rehydration
-  /// path, and shop siting's shared-matrix path (the shop's matrix column
-  /// and row). Prices bitwise like the Dijkstra-built one when the arrays
-  /// are the trees' distances.
-  /// Throws std::invalid_argument unless both arrays cover every node.
-  DetourCalculator(const graph::RoadNetwork& net, graph::NodeId shop,
-                   std::vector<double> to_shop, std::vector<double> from_shop);
 
   [[nodiscard]] graph::NodeId shop() const noexcept { return shop_; }
 

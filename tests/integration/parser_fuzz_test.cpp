@@ -3,7 +3,10 @@
 // never crash, hang, or corrupt state — only parse or throw.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/graph/io.h"
 #include "src/trace/io.h"
@@ -92,6 +95,101 @@ TEST_P(ParserFuzz, MutatedValidDocumentsHandled) {
     expect_parse_or_throw(
         [&] { (void)trace::flows_from_csv(net, mutated); });
   }
+}
+
+// The std::istream overload of for_each_csv_record reads kCsvChunkBytes at a
+// time, so a row, a quoted field, a "" escape or a \r\n pair can straddle a
+// chunk boundary that the std::string_view overload never sees. Edits right
+// around the first boundary must leave both overloads yielding the same
+// (line, fields) rows, and the same error when the edit breaks the syntax.
+struct CsvOutcome {
+  std::vector<std::pair<std::size_t, std::vector<std::string>>> rows;
+  std::string error;  ///< CsvSyntaxError::what(), empty when none
+  bool operator==(const CsvOutcome&) const = default;
+};
+
+template <typename Parse>
+CsvOutcome csv_outcome(Parse&& parse) {
+  CsvOutcome out;
+  try {
+    parse([&](const util::CsvRecordView& row) {
+      out.rows.emplace_back(
+          row.line,
+          std::vector<std::string>(row.fields.begin(), row.fields.end()));
+    });
+  } catch (const util::CsvSyntaxError& error) {
+    out.error = error.what();
+  }
+  return out;
+}
+
+/// A valid CSV document larger than one chunk: plain, quoted, escaped and
+/// multi-line fields, \n and \r\n line ends, with one long quoted field
+/// spanning the first chunk boundary.
+std::string chunk_spanning_document() {
+  util::Rng rng(64);
+  std::string doc = "id,name,note,value\n";
+  const auto append_row = [&](std::size_t id) {
+    doc += std::to_string(id) + ",";
+    switch (rng.next_below(4)) {
+      case 0: doc += "plain"; break;
+      case 1: doc += "\"with, comma\""; break;
+      case 2: doc += "\"say \"\"hi\"\"\""; break;
+      default: doc += "\"two\nlines\""; break;
+    }
+    doc += ',';
+    doc.append(rng.next_below(12), 'n');
+    doc += ',';
+    doc += std::to_string(rng.next_below(1000));
+    doc += rng.next_below(3) == 0 ? "\r\n" : "\n";
+  };
+  std::size_t id = 0;
+  while (doc.size() < util::kCsvChunkBytes - 40) append_row(id++);
+  doc += std::to_string(id++) +
+         ",\"spans, the \"\"chunk\"\"\r\nboundary, quoted\",x,1\r\n";
+  while (doc.size() < util::kCsvChunkBytes + 4096) append_row(id++);
+  return doc;
+}
+
+TEST(CsvChunkBoundary, ViewAndStreamReadersAgreeOnEdits) {
+  const std::string valid = chunk_spanning_document();
+  ASSERT_GT(valid.size(), util::kCsvChunkBytes);
+  static constexpr std::string_view kBytes = "\",\n\rx";
+  std::size_t cases = 0;
+  std::size_t errors = 0;
+  for (std::size_t at = util::kCsvChunkBytes - 24;
+       at <= util::kCsvChunkBytes + 24; ++at) {
+    std::vector<std::pair<std::string, std::string>> edits;  // (doc, what)
+    for (const char c : kBytes) {
+      std::string replaced = valid;
+      replaced[at] = c;
+      edits.emplace_back(std::move(replaced), "replace");
+      std::string inserted = valid;
+      inserted.insert(at, 1, c);
+      edits.emplace_back(std::move(inserted), "insert");
+    }
+    std::string deleted = valid;
+    deleted.erase(at, 1);
+    edits.emplace_back(std::move(deleted), "delete");
+    for (const auto& [edited, what] : edits) {
+      const std::size_t cut = what == "delete" ? at : at + 1;
+      for (const std::string& doc : {edited, edited.substr(0, cut)}) {
+        const CsvOutcome from_view = csv_outcome([&](const auto& fn) {
+          util::for_each_csv_record(std::string_view(doc), fn);
+        });
+        const CsvOutcome from_stream = csv_outcome([&](const auto& fn) {
+          std::istringstream in(doc);
+          util::for_each_csv_record(in, fn);
+        });
+        ASSERT_TRUE(from_view == from_stream)
+            << what << " at " << at << ", " << doc.size() << " bytes";
+        ++cases;
+        if (!from_view.error.empty()) ++errors;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 49u * 22u);
+  EXPECT_GT(errors, 0u);  // some edits open a quote that never closes
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz,

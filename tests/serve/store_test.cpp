@@ -155,46 +155,51 @@ TEST(ServeStore, CorruptSegmentIsSkippedAndRebuilt) {
 
 TEST(ServeStore, VersionOneSegmentIsCorruptAndRebuilt) {
   // Version 1 carried a detour-engine name string that version 2 dropped;
-  // a segment stamped version 1 must be counted corrupt and rebuilt, never
-  // misread.
-  const std::string dir = temp_store_dir("version1");
-  {
-    Server server(store_options(dir));
-    (void)expect_ok(server, load_request(7));
-  }
-  std::filesystem::path segment;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    segment = entry.path();
-  }
-  ASSERT_FALSE(segment.empty());
-  {
-    // The u64 format version follows the 8-byte magic.
-    std::fstream file(segment,
-                      std::ios::in | std::ios::out | std::ios::binary);
-    std::uint64_t version = 0;
-    file.seekg(8);
-    file.read(reinterpret_cast<char*>(&version), sizeof version);
-    ASSERT_EQ(version, kStoreFormatVersion);
-    version = 1;
-    file.seekp(8);
-    file.write(reinterpret_cast<const char*>(&version), sizeof version);
-  }
+  // version 3 carried the shop's d'/d'' arrays and a byte estimate that
+  // version 4 derives instead. A segment stamped with either older version
+  // must be counted corrupt and rebuilt, never misread.
+  for (const std::uint64_t old_version :
+       {std::uint64_t{1}, std::uint64_t{3}}) {
+    SCOPED_TRACE("version " + std::to_string(old_version));
+    const std::string dir = temp_store_dir("version_old");
+    {
+      Server server(store_options(dir));
+      (void)expect_ok(server, load_request(7));
+    }
+    std::filesystem::path segment;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      segment = entry.path();
+    }
+    ASSERT_FALSE(segment.empty());
+    {
+      // The u64 format version follows the 8-byte magic.
+      std::fstream file(segment,
+                        std::ios::in | std::ios::out | std::ios::binary);
+      std::uint64_t version = 0;
+      file.seekg(8);
+      file.read(reinterpret_cast<char*>(&version), sizeof version);
+      ASSERT_EQ(version, kStoreFormatVersion);
+      version = old_version;
+      file.seekp(8);
+      file.write(reinterpret_cast<const char*>(&version), sizeof version);
+    }
 
-  Server restarted(store_options(dir));
-  EXPECT_EQ(restarted.rehydrated_at_start(), 0U);
-  ASSERT_NE(restarted.store(), nullptr);
-  EXPECT_EQ(restarted.store()->stats().corrupt, 1U);
-  const JsonValue::Object loaded = expect_ok(restarted, load_request(7));
-  EXPECT_EQ(loaded.at("source").as_string(), "built");
-  EXPECT_EQ(loaded.at("engine").as_string(), "dijkstra");  // rap.serve.v1
-  // The rebuild replaced the rejected segment, so the next restart
-  // rehydrates it.
-  EXPECT_EQ(restarted.store()->stats().persisted, 1U);
+    Server restarted(store_options(dir));
+    EXPECT_EQ(restarted.rehydrated_at_start(), 0U);
+    ASSERT_NE(restarted.store(), nullptr);
+    EXPECT_EQ(restarted.store()->stats().corrupt, 1U);
+    const JsonValue::Object loaded = expect_ok(restarted, load_request(7));
+    EXPECT_EQ(loaded.at("source").as_string(), "built");
+    EXPECT_EQ(loaded.at("engine").as_string(), "dijkstra");  // rap.serve.v1
+    // The rebuild replaced the rejected segment, so the next restart
+    // rehydrates it.
+    EXPECT_EQ(restarted.store()->stats().persisted, 1U);
 
-  Server again(store_options(dir));
-  EXPECT_EQ(again.rehydrated_at_start(), 1U);
-  EXPECT_EQ(again.store()->stats().corrupt, 0U);
-  std::filesystem::remove_all(dir);
+    Server again(store_options(dir));
+    EXPECT_EQ(again.rehydrated_at_start(), 1U);
+    EXPECT_EQ(again.store()->stats().corrupt, 0U);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(ServeStore, TruncatedSegmentIsCorrupt) {
@@ -219,11 +224,11 @@ TEST(ServeStore, TruncatedSegmentIsCorrupt) {
 }
 
 TEST(ServeStore, FlippedHeaderFieldIsCorrupt) {
-  // The scalar header fields (scenario bytes at offset 64, the utility
-  // range at 72, shop and reserved at 80 and 84) sit outside the payload.
-  // A flipped bit there must fail the checksum like one in the payload;
-  // it must not rehydrate a scenario with another range or shop.
-  for (const std::streamoff offset : {64, 72, 78, 80, 84}) {
+  // The scalar header fields (the utility range at offset 64, shop and
+  // reserved at 72 and 76, the string lengths at 80 and 88) sit outside the
+  // payload. A flipped bit there must fail the checksum like one in the
+  // payload; it must not rehydrate a scenario with another range or shop.
+  for (const std::streamoff offset : {64, 70, 72, 76, 88}) {
     const std::string dir = temp_store_dir("header");
     {
       Server server(store_options(dir));

@@ -3,10 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "src/core/problem.h"
 #include "src/graph/apsp.h"
 #include "tests/testing/builders.h"
 #include "tests/testing/shortest_paths.h"
@@ -153,29 +152,9 @@ TEST(DetourCalculator, ShortestPathModeClampsWanderingRoutes) {
 }
 
 // The paper's literal preprocessing prices detours off the all-pairs matrix.
-// DetourCalculator does that when handed the shop's matrix column (d') and
-// row (d''), as eval/shop_siting and bench/ablation_design do.
-DetourCalculator matrix_fed(const graph::RoadNetwork& net,
-                            const graph::DistanceMatrix& matrix,
-                            graph::NodeId shop) {
-  std::vector<double> to_shop(net.num_nodes());
-  for (graph::NodeId v = 0; v < to_shop.size(); ++v) to_shop[v] = matrix(v, shop);
-  const auto from_shop = matrix.row(shop);
-  return DetourCalculator(net, shop, std::move(to_shop),
-                          std::vector<double>(from_shop.begin(), from_shop.end()));
-}
-
-TEST(ApspDetour, MatchesDijkstraCalculatorOnFig4) {
-  const Fig4 fig;
-  const DetourCalculator dijkstra_based(fig.net, Fig4::shop);
-  const DetourCalculator apsp_based = matrix_fed(
-      fig.net, graph::all_pairs_shortest_paths(fig.net), Fig4::shop);
-  for (const auto& flow : fig.flows) {
-    EXPECT_EQ(apsp_based.detours_along_path(flow),
-              dijkstra_based.detours_along_path(flow));
-  }
-}
-
+// Its reading d' + d'' - d''' must match the per-destination
+// reverse-Dijkstra reading, and, on these shortest-path flows, the
+// tree-built calculator.
 TEST(ApspDetour, MatchesOnRandomNetworksBothModes) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     util::Rng rng(seed * 13 + 1);
@@ -183,21 +162,14 @@ TEST(ApspDetour, MatchesOnRandomNetworksBothModes) {
     const auto flows = testing::random_flows(net, 10, rng);
     const auto shop = static_cast<graph::NodeId>(rng.next_below(net.num_nodes()));
     const graph::DistanceMatrix matrix = graph::all_pairs_shortest_paths(net);
-    // Along-path: the matrix-fed calculator against the tree-built one.
-    const DetourCalculator reference(net, shop);
-    const DetourCalculator apsp = matrix_fed(net, matrix, shop);
-    // Shortest-path: the per-destination reverse-Dijkstra reading against
-    // d' + d'' - d''' read straight off the matrix. The flows are shortest
-    // paths, so the matrix-fed along-path detours match it too.
+    const DetourCalculator along(net, shop);
     for (const auto& flow : flows) {
-      const auto expected = reference.detours_along_path(flow);
-      const auto got = apsp.detours_along_path(flow);
+      const auto got_along = along.detours_along_path(flow);
       const auto got_shortest =
           testing::shortest_path_detours(net, shop, flow);
-      ASSERT_EQ(expected.size(), got.size());
-      ASSERT_EQ(expected.size(), got_shortest.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_NEAR(got[i], expected[i], 1e-9) << "seed " << seed;
+      ASSERT_EQ(got_along.size(), flow.path.size());
+      ASSERT_EQ(got_shortest.size(), flow.path.size());
+      for (std::size_t i = 0; i < flow.path.size(); ++i) {
         const double d1 = matrix(flow.path[i], shop);
         const double d2 = matrix(shop, flow.destination);
         const double d3 = matrix(flow.path[i], flow.destination);
@@ -208,65 +180,14 @@ TEST(ApspDetour, MatchesOnRandomNetworksBothModes) {
                                 : std::max(0.0, d1 + d2 - d3);
         if (want == graph::kUnreachable) {
           EXPECT_EQ(got_shortest[i], graph::kUnreachable) << "seed " << seed;
-          EXPECT_EQ(got[i], graph::kUnreachable) << "seed " << seed;
+          EXPECT_EQ(got_along[i], graph::kUnreachable) << "seed " << seed;
         } else {
           EXPECT_NEAR(got_shortest[i], want, 1e-9) << "seed " << seed;
-          EXPECT_NEAR(got[i], want, 1e-9) << "seed " << seed;
+          EXPECT_NEAR(got_along[i], want, 1e-9) << "seed " << seed;
         }
       }
     }
   }
-}
-
-TEST(ApspDetour, SharedMatrixAcrossShops) {
-  const Fig4 fig;
-  const graph::DistanceMatrix matrix =
-      graph::all_pairs_shortest_paths(fig.net);
-  for (graph::NodeId shop = 0; shop < fig.net.num_nodes(); ++shop) {
-    const DetourCalculator shared = matrix_fed(fig.net, matrix, shop);
-    const DetourCalculator reference(fig.net, shop);
-    for (const auto& flow : fig.flows) {
-      EXPECT_EQ(shared.detours_along_path(flow),
-                reference.detours_along_path(flow));
-    }
-  }
-}
-
-TEST(ApspDetour, Validation) {
-  const Fig4 fig;
-  const std::vector<double> full(fig.net.num_nodes(), 0.0);
-  EXPECT_THROW(DetourCalculator(fig.net, 99, full, full), std::out_of_range);
-  const std::vector<double> wrong(3, 0.0);
-  EXPECT_THROW(DetourCalculator(fig.net, 0, wrong, full),
-               std::invalid_argument);
-  EXPECT_THROW(DetourCalculator(fig.net, 0, full, wrong),
-               std::invalid_argument);
-}
-
-TEST(ApspDetour, UnreachableShopInfinite) {
-  graph::NetworkBuilder builder;
-  const auto a = builder.add_node({0.0, 0.0});
-  const auto b = builder.add_node({1.0, 0.0});
-  const auto island = builder.add_node({9.0, 9.0});
-  builder.add_two_way_edge(a, b, 1.0);
-  const graph::RoadNetwork net = std::move(builder).build();
-  const DetourCalculator calc =
-      matrix_fed(net, graph::all_pairs_shortest_paths(net), island);
-  const auto flow = make_shortest_path_flow(net, a, b, 1.0);
-  for (const double d : calc.detours_along_path(flow)) {
-    EXPECT_EQ(d, graph::kUnreachable);
-  }
-}
-
-TEST(ApspDetour, WorksInsidePlacementProblem) {
-  const Fig4 fig;
-  const ThresholdUtility utility(Fig4::threshold);
-  auto detours = std::make_unique<DetourCalculator>(matrix_fed(
-      fig.net, graph::all_pairs_shortest_paths(fig.net), Fig4::shop));
-  const core::PlacementProblem problem(fig.net, fig.flows, Fig4::shop, utility,
-                                       std::move(detours));
-  // Same incidence as the Dijkstra-backed problem: V3 reaches three flows.
-  EXPECT_EQ(problem.reach_at(Fig4::V3).size(), 3u);
 }
 
 // Theorem 1: on a shortest-path flow, detour distances are non-decreasing

@@ -25,7 +25,8 @@
 //   --store-dir=DIR  crash-safe scenario persistence: built scenarios are
 //                  written as memory-mapped segments keyed by content, and
 //                  a restarted server rehydrates its cache from DIR without
-//                  re-running generation, matching or Dijkstras.
+//                  re-running generation or matching (it reruns only the
+//                  shop's two Dijkstras and the coverage table).
 //
 // Observability (DESIGN.md §12):
 //   --metrics-out  aggregate telemetry (rap.telemetry.v1) on exit

@@ -25,16 +25,16 @@ namespace {
 using serve::JsonValue;
 
 // The segment layout of src/serve/store.h: a fixed header of u64 fields
-// (shop and reserved share the u32 pair at offset 80), then the payload.
+// (shop and reserved share the u32 pair at offset 72), then the payload.
 constexpr std::size_t kHashOffset = 32;
 constexpr std::size_t kNodesOffset = 40;
 constexpr std::size_t kEdgesOffset = 48;
 constexpr std::size_t kFlowsOffset = 56;
-constexpr std::size_t kRangeOffset = 72;
-constexpr std::size_t kShopOffset = 80;
-constexpr std::size_t kSummaryOffset = 88;
-constexpr std::size_t kUtilityOffset = 96;
-constexpr std::size_t kHeaderBytes = 104;
+constexpr std::size_t kRangeOffset = 64;
+constexpr std::size_t kShopOffset = 72;
+constexpr std::size_t kSummaryOffset = 80;
+constexpr std::size_t kUtilityOffset = 88;
+constexpr std::size_t kHeaderBytes = 96;
 constexpr std::size_t kFlowBytes = 40;  // a flow record before its path
 constexpr std::size_t kMutationsPerCase = 24;
 
@@ -67,7 +67,6 @@ struct Layout {
   std::uint64_t edges = 0;
   std::size_t positions = kHeaderBytes;
   std::size_t edge_records = 0;
-  std::size_t distances = 0;  // to_shop, then from_shop
   std::vector<std::size_t> flows;
 };
 
@@ -76,8 +75,7 @@ Layout layout_of(const std::string& segment) {
   at.nodes = read_at<std::uint64_t>(segment, kNodesOffset);
   at.edges = read_at<std::uint64_t>(segment, kEdgesOffset);
   at.edge_records = at.positions + 16 * at.nodes;
-  at.distances = at.edge_records + 16 * at.edges;
-  std::size_t next = at.distances + 16 * at.nodes;
+  std::size_t next = at.edge_records + 16 * at.edges;
   const auto flows = read_at<std::uint64_t>(segment, kFlowsOffset);
   for (std::uint64_t i = 0; i < flows; ++i) {
     at.flows.push_back(next);
@@ -125,7 +123,7 @@ class Mutator {
         m.what = "truncation to " + std::to_string(m.bytes.size());
         return m;
       case 2: {
-        const std::size_t offset = 8 + 8 * pick(12);
+        const std::size_t offset = 8 + 8 * pick(11);
         write_at(m.bytes, offset,
                  hostile_u64(read_at<std::uint64_t>(m.bytes, offset)));
         m.what = "header field at " + std::to_string(offset);
@@ -168,9 +166,9 @@ class Mutator {
   /// names it.
   std::string edit(std::string& bytes) {
     const std::size_t flow = at_.flows[pick(at_.flows.size())];
-    switch (pick(10)) {
+    switch (pick(9)) {
       case 0: {
-        const std::size_t offset = kNodesOffset + 8 * pick(8);
+        const std::size_t offset = kNodesOffset + 8 * pick(7);
         if (offset == kRangeOffset) {
           write_at(bytes, offset, hostile_double());
         } else if (offset == kShopOffset) {
@@ -194,23 +192,19 @@ class Mutator {
                  hostile_double());
         return "edge length";
       case 4:
-        write_at(bytes, at_.distances + 8 * pick(2 * at_.nodes),
-                 hostile_double());
-        return "shop distance";
-      case 5:
         write_at(bytes, flow + 4 * pick(2), hostile_id());
         return "flow endpoint";
-      case 6:
+      case 5:
         write_at(bytes, flow + 8 + 8 * pick(3), hostile_double());
         return "flow volume";
-      case 7: {
+      case 6: {
         const auto length = read_at<std::uint64_t>(bytes, flow + 32);
         write_at(bytes,
                  flow + kFlowBytes + 4 * pick(std::max<std::size_t>(length, 1)),
                  hostile_id());
         return "flow path node";
       }
-      case 8:
+      case 7:
         write_at(bytes, flow + 32,
                  hostile_u64(read_at<std::uint64_t>(bytes, flow + 32)));
         return "flow path length";

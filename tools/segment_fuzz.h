@@ -8,7 +8,7 @@
 //   * truncation at any length;
 //   * header fields set to extreme values;
 //   * "re-sealed" edits: header or payload fields set to hostile values
-//     (bad node ids, NaN positions, distances and volumes, non-walk paths,
+//     (bad node ids, NaN positions, lengths and volumes, non-walk paths,
 //     string overruns) with the checksum recomputed, so the edit gets past
 //     the checksum and reaches parse_segment's structural checks.
 // Each mutated segment must either be counted corrupt and deleted, or
