@@ -1,16 +1,18 @@
-# example_golden: runs one example program in a fresh working directory and
+# example_golden: runs one program in a fresh working directory and
 # compares its stdout, and optionally one file it writes there, byte for
 # byte with committed goldens (ctest label "golden"):
 #   cmake -DPROGRAM=<exe> -DWORK_DIR=<dir> -DEXPECTED_STDOUT=<golden>
+#         [-DARGS=<space-separated program arguments>]
 #         [-DOUTPUT_FILE=<name written in WORK_DIR> -DEXPECTED_FILE=<golden>]
 #         -P example_golden.cmake
 # To re-record after a deliberate output change, run the program from
 # examples/golden/ and redirect its stdout to <name>.stdout there.
 cmake_minimum_required(VERSION 3.20)
 
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
-execute_process(COMMAND "${PROGRAM}"
+execute_process(COMMAND "${PROGRAM}" ${args}
                 WORKING_DIRECTORY "${WORK_DIR}"
                 OUTPUT_FILE "${WORK_DIR}/stdout.txt"
                 RESULT_VARIABLE status)

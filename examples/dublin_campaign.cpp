@@ -80,8 +80,9 @@ int main(int argc, char** argv) {
   report("Algorithm 2", core::composite_greedy_placement(problem, k));
   report("Algorithm 1", core::greedy_coverage_placement(problem, k));
   report("MaxCustomers", core::max_customers_placement(problem, k));
-  report("MaxVehicles", core::max_vehicles_placement(problem, k));
-  report("MaxCardinality", core::max_cardinality_placement(problem, k));
+  report("MaxVehicles", core::max_vehicles_placement(problem, flows, k));
+  report("MaxCardinality",
+         core::max_cardinality_placement(problem, flows, k));
   util::Rng random_rng(seed + 1);
   report("Random", core::random_placement(problem, k, random_rng));
   return 0;

@@ -4,18 +4,14 @@
 #include <stdexcept>
 
 #include "src/core/evaluator.h"
+#include "src/core/k_policy.h"
 #include "src/geo/bbox.h"
 
 namespace rap::core {
 namespace {
 
-void check_k(std::size_t k, const char* who) {
-  if (k == 0) {
-    throw std::invalid_argument(std::string(who) + ": k must be > 0");
-  }
-}
-
-// Top-k node ids by score, descending, ties towards the lowest id.
+// Top-k node ids by score, descending, ties towards the lowest id; k is
+// already clamped to num_nodes.
 template <typename ScoreFn>
 PlacementResult top_k_by(const CoverageModel& model, std::size_t k,
                          ScoreFn&& score_of) {
@@ -23,38 +19,42 @@ PlacementResult top_k_by(const CoverageModel& model, std::size_t k,
   for (graph::NodeId v = 0; v < nodes.size(); ++v) nodes[v] = v;
   std::vector<double> score(nodes.size());
   for (graph::NodeId v = 0; v < nodes.size(); ++v) score[v] = score_of(v);
-  const std::size_t take = std::min(k, nodes.size());
   std::partial_sort(nodes.begin(),
-                    nodes.begin() + static_cast<std::ptrdiff_t>(take),
+                    nodes.begin() + static_cast<std::ptrdiff_t>(k),
                     nodes.end(), [&](graph::NodeId a, graph::NodeId b) {
                       if (score[a] != score[b]) return score[a] > score[b];
                       return a < b;
                     });
-  nodes.resize(take);
+  nodes.resize(k);
   return {nodes, evaluate_placement(model, nodes)};
 }
 
 }  // namespace
 
-PlacementResult max_cardinality_placement(const CoverageModel& model,
-                                          std::size_t k) {
-  check_k(k, "max_cardinality_placement");
+PlacementResult max_cardinality_placement(
+    const CoverageModel& model, const std::vector<traffic::TrafficFlow>& flows,
+    std::size_t k) {
+  k = checked_budget(model, k, "max_cardinality_placement");
+  const traffic::PassingTraffic passing =
+      traffic::passing_traffic(model.network(), flows);
   return top_k_by(model, k, [&](graph::NodeId v) {
-    return static_cast<double>(model.passing_flow_count(v));
+    return static_cast<double>(passing.flows[v]);
   });
 }
 
-PlacementResult max_vehicles_placement(const CoverageModel& model,
-                                       std::size_t k) {
-  check_k(k, "max_vehicles_placement");
-  return top_k_by(model, k, [&](graph::NodeId v) {
-    return model.passing_vehicles(v);
-  });
+PlacementResult max_vehicles_placement(
+    const CoverageModel& model, const std::vector<traffic::TrafficFlow>& flows,
+    std::size_t k) {
+  k = checked_budget(model, k, "max_vehicles_placement");
+  const traffic::PassingTraffic passing =
+      traffic::passing_traffic(model.network(), flows);
+  return top_k_by(model, k,
+                  [&](graph::NodeId v) { return passing.vehicles[v]; });
 }
 
 PlacementResult max_customers_placement(const CoverageModel& model,
                                         std::size_t k) {
-  check_k(k, "max_customers_placement");
+  k = checked_budget(model, k, "max_customers_placement");
   PlacementState empty(model);
   return top_k_by(model, k, [&](graph::NodeId v) {
     return empty.uncovered_gain(v);  // singleton gain: every flow is uncovered
@@ -63,7 +63,7 @@ PlacementResult max_customers_placement(const CoverageModel& model,
 
 PlacementResult random_placement(const CoverageModel& model, std::size_t k,
                                  util::Rng& rng) {
-  check_k(k, "random_placement");
+  k = checked_budget(model, k, "random_placement");
   if (model.shop() == graph::kInvalidNode) {
     throw std::invalid_argument("random_placement: needs a single-shop problem");
   }
@@ -78,10 +78,9 @@ PlacementResult random_placement(const CoverageModel& model, std::size_t k,
     pool.resize(model.num_nodes());
     for (graph::NodeId v = 0; v < pool.size(); ++v) pool[v] = v;
   }
-  const std::size_t take = std::min(k, pool.size());
   Placement chosen;
-  chosen.reserve(take);
-  for (const std::size_t idx : rng.sample_without_replacement(pool.size(), take)) {
+  chosen.reserve(k);
+  for (const std::size_t idx : rng.sample_without_replacement(pool.size(), k)) {
     chosen.push_back(pool[idx]);
   }
   // Kept in sampling order: every prefix is itself a uniform sample, which

@@ -6,19 +6,31 @@
 //                    RAP were placed there (optimal at k = 1).
 //   Random         — k intersections drawn uniformly from the D x D square
 //                    centred at the shop.
-// All rankings break ties towards the lowest node id for determinism.
+// "Passing" is a property of the trace, not of the coverage table: the two
+// traffic rankings read traffic::passing_traffic over the flows' recorded
+// paths, in the general and the Manhattan scenario alike, and value their
+// placement on `model`. All rankings break ties towards the lowest node id
+// for determinism, and all take k through core::checked_budget.
 #pragma once
 
+#include <vector>
+
 #include "src/core/problem.h"
+#include "src/traffic/flow.h"
 #include "src/util/rng.h"
 
 namespace rap::core {
 
+/// `flows` are the flows `model` was built from. Throws
+/// std::invalid_argument on a bad flow.
 [[nodiscard]] PlacementResult max_cardinality_placement(
-    const CoverageModel& model, std::size_t k);
+    const CoverageModel& model, const std::vector<traffic::TrafficFlow>& flows,
+    std::size_t k);
 
+/// As max_cardinality_placement, ranked by passing daily vehicles.
 [[nodiscard]] PlacementResult max_vehicles_placement(
-    const CoverageModel& model, std::size_t k);
+    const CoverageModel& model, const std::vector<traffic::TrafficFlow>& flows,
+    std::size_t k);
 
 [[nodiscard]] PlacementResult max_customers_placement(
     const CoverageModel& model, std::size_t k);

@@ -15,16 +15,13 @@ FilteredCoverageModel::FilteredCoverageModel(const CoverageModel& base,
   for (std::size_t f = 0; f < active.size(); ++f) {
     if (!active[f]) weights_[f].population = 0.0;
   }
-  vehicles_ = base.vehicles_;
   const std::size_t n = base.num_nodes();
   node_start_.assign(n + 1, 0);
-  passes_.assign(n, 0);
   for (graph::NodeId v = 0; v < n; ++v) {
     for (const traffic::NodeIncidence& inc : base.reach_at(v)) {
       if (active[inc.flow]) entries_.push_back(inc);
     }
     node_start_[v + 1] = static_cast<std::uint32_t>(entries_.size());
-    passes_[v] = node_start_[v + 1] - node_start_[v];
   }
 }
 

@@ -11,13 +11,8 @@ namespace rap::core {
 
 /// Flow indices are preserved (not compacted): num_flows() matches the
 /// base so indices stay comparable across the filter boundary. A filtered
-/// flow never appears in reach_at and weighs 0 in customers().
-/// passing_vehicles is the base's, unfiltered: vehicle counts remain a
-/// property of the physical traffic. passing_flow_count counts the active
-/// flows in the filtered reach list of a node. That is every active flow
-/// passing it on the Manhattan models Algorithm 3 wraps, whose reach lists
-/// hold every passing flow; over a PlacementProblem, whose lists hold only
-/// flows within the utility's range, it counts those alone.
+/// flow never appears in reach_at and weighs 0 in customers(). The model
+/// copies only the base's active entries and its weights.
 class FilteredCoverageModel final : public CoverageModel {
  public:
   /// `active[f]` selects which of `base`'s flows remain visible. Copies

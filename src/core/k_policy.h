@@ -1,8 +1,8 @@
 // The optimizer family's shared budget (`k`) contract.
 //
 // Every placement entry point — eager/lazy/naive/composite greedy,
-// exhaustive search, and the two-stage Manhattan algorithms — validates its
-// RAP budget through checked_budget():
+// exhaustive search, the two-stage Manhattan algorithms and the four
+// Section V-B baselines — validates its RAP budget through checked_budget():
 //   * k == 0 throws std::invalid_argument (an empty budget is a caller bug,
 //     not a degenerate instance);
 //   * k > num_nodes clamps to num_nodes — no placement can use more RAPs

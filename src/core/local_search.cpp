@@ -9,6 +9,10 @@
 namespace rap::core {
 namespace {
 
+// A swap must beat the incumbent by more than this to be taken (guards
+// against cycling on floating-point noise).
+constexpr double kMinImprovement = 1e-9;
+
 // Deduplicated copy, order preserved.
 Placement dedupe(const CoverageModel& model, const Placement& nodes) {
   std::vector<bool> seen(model.num_nodes(), false);
@@ -56,7 +60,7 @@ LocalSearchResult local_search_improve(const CoverageModel& model,
         if (placed[v]) continue;
         ++candidate_evaluations;
         const double value = without.value() + without.gain_if_added(v);
-        if (value > best_value + options.min_improvement) {
+        if (value > best_value + kMinImprovement) {
           best_value = value;
           best_out = out;
           best_in = v;

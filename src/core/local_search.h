@@ -17,9 +17,6 @@ namespace rap::core {
 struct LocalSearchOptions {
   /// Hard cap on improving swaps (each full pass is O(k |V|) evaluations).
   std::size_t max_swaps = 256;
-  /// A swap must beat the incumbent by more than this to be taken
-  /// (guards against cycling on floating-point noise).
-  double min_improvement = 1e-9;
 };
 
 struct LocalSearchResult {

@@ -25,7 +25,9 @@ CoverageModel::CoverageModel(const graph::RoadNetwork& net, graph::NodeId shop,
 
 std::span<const traffic::NodeIncidence> CoverageModel::reach_at(
     graph::NodeId node) const {
-  check_node(node);
+  if (node + std::size_t{1} >= node_start_.size()) {
+    throw std::out_of_range("CoverageModel: bad node id");
+  }
   return {entries_.data() + node_start_[node],
           entries_.data() + node_start_[node + 1]};
 }
@@ -39,22 +41,6 @@ double CoverageModel::customers(traffic::FlowIndex flow, double detour) const {
   return utility_->probability(detour, weight.alpha) * weight.population;
 }
 
-double CoverageModel::passing_vehicles(graph::NodeId node) const {
-  check_node(node);
-  return vehicles_[node];
-}
-
-std::size_t CoverageModel::passing_flow_count(graph::NodeId node) const {
-  check_node(node);
-  return passes_[node];
-}
-
-void CoverageModel::check_node(graph::NodeId node) const {
-  if (node >= passes_.size()) {
-    throw std::out_of_range("CoverageModel: bad node id");
-  }
-}
-
 CoverageBuilder::CoverageBuilder(const graph::RoadNetwork& net,
                                  graph::NodeId shop,
                                  const traffic::UtilityFunction& utility,
@@ -62,24 +48,17 @@ CoverageBuilder::CoverageBuilder(const graph::RoadNetwork& net,
     : model_(net, shop, utility),
       max_detour_(max_detour),
       last_flow_(net.num_nodes(), kNoFlow),
-      staged_at_(net.num_nodes()) {
-  model_.passes_.assign(net.num_nodes(), 0);
-  model_.vehicles_.assign(net.num_nodes(), 0.0);
-}
+      staged_at_(net.num_nodes()) {}
 
-void CoverageBuilder::add_flow(double daily_vehicles, double population,
-                               double alpha) {
-  if (!(daily_vehicles >= 0.0) || !std::isfinite(daily_vehicles) ||
-      !(population >= 0.0) || !std::isfinite(population)) {
+void CoverageBuilder::add_flow(double population, double alpha) {
+  if (!(population >= 0.0) || !std::isfinite(population)) {
     throw std::invalid_argument(
-        "CoverageBuilder: daily vehicles and population must be finite and "
-        ">= 0");
+        "CoverageBuilder: population must be finite and >= 0");
   }
   if (!(alpha >= 0.0 && alpha <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("CoverageBuilder: alpha must be in [0, 1]");
   }
   prune_open_flow();
-  open_vehicles_ = daily_vehicles;
   open_begin_ = staged_.size();
   model_.weights_.push_back({population, alpha});
 }
@@ -98,8 +77,6 @@ void CoverageBuilder::add_pass(graph::NodeId node, double detour) {
     return;
   }
   last_flow_[node] = flow;
-  ++model_.passes_[node];
-  model_.vehicles_[node] += open_vehicles_;
   staged_at_[node] = static_cast<std::uint32_t>(staged_.size());
   staged_.push_back({node, flow, detour});
 }
@@ -141,7 +118,7 @@ CoverageModel fixed_path_coverage(
   for (const traffic::TrafficFlow& flow : flows) {
     traffic::validate_flow(net, flow);
     const std::vector<double> path_detours = detours.detours_along_path(flow);
-    builder.add_flow(flow.daily_vehicles, flow.population(), flow.alpha);
+    builder.add_flow(flow.population(), flow.alpha);
     for (std::size_t i = 0; i < flow.path.size(); ++i) {
       builder.add_pass(flow.path[i], path_detours[i]);
     }

@@ -2,8 +2,12 @@
 //
 // CoverageModel is what every placement algorithm consumes: for each
 // intersection, which flows a RAP there reaches and at what detour distance.
-// It is one concrete table, filled through one CoverageBuilder. The four
-// models differ only in what they stage into it:
+// It is one concrete table, filled through one CoverageBuilder, and it
+// holds only what placement reads: the node -> (flow, detour) CSR and each
+// flow's (population, alpha) weight. Traffic statistics such as the flows
+// and vehicles passing a node are a property of the trace, not of the
+// table (traffic::passing_traffic). The four models differ only in what
+// they stage into it:
 //   * PlacementProblem (this file) — the general scenario: a flow travels a
 //     fixed path, so a RAP reaches it only at the path's intersections;
 //   * manhattan::FlexibleProblem — the Section IV scenario on a real
@@ -79,12 +83,6 @@ class CoverageModel {
   [[nodiscard]] double customers(traffic::FlowIndex flow,
                                  double detour) const;
 
-  /// Daily vehicles passing `node` (MaxVehicles baseline ranking).
-  [[nodiscard]] double passing_vehicles(graph::NodeId node) const;
-  /// Distinct flows passing `node` (MaxCardinality baseline ranking),
-  /// including those a reach list leaves out.
-  [[nodiscard]] std::size_t passing_flow_count(graph::NodeId node) const;
-
  private:
   friend class CoverageBuilder;
   friend class FilteredCoverageModel;
@@ -97,7 +95,6 @@ class CoverageModel {
 
   CoverageModel(const graph::RoadNetwork& net, graph::NodeId shop,
                 const traffic::UtilityFunction& utility);
-  void check_node(graph::NodeId node) const;
 
   const graph::RoadNetwork* net_;
   graph::NodeId shop_;
@@ -105,16 +102,13 @@ class CoverageModel {
   std::vector<FlowWeight> weights_;
   std::vector<std::uint32_t> node_start_;  // CSR offsets, size num_nodes + 1
   std::vector<traffic::NodeIncidence> entries_;
-  std::vector<std::uint32_t> passes_;  // distinct flows passing each node
-  std::vector<double> vehicles_;       // daily vehicles passing each node
 };
 
 /// Fills a CoverageModel one flow at a time, in ascending flow order.
 /// add_flow opens the next flow; add_pass records that it passes a node at
 /// a detour, and a repeated node keeps its minimum detour over the visits.
-/// The pass counts and vehicle sums see every distinct pass, summed in flow
-/// order. A flow's entries beyond `max_detour` are dropped once the next
-/// flow opens, so the builder holds the kept entries plus one flow's
+/// A flow's entries beyond `max_detour` are dropped once the next flow
+/// opens, so the builder holds the kept entries plus one flow's
 /// passes, never every pass. build() counting-sorts the entries into the
 /// node CSR; flows arrive in ascending order, so every reach list does too.
 class CoverageBuilder {
@@ -125,11 +119,10 @@ class CoverageBuilder {
   CoverageBuilder(const graph::RoadNetwork& net, graph::NodeId shop,
                   const traffic::UtilityFunction& utility, double max_detour);
 
-  /// Opens the next flow: each node it passes adds `daily_vehicles` to that
-  /// node's vehicle sum, and `population` and `alpha` weigh its customers.
-  /// Throws std::invalid_argument unless daily_vehicles and population are
-  /// finite and >= 0 and alpha is in [0, 1].
-  void add_flow(double daily_vehicles, double population, double alpha);
+  /// Opens the next flow, whose customers `population` and `alpha` weigh.
+  /// Throws std::invalid_argument unless population is finite and >= 0 and
+  /// alpha is in [0, 1].
+  void add_flow(double population, double alpha);
   /// Sizes the per-flow weights for `count` flows up front.
   void reserve_flows(std::size_t count) { model_.weights_.reserve(count); }
 
@@ -150,7 +143,6 @@ class CoverageBuilder {
 
   CoverageModel model_;
   double max_detour_;
-  double open_vehicles_ = 0.0;
   std::size_t open_begin_ = 0;             // the open flow's first entry
   std::vector<std::uint32_t> last_flow_;   // last flow that passed each node
   std::vector<std::uint32_t> staged_at_;   // that flow's entry at the node
@@ -170,8 +162,7 @@ class CoverageBuilder {
 /// The general-scenario problem instance: the fixed-path table at
 /// max_detour = utility.range(). A flow beyond the range at a node attracts
 /// exactly 0 customers there, and any entry that could beat it has a
-/// smaller detour, so dropping it changes no gain, objective or tie;
-/// passing_flow_count and passing_vehicles still count every passing flow.
+/// smaller detour, so dropping it changes no gain, objective or tie.
 class PlacementProblem final : public CoverageModel {
  public:
   /// Single-shop problem. `net` and `utility` must outlive the problem;

@@ -45,8 +45,11 @@ double value_at_k(const std::vector<double>& prefixes, std::size_t k) {
   return prefixes[std::min(k, prefixes.size()) - 1];
 }
 
-// Placement order of a nested algorithm at budget max_k.
+// Placement order of a nested algorithm at budget max_k. MaxCardinality
+// and MaxVehicles rank by the traffic passing each node on the flows'
+// recorded paths, in the Manhattan scenario too.
 core::Placement nested_order(AlgorithmId id, const core::CoverageModel& model,
+                             const std::vector<traffic::TrafficFlow>& flows,
                              std::size_t max_k, util::Rng& rng) {
   switch (id) {
     case AlgorithmId::kGreedyCoverage:
@@ -56,9 +59,9 @@ core::Placement nested_order(AlgorithmId id, const core::CoverageModel& model,
     case AlgorithmId::kNaiveGreedy:
       return core::naive_marginal_greedy_placement(model, max_k).nodes;
     case AlgorithmId::kMaxCardinality:
-      return core::max_cardinality_placement(model, max_k).nodes;
+      return core::max_cardinality_placement(model, flows, max_k).nodes;
     case AlgorithmId::kMaxVehicles:
-      return core::max_vehicles_placement(model, max_k).nodes;
+      return core::max_vehicles_placement(model, flows, max_k).nodes;
     case AlgorithmId::kMaxCustomers:
       return core::max_customers_placement(model, max_k).nodes;
     case AlgorithmId::kRandom:
@@ -163,7 +166,8 @@ ExperimentResult run_experiment(const Workload& workload,
         continue;
       }
       util::Rng alg_rng = rng.fork(1000 + a);
-      const core::Placement order = nested_order(id, model, max_k, alg_rng);
+      const core::Placement order =
+          nested_order(id, model, workload.flows, max_k, alg_rng);
       const std::vector<double> prefixes = prefix_values(model, order);
       for (std::size_t ki = 0; ki < config.ks.size(); ++ki) {
         values[a][ki] = value_at_k(prefixes, config.ks[ki]);

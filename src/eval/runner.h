@@ -6,6 +6,9 @@
 // repetition at max(k) and reads prefix values — the same trick makes the
 // Random baseline sweep free because a prefix of a uniform sample is a
 // uniform sample. The two-stage algorithms are not nested and run per k.
+// MaxCardinality and MaxVehicles rank by the traffic on the flows' recorded
+// paths (traffic::passing_traffic) in both scenarios; the Manhattan one
+// values their placements on its flexible-route table.
 #pragma once
 
 #include "src/eval/experiment.h"

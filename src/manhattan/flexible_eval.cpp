@@ -36,7 +36,7 @@ core::CoverageModel flexible_coverage(
   core::CoverageBuilder builder(net, shop, utility, graph::kUnreachable);
   for (const traffic::TrafficFlow& flow : flows) {
     traffic::validate_flow(net, flow);
-    builder.add_flow(flow.daily_vehicles, flow.population(), flow.alpha);
+    builder.add_flow(flow.population(), flow.alpha);
     const graph::ShortestPathTree& fwd =
         cached_tree(from_origin, flow.origin, graph::Direction::kForward);
     const graph::ShortestPathTree& rev = cached_tree(

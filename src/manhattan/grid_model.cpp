@@ -12,7 +12,7 @@ core::CoverageModel grid_coverage(const GridScenario& scenario,
   core::CoverageBuilder builder(city.network(), scenario.shop_node(), utility,
                                 graph::kUnreachable);
   for (const GridFlow& flow : flows) {
-    builder.add_flow(flow.daily_vehicles, flow.population(), flow.alpha);
+    builder.add_flow(flow.population(), flow.alpha);
     const std::size_t col_lo = std::min(flow.entry.col, flow.exit.col);
     const std::size_t col_hi = std::max(flow.entry.col, flow.exit.col);
     const std::size_t row_lo = std::min(flow.entry.row, flow.exit.row);

@@ -62,13 +62,17 @@ std::vector<bool> straight_mask_grid(const GridScenario& scenario,
   return mask;
 }
 
+// Cross-axis tolerance when judging a real network flow "straight", as an
+// absolute distance (about half a block).
+constexpr double kAlignmentTol = 300.0;
+
 // Mask of straight flows judged by region crossing on the real network.
 std::vector<bool> straight_mask_network(
     const graph::RoadNetwork& net, std::span<const traffic::TrafficFlow> flows,
-    const geo::BBox& region, double alignment_tol) {
+    const geo::BBox& region) {
   std::vector<bool> mask(flows.size(), false);
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    mask[f] = classify_path_region(net, flows[f].path, region, alignment_tol) ==
+    mask[f] = classify_path_region(net, flows[f].path, region, kAlignmentTol) ==
               GridFlowClass::kStraight;
   }
   return mask;
@@ -167,10 +171,8 @@ core::PlacementResult two_stage_network_placement(
     if (node != graph::kInvalidNode) state.add(node);
   }
 
-  return finish(
-      model, state,
-      straight_mask_network(net, flows, region, options.alignment_tol), k,
-      options);
+  return finish(model, state, straight_mask_network(net, flows, region), k,
+                options);
 }
 
 }  // namespace rap::manhattan

@@ -36,9 +36,6 @@ struct TwoStageOptions {
   /// Combination budget for the k <= 4 exhaustive stage; beyond it the
   /// composite greedy is used instead (documented fallback).
   std::size_t exhaustive_cap = 200'000;
-  /// Cross-axis tolerance when judging a real network flow "straight",
-  /// as an absolute distance (e.g. half a block). Network variant only.
-  double alignment_tol = 300.0;
   /// Implementation extension: once every straight flow is served, spend
   /// any leftover stage-2 budget with the composite greedy over ALL flows
   /// instead of wasting it (never worse than the faithful algorithm, which

@@ -156,8 +156,7 @@ graph::NodeId pick_shop(const ScenarioSpec& spec, const graph::RoadNetwork& net,
 /// network CSR, the base flows with their paths, the shop's two trees, the
 /// problem's per-flow (population, alpha) pair, and its coverage table at
 /// one 16-byte entry per live (flow, node) pair (detour within the
-/// utility's range) plus, per node, its CSR offset, pass count and vehicle
-/// sum.
+/// utility's range) plus one CSR offset per node.
 std::size_t estimate_bytes(const ServeScenario& scenario) {
   const std::size_t n = scenario.net.num_nodes();
   std::size_t bytes = sizeof(ServeScenario);
@@ -170,8 +169,7 @@ std::size_t estimate_bytes(const ServeScenario& scenario) {
   bytes += scenario.flows.size() * 2 * sizeof(double);  // weights
   bytes += scenario.problem->num_entries() *
            sizeof(traffic::NodeIncidence);
-  // Per node: CSR offset, pass count, vehicle sum.
-  bytes += n * (2 * sizeof(std::uint32_t) + sizeof(double));
+  bytes += n * sizeof(std::uint32_t);  // CSR offsets
   return bytes;
 }
 

@@ -5,22 +5,6 @@
 
 namespace rap::trace {
 
-std::vector<double> passing_vehicles_per_node(
-    const graph::RoadNetwork& net,
-    const std::vector<traffic::TrafficFlow>& flows) {
-  std::vector<double> vehicles(net.num_nodes(), 0.0);
-  std::vector<std::uint32_t> seen(net.num_nodes(), ~std::uint32_t{0});
-  for (std::uint32_t f = 0; f < flows.size(); ++f) {
-    traffic::validate_flow(net, flows[f]);
-    for (const graph::NodeId v : flows[f].path) {
-      if (seen[v] == f) continue;  // count a flow once per intersection
-      seen[v] = f;
-      vehicles[v] += flows[f].daily_vehicles;
-    }
-  }
-  return vehicles;
-}
-
 std::vector<LocationClass> classify_intersections(
     const graph::RoadNetwork& net,
     const std::vector<traffic::TrafficFlow>& flows,
@@ -29,7 +13,8 @@ std::vector<LocationClass> classify_intersections(
       options.center_fraction + options.city_fraction > 1.0) {
     throw std::invalid_argument("classify_intersections: bad fractions");
   }
-  const std::vector<double> vehicles = passing_vehicles_per_node(net, flows);
+  const std::vector<double> vehicles =
+      traffic::passing_traffic(net, flows).vehicles;
 
   // Rank only intersections with traffic; traffic-free ones are suburb.
   std::vector<graph::NodeId> ranked;

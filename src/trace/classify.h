@@ -22,14 +22,10 @@ struct ClassifyOptions {
   double city_fraction = 0.40;
 };
 
-/// Daily vehicles passing each intersection, summed over flows (each flow
-/// counts once per distinct intersection on its path).
-[[nodiscard]] std::vector<double> passing_vehicles_per_node(
-    const graph::RoadNetwork& net,
-    const std::vector<traffic::TrafficFlow>& flows);
-
-/// Class per intersection. Throws std::invalid_argument when the fractions
-/// are negative or sum above 1.
+/// Class per intersection, ranked by daily vehicles passing it
+/// (traffic::passing_traffic, the rule MaxVehicles ranks by). Throws
+/// std::invalid_argument when the fractions are negative or sum above 1,
+/// and on a bad flow.
 [[nodiscard]] std::vector<LocationClass> classify_intersections(
     const graph::RoadNetwork& net,
     const std::vector<traffic::TrafficFlow>& flows,

@@ -64,4 +64,21 @@ double total_population(const std::vector<TrafficFlow>& flows) noexcept {
   return total;
 }
 
+PassingTraffic passing_traffic(const graph::RoadNetwork& net,
+                               const std::vector<TrafficFlow>& flows) {
+  PassingTraffic out{std::vector<std::uint32_t>(net.num_nodes(), 0),
+                     std::vector<double>(net.num_nodes(), 0.0)};
+  std::vector<std::uint32_t> seen(net.num_nodes(), ~std::uint32_t{0});
+  for (std::uint32_t f = 0; f < flows.size(); ++f) {
+    validate_flow(net, flows[f]);
+    for (const graph::NodeId v : flows[f].path) {
+      if (seen[v] == f) continue;  // count a flow once per intersection
+      seen[v] = f;
+      ++out.flows[v];
+      out.vehicles[v] += flows[f].daily_vehicles;
+    }
+  }
+  return out;
+}
+
 }  // namespace rap::traffic

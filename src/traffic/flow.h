@@ -53,4 +53,17 @@ void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow);
 /// Total potential customers across all flows.
 [[nodiscard]] double total_population(const std::vector<TrafficFlow>& flows) noexcept;
 
+/// The traffic passing each intersection on the flows' recorded paths.
+struct PassingTraffic {
+  std::vector<std::uint32_t> flows;  ///< distinct flows passing each node
+  std::vector<double> vehicles;      ///< their summed daily_vehicles
+};
+
+/// Passing traffic per intersection: each flow counts once per distinct
+/// node on its path, and the vehicle sums add flows in ascending order.
+/// This one rule ranks the MaxCardinality/MaxVehicles baselines and
+/// classifies intersections. Throws std::invalid_argument on a bad flow.
+[[nodiscard]] PassingTraffic passing_traffic(
+    const graph::RoadNetwork& net, const std::vector<TrafficFlow>& flows);
+
 }  // namespace rap::traffic

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/core/evaluator.h"
 #include "src/core/exhaustive.h"
 #include "src/geo/bbox.h"
+#include "src/obs/telemetry.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -28,22 +32,26 @@ class BaselinesFig4 : public ::testing::Test {
 
 TEST_F(BaselinesFig4, AllRejectZeroK) {
   util::Rng rng(1);
-  EXPECT_THROW(max_cardinality_placement(problem_, 0), std::invalid_argument);
-  EXPECT_THROW(max_vehicles_placement(problem_, 0), std::invalid_argument);
+  EXPECT_THROW(max_cardinality_placement(problem_, fig_.flows, 0),
+               std::invalid_argument);
+  EXPECT_THROW(max_vehicles_placement(problem_, fig_.flows, 0),
+               std::invalid_argument);
   EXPECT_THROW(max_customers_placement(problem_, 0), std::invalid_argument);
   EXPECT_THROW(random_placement(problem_, 0, rng), std::invalid_argument);
 }
 
 TEST_F(BaselinesFig4, MaxCardinalityRanking) {
   // Flow counts: V3 and V5 see 3 flows, V2/V4/V6 one, V1 none.
-  const PlacementResult result = max_cardinality_placement(problem_, 3);
+  const PlacementResult result =
+      max_cardinality_placement(problem_, fig_.flows, 3);
   EXPECT_EQ(result.nodes[0], Fig4::V3);  // tie with V5 broken by id
   EXPECT_EQ(result.nodes[1], Fig4::V5);
 }
 
 TEST_F(BaselinesFig4, MaxVehiclesRanking) {
   // Vehicles: V3 = 15, V5 = 11, V2 = 6, V4 = 6, V6 = 2, V1 = 0.
-  const PlacementResult result = max_vehicles_placement(problem_, 4);
+  const PlacementResult result =
+      max_vehicles_placement(problem_, fig_.flows, 4);
   EXPECT_EQ(result.nodes,
             (Placement{Fig4::V3, Fig4::V5, Fig4::V2, Fig4::V4}));
 }
@@ -72,8 +80,38 @@ TEST_F(BaselinesFig4, ValueIsEvaluatedJointly) {
 
 TEST_F(BaselinesFig4, KLargerThanNetworkIsClamped) {
   util::Rng rng(2);
-  EXPECT_EQ(max_cardinality_placement(problem_, 100).nodes.size(), 6u);
+  EXPECT_EQ(max_cardinality_placement(problem_, fig_.flows, 100).nodes.size(),
+            6u);
   EXPECT_EQ(random_placement(problem_, 100, rng).nodes.size(), 6u);
+}
+
+TEST_F(BaselinesFig4, KClampIsRecordedOncePerCall) {
+  // Each baseline clamps through core::checked_budget: k = 6 + 3 records
+  // the 3 surplus RAPs on the gauge and one clamp event.
+  util::Rng rng(4);
+  const std::size_t k = problem_.num_nodes() + 3;
+  const std::vector<std::pair<const char*, std::function<PlacementResult()>>>
+      baselines{
+          {"max cardinality",
+           [&] { return max_cardinality_placement(problem_, fig_.flows, k); }},
+          {"max vehicles",
+           [&] { return max_vehicles_placement(problem_, fig_.flows, k); }},
+          {"max customers",
+           [&] { return max_customers_placement(problem_, k); }},
+          {"random", [&] { return random_placement(problem_, k, rng); }},
+      };
+  for (const auto& [name, run] : baselines) {
+    obs::Telemetry telemetry;
+    {
+      const obs::TelemetryScope scope(telemetry);
+      EXPECT_EQ(run().nodes.size(), problem_.num_nodes()) << name;
+    }
+    EXPECT_EQ(telemetry.metrics.gauge("placement.k_clamped").value(), 3.0)
+        << name;
+    EXPECT_EQ(telemetry.metrics.counter("placement.k_clamp_events").value(),
+              1u)
+        << name;
+  }
 }
 
 TEST_F(BaselinesFig4, RandomPlacementStaysInSquare) {
@@ -144,8 +182,9 @@ TEST(Baselines, GreedyDominatesBaselinesOnAverage) {
     const PlacementProblem problem(net, flows, 12, utility);
     greedy_total +=
         exhaustive_optimal_placement(problem, 2, {1'000'000}).customers;
-    const double card = max_cardinality_placement(problem, 2).customers;
-    const double veh = max_vehicles_placement(problem, 2).customers;
+    const double card =
+        max_cardinality_placement(problem, flows, 2).customers;
+    const double veh = max_vehicles_placement(problem, flows, 2).customers;
     const double cust = max_customers_placement(problem, 2).customers;
     best_baseline_total += std::max({card, veh, cust});
   }

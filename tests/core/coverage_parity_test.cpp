@@ -4,8 +4,8 @@
 // a test-local copy of the earlier two-axis construction (per-flow stop
 // lists transposed into the node -> flows CSR). On seeded grids with
 // looping random-walk paths — repeated nodes, non-integer chord lengths,
-// fractional volumes — every reach list, passing_vehicles and
-// passing_flow_count must agree bitwise.
+// fractional volumes — every reach list must agree bitwise, and so must
+// traffic::passing_traffic's per-node vehicle sums and flow counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,6 +118,7 @@ TEST(IncidenceParity, NodeAxisMatchesTwoAxisConstructionBitwise) {
     const core::CoverageModel index = core::fixed_path_coverage(
         net, flows, shop, utility, calc, graph::kUnreachable);
     const TwoAxisReference want(net, flows, calc);
+    const PassingTraffic passing = passing_traffic(net, flows);
     ASSERT_EQ(index.num_entries(), want.node_entries.size())
         << "seed " << seed;
     for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
@@ -131,10 +132,9 @@ TEST(IncidenceParity, NodeAxisMatchesTwoAxisConstructionBitwise) {
         EXPECT_EQ(bits(got[i].detour), bits(expected.detour))
             << "seed " << seed << " node " << v << " flow " << got[i].flow;
       }
-      EXPECT_EQ(bits(index.passing_vehicles(v)),
-                bits(want.vehicles_at_node[v]))
+      EXPECT_EQ(bits(passing.vehicles[v]), bits(want.vehicles_at_node[v]))
           << "seed " << seed << " node " << v;
-      EXPECT_EQ(index.passing_flow_count(v), want.node_start[v + 1] - begin);
+      EXPECT_EQ(passing.flows[v], want.node_start[v + 1] - begin);
       entries_checked += got.size();
     }
   }

@@ -19,8 +19,8 @@ namespace {
 using core::CoverageModel;
 using testing::Fig4;
 
-/// The fixed-path table over `flows` at `max_detour`; its reach lists,
-/// counts and sums never read the utility.
+/// The fixed-path table over `flows` at `max_detour`; its reach lists
+/// never read the utility.
 CoverageModel index_of(const graph::RoadNetwork& net,
                        const std::vector<TrafficFlow>& flows,
                        const DetourSource& detours,
@@ -122,23 +122,25 @@ TEST_F(IncidenceFig4, StopsInPathOrder) {
 
 TEST_F(IncidenceFig4, PassingVehicles) {
   // V3: 6 + 3 + 6 = 15 vehicles; V5: 6 + 3 + 2 = 11; V6: 2.
-  EXPECT_DOUBLE_EQ(index_.passing_vehicles(Fig4::V3), 15.0);
-  EXPECT_DOUBLE_EQ(index_.passing_vehicles(Fig4::V5), 11.0);
-  EXPECT_DOUBLE_EQ(index_.passing_vehicles(Fig4::V6), 2.0);
-  EXPECT_DOUBLE_EQ(index_.passing_vehicles(Fig4::V1), 0.0);
+  const std::vector<double> vehicles =
+      passing_traffic(fig_.net, fig_.flows).vehicles;
+  EXPECT_DOUBLE_EQ(vehicles[Fig4::V3], 15.0);
+  EXPECT_DOUBLE_EQ(vehicles[Fig4::V5], 11.0);
+  EXPECT_DOUBLE_EQ(vehicles[Fig4::V6], 2.0);
+  EXPECT_DOUBLE_EQ(vehicles[Fig4::V1], 0.0);
 }
 
 TEST_F(IncidenceFig4, PassingFlowCounts) {
-  EXPECT_EQ(index_.passing_flow_count(Fig4::V3), 3u);
-  EXPECT_EQ(index_.passing_flow_count(Fig4::V5), 3u);
-  EXPECT_EQ(index_.passing_flow_count(Fig4::V2), 1u);
-  EXPECT_EQ(index_.passing_flow_count(Fig4::V1), 0u);
+  const std::vector<std::uint32_t> counts =
+      passing_traffic(fig_.net, fig_.flows).flows;
+  EXPECT_EQ(counts[Fig4::V3], 3u);
+  EXPECT_EQ(counts[Fig4::V5], 3u);
+  EXPECT_EQ(counts[Fig4::V2], 1u);
+  EXPECT_EQ(counts[Fig4::V1], 0u);
 }
 
 TEST_F(IncidenceFig4, BoundsChecked) {
   EXPECT_THROW(index_.reach_at(6), std::out_of_range);
-  EXPECT_THROW(index_.passing_flow_count(6), std::out_of_range);
-  EXPECT_THROW(index_.passing_vehicles(6), std::out_of_range);
 }
 
 TEST(IncidenceIndex, RepeatedNodeKeepsMinimumDetour) {
@@ -160,8 +162,6 @@ TEST(IncidenceIndex, RepeatedNodeKeepsMinimumDetour) {
   const auto path_detours = calc.detours_along_path(flow);
   EXPECT_DOUBLE_EQ(stops[1].detour,
                    std::min(path_detours[1], path_detours[3]));
-  // Vehicles at node 1 counted once.
-  EXPECT_DOUBLE_EQ(index.passing_vehicles(1), 5.0);
 }
 
 /// Prices every path with fixed, non-monotone detours, so a repeated node's
@@ -198,13 +198,11 @@ TEST(IncidenceIndex, RepeatedNodeKeepsMinimumOverEveryVisit) {
   }
   EXPECT_EQ(index.reach_at(2)[0].detour, 1.0);
   EXPECT_EQ(index.reach_at(0)[1].detour, 5.0);
-  EXPECT_EQ(index.passing_vehicles(1), 10.0);
 }
 
 TEST(IncidenceIndex, MinimumOverVisitsDecidesWhatIsKept) {
   // Node 1's first visit (detour 3) is beyond max_detour 2.5 but its second
   // (detour 2) is not, so it is kept at 2; node 0 (detour 5) is dropped.
-  // The pass counts and vehicle sums still see every passing flow.
   const auto net = testing::line_network(4);
   TrafficFlow flow;
   flow.origin = 0;
@@ -220,13 +218,11 @@ TEST(IncidenceIndex, MinimumOverVisitsDecidesWhatIsKept) {
   EXPECT_EQ(index.reach_at(1)[1].flow, 1u);
   EXPECT_EQ(index.reach_at(1)[1].detour, 2.0);
   EXPECT_EQ(index.num_entries(), 4u);
-  EXPECT_EQ(index.passing_flow_count(0), 2u);
-  EXPECT_EQ(index.passing_vehicles(0), 10.0);
 }
 
 TEST_F(IncidenceFig4, MaxDetourDropsOnlyEntriesBeyondIt) {
   // At max_detour 4, V5's entries (detour 6 for T(2,5)) go; every kept entry
-  // matches the full index, and the rankings' counts are unchanged.
+  // matches the full index.
   const CoverageModel pruned = index_of(fig_.net, fig_.flows, calc_, 4.0);
   EXPECT_LT(pruned.num_entries(), index_.num_entries());
   for (graph::NodeId v = 0; v < index_.num_nodes(); ++v) {
@@ -240,8 +236,6 @@ TEST_F(IncidenceFig4, MaxDetourDropsOnlyEntriesBeyondIt) {
       EXPECT_EQ(got[i].flow, want[i].flow);
       EXPECT_EQ(got[i].detour, want[i].detour);
     }
-    EXPECT_EQ(pruned.passing_flow_count(v), index_.passing_flow_count(v));
-    EXPECT_EQ(pruned.passing_vehicles(v), index_.passing_vehicles(v));
   }
   EXPECT_EQ(entry_of(pruned, Fig4::V5, 0), nullptr);
 }
@@ -309,7 +303,6 @@ TEST(IncidenceIndex, EmptyFlowsYieldEmptyIndex) {
   EXPECT_EQ(index.num_flows(), 0u);
   for (graph::NodeId v = 0; v < 3; ++v) {
     EXPECT_TRUE(index.reach_at(v).empty());
-    EXPECT_DOUBLE_EQ(index.passing_vehicles(v), 0.0);
   }
 }
 
@@ -332,13 +325,13 @@ TEST(CoverageBuilder, RejectsBadWeightsAndPasses) {
   EXPECT_THROW(builder.add_pass(0, 1.0), std::logic_error);  // no open flow
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(builder.add_flow(nan, 1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(builder.add_flow(-1.0, 1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(builder.add_flow(1.0, inf, 1.0), std::invalid_argument);
-  EXPECT_THROW(builder.add_flow(1.0, -1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(builder.add_flow(1.0, 1.0, 1.5), std::invalid_argument);
-  EXPECT_THROW(builder.add_flow(1.0, 1.0, nan), std::invalid_argument);
-  builder.add_flow(2.0, 3.0, 0.5);
+  EXPECT_THROW(builder.add_flow(nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(builder.add_flow(inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(builder.add_flow(-1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(builder.add_flow(1.0, 1.5), std::invalid_argument);
+  EXPECT_THROW(builder.add_flow(1.0, -0.5), std::invalid_argument);
+  EXPECT_THROW(builder.add_flow(1.0, nan), std::invalid_argument);
+  builder.add_flow(3.0, 0.5);
   EXPECT_THROW(builder.add_pass(3, 1.0), std::out_of_range);
   builder.add_pass(1, 0.5);
   builder.add_pass(1, 0.25);  // a repeat keeps the minimum
@@ -346,8 +339,6 @@ TEST(CoverageBuilder, RejectsBadWeightsAndPasses) {
   EXPECT_EQ(model.num_flows(), 1u);  // the rejected flows never opened
   ASSERT_EQ(model.reach_at(1).size(), 1u);
   EXPECT_EQ(model.reach_at(1)[0].detour, 0.25);
-  EXPECT_EQ(model.passing_vehicles(1), 2.0);
-  EXPECT_EQ(model.passing_flow_count(1), 1u);
   EXPECT_EQ(model.customers(0, 0.25), 1.5);  // alpha * population
 }
 

@@ -4,7 +4,6 @@
 
 #include "src/core/evaluator.h"
 #include "src/core/greedy.h"
-#include "src/manhattan/grid_model.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -24,9 +23,7 @@ class FilteredFig4 : public ::testing::Test {
 };
 
 TEST_F(FilteredFig4, AllActiveEqualsBase) {
-  // All-active reach lists equal the base's element-wise. The filter counts
-  // its reach lists, which over a PlacementProblem hold only the flows
-  // within D (see filtered.h), so the count is the list length.
+  // All-active reach lists equal the base's element-wise.
   const FilteredCoverageModel filtered(problem_, std::vector<bool>(4, true));
   for (graph::NodeId v = 0; v < 6; ++v) {
     const auto got = filtered.reach_at(v);
@@ -36,7 +33,6 @@ TEST_F(FilteredFig4, AllActiveEqualsBase) {
       EXPECT_EQ(got[i].flow, want[i].flow) << "node " << v;
       EXPECT_EQ(got[i].detour, want[i].detour) << "node " << v;
     }
-    EXPECT_EQ(filtered.passing_flow_count(v), problem_.reach_at(v).size());
   }
   const Placement nodes{Fig4::V3, Fig4::V5};
   EXPECT_DOUBLE_EQ(evaluate_placement(filtered, nodes),
@@ -59,7 +55,6 @@ TEST_F(FilteredFig4, SubsetCountsOnlyActiveFlows) {
   const FilteredCoverageModel filtered(problem_, mask);
   const Placement nodes{Fig4::V3, Fig4::V5};
   EXPECT_DOUBLE_EQ(evaluate_placement(filtered, nodes), 6.0);
-  EXPECT_EQ(filtered.passing_flow_count(Fig4::V3), 1u);
   EXPECT_DOUBLE_EQ(filtered.customers(1, 0.0), 0.0);  // masked flow
   EXPECT_DOUBLE_EQ(filtered.customers(0, 0.0), 6.0);
 }
@@ -79,7 +74,6 @@ TEST_F(FilteredFig4, MetadataForwarded) {
   EXPECT_EQ(&filtered.network(), &problem_.network());
   EXPECT_EQ(&filtered.utility(), &problem_.utility());
   EXPECT_EQ(filtered.shop(), problem_.shop());
-  EXPECT_DOUBLE_EQ(filtered.passing_vehicles(Fig4::V3), 15.0);
 }
 
 TEST_F(FilteredFig4, SizeMismatchThrows) {
@@ -101,28 +95,6 @@ TEST_F(FilteredFig4, GreedyOnFilteredModelIgnoresMaskedFlows) {
   const PlacementResult result = greedy_coverage_placement(filtered, 2);
   EXPECT_EQ(result.nodes, Placement{Fig4::V5});
   EXPECT_DOUBLE_EQ(result.customers, 2.0);
-}
-
-TEST(FilteredGrid, AllActiveCountEqualsBase) {
-  // A Manhattan grid model's reach lists hold every passing flow, so there
-  // the all-active filtered count equals the base's passing_flow_count.
-  const manhattan::GridScenario scenario(5, 1.0);
-  std::vector<manhattan::GridFlow> flows(2);
-  flows[0].entry = {0, 2};
-  flows[0].exit = {4, 2};
-  flows[0].daily_vehicles = 3.0;
-  flows[1].entry = {0, 0};
-  flows[1].exit = {2, 4};
-  flows[1].daily_vehicles = 5.0;
-  const traffic::ThresholdUtility utility(100.0);
-  const manhattan::GridCoverageModel base(scenario, flows, utility);
-  const FilteredCoverageModel filtered(base, std::vector<bool>(2, true));
-  std::size_t passes = 0;
-  for (graph::NodeId v = 0; v < base.num_nodes(); ++v) {
-    EXPECT_EQ(filtered.passing_flow_count(v), base.passing_flow_count(v));
-    passes += base.passing_flow_count(v);
-  }
-  EXPECT_GT(passes, 0u);
 }
 
 }  // namespace

@@ -138,8 +138,8 @@ std::pair<PlacementResult, std::uint64_t> counted(const CoverageModel& model,
   return {result, telemetry.metrics.counter(counter).value()};
 }
 
-/// Every pruned reach list is the full list minus the entries beyond D, and
-/// the baseline counts see every passing flow. Returns the entries kept.
+/// Every pruned reach list is the full list minus the entries beyond D.
+/// Returns the entries kept.
 std::size_t check_index(const PlacementProblem& pruned,
                         const CoverageModel& full, double range,
                         const std::string& what) {
@@ -156,21 +156,18 @@ std::size_t check_index(const PlacementProblem& pruned,
       EXPECT_EQ(bits(got[i].detour), bits(want[i].detour))
           << what << " node " << v;
     }
-    EXPECT_EQ(pruned.passing_flow_count(v), full.passing_flow_count(v))
-        << what << " node " << v;
-    EXPECT_EQ(bits(pruned.passing_vehicles(v)),
-              bits(full.passing_vehicles(v)))
-        << what << " node " << v;
     kept += got.size();
   }
   EXPECT_EQ(kept, pruned.num_entries()) << what;
   return kept;
 }
 
-/// Every algorithm on `pruned` against the same algorithm on `full`.
+/// Every algorithm on `pruned` against the same algorithm on `full`, both
+/// built from `flows`.
 void check_algorithms(const PlacementProblem& pruned,
-                      const CoverageModel& full, bool monotone, bool exact,
-                      const std::string& what) {
+                      const CoverageModel& full,
+                      const std::vector<traffic::TrafficFlow>& flows,
+                      bool monotone, bool exact, const std::string& what) {
   for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{6}}) {
     const std::string at = what + " k=" + std::to_string(k);
     const auto greedy = [k](const CoverageModel& m) {
@@ -201,10 +198,11 @@ void check_algorithms(const PlacementProblem& pruned,
     EXPECT_EQ(lazy_pruned.gain_evaluations, lazy_full.gain_evaluations) << at;
     EXPECT_EQ(lazy_pruned.heap_pops, lazy_full.heap_pops) << at;
 
-    expect_same(max_cardinality_placement(pruned, k),
-                max_cardinality_placement(full, k), at + " max cardinality");
-    expect_same(max_vehicles_placement(pruned, k),
-                max_vehicles_placement(full, k), at + " max vehicles");
+    expect_same(max_cardinality_placement(pruned, flows, k),
+                max_cardinality_placement(full, flows, k),
+                at + " max cardinality");
+    expect_same(max_vehicles_placement(pruned, flows, k),
+                max_vehicles_placement(full, flows, k), at + " max vehicles");
     expect_same(max_customers_placement(pruned, k),
                 max_customers_placement(full, k), at + " max customers");
 
@@ -256,8 +254,8 @@ std::pair<std::size_t, std::size_t> check_instance(const Instance& instance,
     if (utility->name() == "linear") {
       linear_entries = {kept, full.num_entries()};
     }
-    check_algorithms(pruned, full, utility->name() != "adversarial", exact,
-                     what);
+    check_algorithms(pruned, full, instance.flows,
+                     utility->name() != "adversarial", exact, what);
   }
   return linear_entries;
 }

@@ -146,10 +146,11 @@ TEST(FlexibleProblem, PassingCountsCoverDag) {
       net, city.node_at(0, 0), city.node_at(3, 3), 7.0)};
   const traffic::ThresholdUtility utility(100.0);
   const FlexibleProblem model(net, flows, city.node_at(1, 1), utility);
-  // Every node is inside the corner-to-corner rectangle.
+  // Every node is inside the corner-to-corner rectangle, so the one flow
+  // passes each of them, not only its recorded path's 7.
   for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
-    EXPECT_DOUBLE_EQ(model.passing_vehicles(v), 7.0);
-    EXPECT_EQ(model.passing_flow_count(v), 1u);
+    ASSERT_EQ(model.reach_at(v).size(), 1u) << "node " << v;
+    EXPECT_EQ(model.reach_at(v)[0].flow, 0u) << "node " << v;
   }
 }
 

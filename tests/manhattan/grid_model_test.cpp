@@ -76,13 +76,6 @@ TEST_F(GridModelTest, EvaluateMatchesScenarioEvaluate) {
   }
 }
 
-TEST_F(GridModelTest, PassingCounts) {
-  const citygen::GridCity& city = scenario_.city();
-  EXPECT_DOUBLE_EQ(model_.passing_vehicles(city.node_at(1, 2)), 8.0);
-  EXPECT_EQ(model_.passing_flow_count(city.node_at(1, 2)), 2u);
-  EXPECT_DOUBLE_EQ(model_.passing_vehicles(city.node_at(3, 3)), 0.0);
-}
-
 TEST_F(GridModelTest, CustomersValidation) {
   EXPECT_THROW(model_.customers(2, 0.0), std::out_of_range);
   EXPECT_DOUBLE_EQ(model_.customers(0, graph::kUnreachable), 0.0);

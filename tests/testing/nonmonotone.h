@@ -43,8 +43,7 @@ class NonMonotoneModel final : public core::CoverageModel {
     static const NonMonotoneUtility utility;
     core::CoverageBuilder builder(net, /*shop=*/0, utility,
                                   graph::kUnreachable);
-    builder.add_flow(/*daily_vehicles=*/1.0, /*population=*/12.0,
-                     /*alpha=*/1.0);
+    builder.add_flow(/*population=*/12.0, /*alpha=*/1.0);
     builder.add_pass(0, 2.0);  // 3/4 x 12 = 9 customers
     builder.add_pass(1, 1.0);  // 1/4 x 12 = 3 customers
     return std::move(builder).build();

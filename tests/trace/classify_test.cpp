@@ -23,7 +23,7 @@ TEST(PassingVehicles, SumsFlowsPerNode) {
       line_flow(0, 2, 10.0),
       line_flow(1, 4, 5.0),
   };
-  const auto vehicles = passing_vehicles_per_node(net, flows);
+  const auto vehicles = traffic::passing_traffic(net, flows).vehicles;
   EXPECT_DOUBLE_EQ(vehicles[0], 10.0);
   EXPECT_DOUBLE_EQ(vehicles[1], 15.0);
   EXPECT_DOUBLE_EQ(vehicles[2], 15.0);
@@ -38,7 +38,7 @@ TEST(PassingVehicles, FlowCountedOncePerNodeEvenIfRevisited) {
   flow.destination = 1;
   flow.path = {0, 1, 2, 1};
   flow.daily_vehicles = 7.0;
-  const auto vehicles = passing_vehicles_per_node(net, {flow});
+  const auto vehicles = traffic::passing_traffic(net, {flow}).vehicles;
   EXPECT_DOUBLE_EQ(vehicles[1], 7.0);
 }
 
@@ -98,7 +98,7 @@ TEST(Classify, CenterHasMoreTrafficThanSuburb) {
   util::Rng rng(23);
   const auto net = testing::random_network(6, 6, 8, rng);
   const auto flows = testing::random_flows(net, 40, rng);
-  const auto vehicles = passing_vehicles_per_node(net, flows);
+  const auto vehicles = traffic::passing_traffic(net, flows).vehicles;
   const auto classes = classify_intersections(net, flows);
   double min_center = 1e18;
   double max_suburb = 0.0;

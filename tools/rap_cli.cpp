@@ -166,16 +166,21 @@ graph::NodeId pick_shop(const Inputs& inputs, const util::CliFlags& flags,
   return pool[rng.next_below(pool.size())];
 }
 
-core::PlacementResult run_algorithm(const std::string& name,
-                                    const core::PlacementProblem& problem,
-                                    std::size_t k, util::Rng& rng) {
+core::PlacementResult run_algorithm(
+    const std::string& name, const core::PlacementProblem& problem,
+    const std::vector<traffic::TrafficFlow>& flows, std::size_t k,
+    util::Rng& rng) {
   if (name == "alg1") return core::greedy_coverage_placement(problem, k);
   if (name == "alg2") return core::composite_greedy_placement(problem, k);
   if (name == "lazy") return core::lazy_marginal_greedy_placement(problem, k);
   if (name == "local") return core::greedy_with_local_search(problem, k).placement;
   if (name == "maxcustomers") return core::max_customers_placement(problem, k);
-  if (name == "maxcardinality") return core::max_cardinality_placement(problem, k);
-  if (name == "maxvehicles") return core::max_vehicles_placement(problem, k);
+  if (name == "maxcardinality") {
+    return core::max_cardinality_placement(problem, flows, k);
+  }
+  if (name == "maxvehicles") {
+    return core::max_vehicles_placement(problem, flows, k);
+  }
   if (name == "random") return core::random_placement(problem, k, rng);
   throw std::invalid_argument("unknown --algorithm '" + name + "'");
 }
@@ -277,7 +282,7 @@ int main(int argc, char** argv) {
     std::optional<core::PlacementResult> result;
     {
       const obs::Span span("placement");
-      result = run_algorithm(algorithm, *problem, k, rng);
+      result = run_algorithm(algorithm, *problem, inputs.flows, k, rng);
     }
     if (!quiet) {
       std::cout << algorithm << " placed " << result->nodes.size()
