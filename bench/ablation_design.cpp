@@ -22,6 +22,7 @@
 #include <chrono>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "src/core/lazy_greedy.h"
 #include "src/core/local_search.h"
 #include "src/graph/apsp.h"
+#include "src/graph/path.h"
 #include "src/manhattan/flexible_eval.h"
 #include "src/traffic/detour.h"
 #include "src/util/cli.h"
@@ -57,7 +59,7 @@ class ShortestPathDetours final : public traffic::DetourSource {
  public:
   ShortestPathDetours(const graph::RoadNetwork& net, graph::NodeId shop,
                       const std::vector<traffic::TrafficFlow>& flows)
-      : shop_(net, shop) {
+      : net_(net), shop_(net, shop) {
     for (const traffic::TrafficFlow& flow : flows) {
       if (to_destination_.contains(flow.destination)) continue;
       to_destination_.emplace(
@@ -66,20 +68,22 @@ class ShortestPathDetours final : public traffic::DetourSource {
     }
   }
 
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override {
+ private:
+  void price_path(const traffic::TrafficFlow& flow,
+                  std::span<double> out) const override {
+    if (!graph::is_walk(net_, flow.path)) {
+      throw std::invalid_argument(traffic::kNotAWalk);
+    }
     const graph::ShortestPathTree& direct = to_destination_.at(flow.destination);
     const double d2 = shop_.from_shop()[flow.destination];
-    std::vector<double> out(flow.path.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
       const graph::NodeId v = flow.path[i];
       out[i] = traffic::detour_distance(shop_.to_shop()[v], d2,
                                         direct.distance(v));
     }
-    return out;
   }
 
- private:
+  const graph::RoadNetwork& net_;
   traffic::DetourCalculator shop_;
   std::unordered_map<graph::NodeId, graph::ShortestPathTree> to_destination_;
 };

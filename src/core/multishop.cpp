@@ -18,21 +18,20 @@ MultiShopDetour::MultiShopDetour(const graph::RoadNetwork& net,
   }
 }
 
-std::vector<double> MultiShopDetour::detours_along_path(
-    const traffic::TrafficFlow& flow) const {
+void MultiShopDetour::price_path(const traffic::TrafficFlow& flow,
+                                 std::span<double> out) const {
   // One walk serves every shop.
   const std::vector<double> direct =
       traffic::remaining_along_path(*net_, flow);  // d'''
-  std::vector<double> best(direct.size(), graph::kUnreachable);
+  std::fill(out.begin(), out.end(), graph::kUnreachable);
   for (const traffic::DetourCalculator& calc : calculators_) {
     const double d2 = calc.from_shop()[flow.destination];
-    for (std::size_t i = 0; i < best.size(); ++i) {
-      best[i] = std::min(best[i], traffic::detour_distance(
-                                      calc.to_shop()[flow.path[i]], d2,
-                                      direct[i]));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = std::min(out[i], traffic::detour_distance(
+                                    calc.to_shop()[flow.path[i]], d2,
+                                    direct[i]));
     }
   }
-  return best;
 }
 
 PlacementProblem make_multishop_problem(

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/problem.h"
@@ -26,10 +27,10 @@ class MultiShopDetour final : public traffic::DetourSource {
   MultiShopDetour(const graph::RoadNetwork& net,
                   const std::vector<graph::NodeId>& shops);
 
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override;
-
  private:
+  void price_path(const traffic::TrafficFlow& flow,
+                  std::span<double> out) const override;
+
   const graph::RoadNetwork* net_;
   std::vector<traffic::DetourCalculator> calculators_;
 };

@@ -115,9 +115,13 @@ CoverageModel fixed_path_coverage(
     const traffic::DetourSource& detours, double max_detour) {
   CoverageBuilder builder(net, shop, utility, max_detour);
   builder.reserve_flows(flows.size());
+  std::vector<double> path_detours;  // reused: one allocation per build
   for (const traffic::TrafficFlow& flow : flows) {
-    traffic::validate_flow(net, flow);
-    const std::vector<double> path_detours = detours.detours_along_path(flow);
+    // validate_flow's checks in its order; pricing is the walk check.
+    traffic::check_flow_ends(flow);
+    path_detours.resize(flow.path.size());
+    detours.detours_along_path(flow, path_detours);
+    traffic::check_flow_weights(flow);
     builder.add_flow(flow.population(), flow.alpha);
     for (std::size_t i = 0; i < flow.path.size(); ++i) {
       builder.add_pass(flow.path[i], path_detours[i]);

@@ -152,7 +152,9 @@ class CoverageBuilder {
 /// The fixed-path table (Section III-A): validates every flow, prices its
 /// path with `detours` and stages each distinct path node at the flow's
 /// minimum detour over its visits (the first visit, by Theorem 1, on
-/// shortest paths). Throws std::invalid_argument on a bad flow.
+/// shortest paths). Each path is walked once: the pricing walk is the walk
+/// check (see DetourSource), between validate_flow's other checks, so a bad
+/// flow throws validate_flow's std::invalid_argument message.
 [[nodiscard]] CoverageModel fixed_path_coverage(
     const graph::RoadNetwork& net,
     const std::vector<traffic::TrafficFlow>& flows, graph::NodeId shop,

@@ -49,17 +49,23 @@ RunResult run(const RoadNetwork& net, NodeId source, Direction direction,
     if (d > out.dist[v]) continue;  // stale entry
     ++settled;
     if (v == target) break;
-    const auto edges = direction == Direction::kForward ? net.out_edges(v)
-                                                        : net.in_edges(v);
-    for (const EdgeId id : edges) {
-      const Edge& e = net.edge(id);
-      const NodeId next = direction == Direction::kForward ? e.to : e.from;
-      const double candidate = d + e.length;
+    const auto relax = [&, d = d, v = v](NodeId next, double length) {
+      const double candidate = d + length;
       if (candidate < out.dist[next]) {
         out.dist[next] = candidate;
         out.parent[next] = v;
         queue.push({candidate, next});
         ++pushes;
+      }
+    };
+    if (direction == Direction::kForward) {
+      for (const OutEdge& e : net.out_edges(v)) {
+        relax(e.to, net.edge(e.id).length);
+      }
+    } else {
+      for (const EdgeId id : net.in_edges(v)) {
+        const Edge& e = net.edge(id);
+        relax(e.from, e.length);
       }
     }
   }

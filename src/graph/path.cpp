@@ -1,5 +1,6 @@
 #include "src/graph/path.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -10,9 +11,8 @@ namespace {
 // Length of the shortest edge from -> to, or infinity if absent.
 double direct_edge_length(const RoadNetwork& net, NodeId from, NodeId to) {
   double best = std::numeric_limits<double>::infinity();
-  for (const EdgeId id : net.out_edges(from)) {
-    const Edge& e = net.edge(id);
-    if (e.to == to && e.length < best) best = e.length;
+  for (const OutEdge& e : net.out_edges(from)) {
+    if (e.to == to) best = std::min(best, net.edge(e.id).length);
   }
   return best;
 }
@@ -33,15 +33,26 @@ bool is_walk(const RoadNetwork& net, std::span<const NodeId> path) {
 
 std::vector<double> cumulative_lengths(const RoadNetwork& net,
                                        std::span<const NodeId> path) {
-  bool walk = !path.empty() && path.front() < net.num_nodes();
-  std::vector<double> out(path.size(), 0.0);
-  for (std::size_t i = 1; walk && i < path.size(); ++i) {
+  std::vector<double> out(path.size());
+  if (!cumulative_lengths(net, path, out)) {
+    throw std::invalid_argument("cumulative_lengths: not a walk");
+  }
+  return out;
+}
+
+bool cumulative_lengths(const RoadNetwork& net, std::span<const NodeId> path,
+                        std::span<double> out) {
+  if (out.size() != path.size()) {
+    throw std::invalid_argument("cumulative_lengths: output size mismatch");
+  }
+  if (path.empty() || path.front() >= net.num_nodes()) return false;
+  out[0] = 0.0;
+  for (std::size_t i = 1; i < path.size(); ++i) {
     const double step = direct_edge_length(net, path[i - 1], path[i]);
-    walk = std::isfinite(step);
+    if (!std::isfinite(step)) return false;
     out[i] = out[i - 1] + step;
   }
-  if (!walk) throw std::invalid_argument("cumulative_lengths: not a walk");
-  return out;
+  return true;
 }
 
 }  // namespace rap::graph

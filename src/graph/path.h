@@ -20,4 +20,10 @@ namespace rap::graph {
 [[nodiscard]] std::vector<double> cumulative_lengths(
     const RoadNetwork& net, std::span<const NodeId> path);
 
+/// The same sums written into `out` (out.size() == path.size()). Returns
+/// false, with `out` partly written, if `path` is empty or not a walk.
+[[nodiscard]] bool cumulative_lengths(const RoadNetwork& net,
+                                      std::span<const NodeId> path,
+                                      std::span<double> out);
+
 }  // namespace rap::graph

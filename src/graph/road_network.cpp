@@ -7,13 +7,6 @@
 
 namespace rap::graph {
 
-RoadNetwork::RoadNetwork(std::vector<geo::Point> positions,
-                         std::vector<Edge> edges)
-    : positions_(std::move(positions)),
-      edges_(std::move(edges)),
-      out_(build_adjacency(/*incoming=*/false)),
-      in_(build_adjacency(/*incoming=*/true)) {}
-
 geo::BBox RoadNetwork::bounds() const {
   geo::BBox box;
   for (const geo::Point& p : positions_) box.expand(p);
@@ -22,23 +15,32 @@ geo::BBox RoadNetwork::bounds() const {
 
 // Counting sort by endpoint: each node's list keeps ascending edge-id order,
 // which fixes the order Dijkstra relaxes edges in and so its tie-breaks.
-RoadNetwork::Adjacency RoadNetwork::build_adjacency(bool incoming) const {
-  Adjacency adj;
+template <typename Entry, typename MakeEntry>
+RoadNetwork::Adjacency<Entry> RoadNetwork::build_adjacency(
+    NodeId Edge::*end, MakeEntry entry) const {
+  Adjacency<Entry> adj;
   adj.start.assign(positions_.size() + 1, 0);
-  for (const Edge& e : edges_) {
-    ++adj.start[(incoming ? e.to : e.from) + 1];
-  }
+  for (const Edge& e : edges_) ++adj.start[e.*end + 1];
   for (std::size_t i = 1; i < adj.start.size(); ++i) {
     adj.start[i] += adj.start[i - 1];
   }
   adj.entries.resize(edges_.size());
   std::vector<std::uint32_t> cursor(adj.start.begin(), adj.start.end() - 1);
   for (EdgeId id = 0; id < edges_.size(); ++id) {
-    const NodeId key = incoming ? edges_[id].to : edges_[id].from;
-    adj.entries[cursor[key]++] = id;
+    adj.entries[cursor[edges_[id].*end]++] = entry(id);
   }
   return adj;
 }
+
+RoadNetwork::RoadNetwork(std::vector<geo::Point> positions,
+                         std::vector<Edge> edges)
+    : positions_(std::move(positions)),
+      edges_(std::move(edges)),
+      out_(build_adjacency<OutEdge>(&Edge::from,
+                                    [this](EdgeId id) {
+                                      return OutEdge{id, edges_[id].to};
+                                    })),
+      in_(build_adjacency<EdgeId>(&Edge::to, [](EdgeId id) { return id; })) {}
 
 NodeId NetworkBuilder::add_node(geo::Point position) {
   if (!std::isfinite(position.x) || !std::isfinite(position.y)) {
@@ -141,7 +143,7 @@ class TarjanScc {
       Frame& frame = frames.back();
       const auto out = net_.out_edges(frame.node);
       if (frame.next_edge < out.size()) {
-        const NodeId next = net_.edge(out[frame.next_edge++]).to;
+        const NodeId next = out[frame.next_edge++].to;
         if (index_[next] == kUnvisited) {
           visit(next);
           frames.push_back({next});

@@ -5,8 +5,10 @@
 //
 // A NetworkBuilder assembles the graph and checks each node and edge as it
 // is added; build() freezes it into a RoadNetwork, whose constructor makes
-// the out and in adjacency (CSR) once. A RoadNetwork is immutable after
-// build(), so concurrent reads need no synchronisation.
+// the out and in adjacency (CSR) once. The out CSR holds each edge's head
+// beside its id (8 B per edge instead of 4), so a path walk scans one
+// array for the next node. A RoadNetwork is immutable after build(), so
+// concurrent reads need no synchronisation.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,14 @@ struct Edge {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
   double length = 0.0;
+};
+
+/// An entry of the out adjacency: the edge's head stored beside its id, so
+/// a walk step finds the edge to the next node in this one array and reads
+/// the edge record only for the match.
+struct OutEdge {
+  EdgeId id = 0;
+  NodeId to = kInvalidNode;
 };
 
 class RoadNetwork {
@@ -53,8 +63,8 @@ class RoadNetwork {
   }
   [[nodiscard]] const std::vector<Edge>& edges() const noexcept { return edges_; }
 
-  /// Outgoing edge ids of a node, in ascending id order.
-  [[nodiscard]] std::span<const EdgeId> out_edges(NodeId node) const {
+  /// Outgoing edges of a node (id and head), in ascending id order.
+  [[nodiscard]] std::span<const OutEdge> out_edges(NodeId node) const {
     check_node(node);
     return out_.of(node);
   }
@@ -83,11 +93,12 @@ class RoadNetwork {
  private:
   friend class NetworkBuilder;
 
+  template <typename Entry>
   struct Adjacency {
     std::vector<std::uint32_t> start;  // CSR offsets, size num_nodes+1
-    std::vector<EdgeId> entries;
+    std::vector<Entry> entries;
 
-    [[nodiscard]] std::span<const EdgeId> of(NodeId node) const {
+    [[nodiscard]] std::span<const Entry> of(NodeId node) const {
       return {entries.data() + start[node], entries.data() + start[node + 1]};
     }
   };
@@ -95,12 +106,16 @@ class RoadNetwork {
   /// Takes checked nodes and edges (NetworkBuilder's) and indexes them.
   RoadNetwork(std::vector<geo::Point> positions, std::vector<Edge> edges);
 
-  [[nodiscard]] Adjacency build_adjacency(bool incoming) const;
+  /// The CSR of the edges keyed by `NodeId Edge::*end`, each made into an
+  /// entry by `entry(id)`.
+  template <typename Entry, typename MakeEntry>
+  [[nodiscard]] Adjacency<Entry> build_adjacency(NodeId Edge::*end,
+                                                 MakeEntry entry) const;
 
   std::vector<geo::Point> positions_;
   std::vector<Edge> edges_;
-  Adjacency out_;
-  Adjacency in_;
+  Adjacency<OutEdge> out_;
+  Adjacency<EdgeId> in_;
 };
 
 /// Assembles a RoadNetwork node by node and edge by edge.

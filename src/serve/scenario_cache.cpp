@@ -1,6 +1,9 @@
 #include "src/serve/scenario_cache.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -28,24 +31,50 @@ std::string cache_key_hex(std::uint64_t key) {
   return buffer;
 }
 
-/// FNV-1a over the bytes of the file at `path`, chained from `seed`, read
-/// in fixed 64 KiB chunks: FNV-1a chains, so this equals fnv1a64 over the
-/// whole text without ever holding it.
-std::uint64_t fnv1a64_file(const std::string& path, std::uint64_t seed) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("serve: cannot read '" + path + "'");
+// xxHash64's odd multipliers; ContentHash's round and fold are its shapes.
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kPrime3 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kPrime4 = 0x27d4eb2f165667c5ULL;
+
+std::uint64_t load_word(const char* bytes) noexcept {
+  std::uint64_t word = 0;
+  std::memcpy(&word, bytes, sizeof word);
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
   }
-  std::vector<char> chunk(64 * 1024);
-  std::uint64_t hash = seed;
-  while (in) {
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    hash = fnv1a64({chunk.data(), static_cast<std::size_t>(in.gcount())}, hash);
+  return word;
+}
+
+/// One lane step; a bijection of `word` for a fixed lane.
+std::uint64_t lane_round(std::uint64_t lane, std::uint64_t word) noexcept {
+  return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+/// Folds one more value into the digest; a bijection of `value` for a fixed
+/// `hash`, so changing any one lane or tail word changes the digest.
+std::uint64_t fold(std::uint64_t hash, std::uint64_t value) noexcept {
+  return (hash ^ lane_round(0, value)) * kPrime1 + kPrime3;
+}
+
+/// Runs `stripes` 32-byte stripes through the lanes. The lanes live in
+/// locals for the loop, so the four multiply chains run side by side.
+void mix_stripes(std::uint64_t (&lanes)[4], const char* bytes,
+                 std::size_t stripes) noexcept {
+  std::uint64_t a = lanes[0];
+  std::uint64_t b = lanes[1];
+  std::uint64_t c = lanes[2];
+  std::uint64_t d = lanes[3];
+  for (; stripes > 0; --stripes, bytes += 32) {
+    a = lane_round(a, load_word(bytes));
+    b = lane_round(b, load_word(bytes + 8));
+    c = lane_round(c, load_word(bytes + 16));
+    d = lane_round(d, load_word(bytes + 24));
   }
-  if (in.bad()) {
-    throw std::runtime_error("serve: cannot read '" + path + "'");
-  }
-  return hash;
+  lanes[0] = a;
+  lanes[1] = b;
+  lanes[2] = c;
+  lanes[3] = d;
 }
 
 traffic::UtilityKind utility_kind_or_throw(const std::string& name) {
@@ -74,7 +103,7 @@ std::string key_double(double value) {
 /// The canonical parameter prefix hashed into every key. File/inline
 /// content is folded in separately by scenario_key().
 std::string key_prefix(const ScenarioSpec& spec) {
-  std::string prefix = "rap.serve.scenario.v1|utility=";
+  std::string prefix = "rap.serve.scenario.v2|utility=";
   prefix += spec.utility;
   prefix += "|d=";
   prefix += key_double(spec.range);
@@ -175,6 +204,60 @@ std::size_t estimate_bytes(const ServeScenario& scenario) {
 
 }  // namespace
 
+ContentHash& ContentHash::update(std::string_view bytes) {
+  if (bytes.empty()) return *this;
+  length_ += bytes.size();
+  const char* next = bytes.data();
+  std::size_t left = bytes.size();
+  if (pending_size_ > 0) {
+    const std::size_t take = std::min(left, sizeof pending_ - pending_size_);
+    std::memcpy(pending_ + pending_size_, next, take);
+    pending_size_ += take;
+    next += take;
+    left -= take;
+    if (pending_size_ < sizeof pending_) return *this;
+    mix_stripes(lanes_, pending_, 1);
+    pending_size_ = 0;
+  }
+  mix_stripes(lanes_, next, left / sizeof pending_);
+  pending_size_ = left % sizeof pending_;
+  if (pending_size_ > 0) {
+    std::memcpy(pending_, next + (left - pending_size_), pending_size_);
+  }
+  return *this;
+}
+
+ContentHash& ContentHash::update_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw std::runtime_error("serve: cannot read '" + path + "'");
+  }
+  std::vector<char> chunk(64 * 1024);
+  while (in) {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    update({chunk.data(), static_cast<std::size_t>(in.gcount())});
+  }
+  if (in.bad()) {
+    throw std::runtime_error("serve: cannot read '" + path + "'");
+  }
+  return *this;
+}
+
+std::uint64_t ContentHash::digest() const noexcept {
+  std::uint64_t hash = kPrime4;
+  for (const std::uint64_t lane : lanes_) hash = fold(hash, lane);
+  char tail[sizeof pending_] = {};
+  std::memcpy(tail, pending_, pending_size_);
+  for (std::size_t at = 0; at < pending_size_; at += 8) {
+    hash = fold(hash, load_word(tail + at));
+  }
+  hash ^= length_;
+  // SplitMix64's finalizer.
+  hash = (hash ^ (hash >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  hash = (hash ^ (hash >> 27)) * 0x94d049bb133111ebULL;
+  return hash ^ (hash >> 31);
+}
+
 std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed) {
   std::uint64_t hash = seed;
   for (const char c : bytes) {
@@ -213,23 +296,20 @@ void validate_spec(const ScenarioSpec& spec) {
 
 std::uint64_t scenario_key(const ScenarioSpec& spec) {
   validate_spec(spec);
-  std::uint64_t key = fnv1a64(key_prefix(spec));
+  ContentHash hash;
+  hash.update(key_prefix(spec));
   if (!spec.city.empty()) {
-    key = fnv1a64("|city=" + spec.city +
-                      "|journeys=" + std::to_string(spec.journeys),
-                  key);
+    hash.update("|city=" + spec.city +
+                "|journeys=" + std::to_string(spec.journeys));
   } else if (!spec.network_path.empty()) {
-    key = fnv1a64("|net-file:", key);
-    key = fnv1a64_file(spec.network_path, key);
-    key = fnv1a64("|flows-file:", key);
-    key = fnv1a64_file(spec.flows_path, key);
+    hash.update("|net-file:").update_file(spec.network_path);
+    hash.update("|flows-file:").update_file(spec.flows_path);
   } else {
-    key = fnv1a64("|net-inline:", key);
-    key = fnv1a64(spec.network_csv, key);
-    key = fnv1a64("|flows-inline:", key);
-    key = fnv1a64(spec.flows_csv, key);
+    hash.update("|net-inline:").update(spec.network_csv);
+    hash.update("|flows-inline:").update(spec.flows_csv);
   }
-  return key;
+  obs::add_counter("serve.key_bytes", hash.length());
+  return hash.digest();
 }
 
 void derive_scenario(ServeScenario& scenario) {

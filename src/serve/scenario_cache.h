@@ -8,13 +8,14 @@
 // content key and shared (shared_ptr) between the cache and any live
 // sessions.
 //
-// Cache keying is by *content*, not by request shape: file-based specs hash
-// the bytes of the referenced files (editing a file in place is a cache
-// miss, re-requesting an unchanged file is a hit); inline CSV specs hash the
-// CSV text; generated-city specs hash the canonical parameter string (the
-// generators are deterministic in their seed, so parameters ARE the
-// content). Utility kind, range and shop selection are part of the key —
-// they change the built model.
+// Cache keying is by *content*, not by request shape (ContentHash, a
+// word-at-a-time hash): file-based specs hash the bytes of the referenced
+// files (editing a file in place is a cache miss, re-requesting an
+// unchanged file is a hit); inline CSV specs hash the CSV text;
+// generated-city specs hash the canonical parameter string (the generators
+// are deterministic in their seed, so parameters ARE the content). Utility
+// kind, range and shop selection are part of the key — they change the
+// built model.
 //
 // Eviction is LRU by approximate resident bytes. The most recently inserted
 // entry always survives, even when it alone exceeds the budget, so a session
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -47,12 +49,12 @@ class SharedDetours final : public traffic::DetourSource {
   explicit SharedDetours(std::shared_ptr<const traffic::DetourSource> inner)
       : inner_(std::move(inner)) {}
 
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const traffic::TrafficFlow& flow) const override {
-    return inner_->detours_along_path(flow);
+ private:
+  void price_path(const traffic::TrafficFlow& flow,
+                  std::span<double> out) const override {
+    inner_->detours_along_path(flow, out);
   }
 
- private:
   std::shared_ptr<const traffic::DetourSource> inner_;
 };
 
@@ -104,13 +106,42 @@ struct ServeScenario {
   ServeScenario& operator=(const ServeScenario&) = delete;
 };
 
-/// FNV-1a 64-bit over `bytes`; the building block of scenario keys.
+/// FNV-1a 64-bit over `bytes`, chained from `seed`. Byte-serial; kept for
+/// digests that must not move (bench answers, fuzz reports).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes,
                                     std::uint64_t seed = 0xcbf29ce484222325ULL);
 
-/// The spec's content key. Reads the referenced files when the spec is
-/// file-based (throws std::runtime_error naming the file when unreadable).
-/// Two specs collide exactly when they would build the same scenario.
+/// The content hash behind scenario keys and store checksums. Four
+/// independent 64-bit lanes each take one 8-byte little-endian word per
+/// 32-byte stripe; digest() folds the lanes, the zero-padded sub-stripe
+/// tail and the total length, then ends with a SplitMix64 avalanche. The
+/// value depends only on the bytes fed, never on how update() calls split
+/// them, so a file hashed in chunks equals its text hashed inline.
+class ContentHash {
+ public:
+  ContentHash& update(std::string_view bytes);
+  /// Feeds the bytes of the file at `path`, 64 KiB at a time (the file is
+  /// never held whole). Throws std::runtime_error naming the file when it
+  /// cannot be read.
+  ContentHash& update_file(const std::string& path);
+
+  /// Bytes fed so far.
+  [[nodiscard]] std::uint64_t length() const noexcept { return length_; }
+  [[nodiscard]] std::uint64_t digest() const noexcept;
+
+ private:
+  std::uint64_t lanes_[4] = {0x9e3779b97f4a7c15ULL, 0xbf58476d1ce4e5b9ULL,
+                             0x94d049bb133111ebULL, 0xd6e8feb86659fd93ULL};
+  char pending_[32] = {};
+  std::size_t pending_size_ = 0;
+  std::uint64_t length_ = 0;
+};
+
+/// The spec's content key: ContentHash over the canonical parameters
+/// (tagged rap.serve.scenario.v2) and the input bytes. Reads the referenced
+/// files when the spec is file-based (throws std::runtime_error naming the
+/// file when unreadable). Two specs collide exactly when they would build
+/// the same scenario. Counts the bytes hashed in serve.key_bytes.
 [[nodiscard]] std::uint64_t scenario_key(const ScenarioSpec& spec);
 
 /// Validates the spec shape (exactly one input source, known utility/city/

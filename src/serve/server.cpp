@@ -239,7 +239,12 @@ JsonValue Server::handle_load(ClientLock& client,
   std::shared_ptr<const ServeScenario> scenario;
   const char* source = "built";
   try {
-    const std::uint64_t key = scenario_key(spec);
+    const std::uint64_t key = [&] {
+      // A cache hit pays the key's hash over every input byte and little
+      // else; this span (and serve.key_bytes) makes that cost visible.
+      const obs::Span span("serve.scenario_key");
+      return scenario_key(spec);
+    }();
     {
       const util::MutexLock lock(cache_mutex_);
       scenario = cache_.lookup(key);

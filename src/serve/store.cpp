@@ -190,7 +190,7 @@ std::string serialize_segment(const ServeScenario& scenario) {
   append_u64(out, kStoreFormatVersion);
   append_u64(out, scenario.key);
   append_u64(out, payload.size());
-  append_u64(out, fnv1a64(payload, fnv1a64(sealed)));
+  append_u64(out, ContentHash().update(sealed).update(payload).digest());
   out += sealed;
   out += payload;
   return out;
@@ -245,7 +245,8 @@ std::shared_ptr<const ServeScenario> parse_segment(const MappedSegment& map,
                                 kHeaderBytes - kSealedHeaderOffset);
   const std::string_view payload(map.data + kHeaderBytes,
                                  map.size - kHeaderBytes);
-  if (fnv1a64(payload, fnv1a64(sealed)) != header.checksum) {
+  if (ContentHash().update(sealed).update(payload).digest() !=
+      header.checksum) {
     throw std::runtime_error("segment checksum mismatch");
   }
 

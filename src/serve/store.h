@@ -14,10 +14,10 @@
 // (tests/serve/store_test.cpp holds this), and no stored value can make
 // them disagree.
 //
-// Segment format (version 4, tools/rap_serve --store-dir):
+// Segment format (version 5, tools/rap_serve --store-dir):
 //   <dir>/<%016x key>.rseg
 //   SegmentHeader (96 bytes: magic "RAPSEG1\n", format version, key,
-//   payload byte count, FNV-1a 64 checksum, then the scalar scenario fields
+//   payload byte count, ContentHash checksum, then the scalar scenario fields
 //   — counts, range, shop, string lengths) followed by a packed payload:
 //     positions   num_nodes x { f64 x, f64 y }
 //     edges       num_edges x { u32 from, u32 to, f64 length }
@@ -45,8 +45,10 @@
 // detour-engine name string (always "dijkstra"); version 3 extended the
 // checksum, which covered only the payload, over the scalar header fields;
 // version 4 dropped the shop's d'/d'' arrays and the byte estimate, which
-// rehydration now derives. An older segment is counted corrupt once,
-// rebuilt and re-persisted.
+// rehydration now derives; version 5 moved the checksum and the content
+// key from byte-serial FNV-1a to ContentHash (src/serve/scenario_cache.h),
+// so a v4 segment is filed under a key no spec hashes to any more. An
+// older segment is counted corrupt once, deleted, rebuilt and re-persisted.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +63,7 @@
 namespace rap::serve {
 
 /// Current segment layout version (header field; see file comment).
-inline constexpr std::uint64_t kStoreFormatVersion = 4;
+inline constexpr std::uint64_t kStoreFormatVersion = 5;
 
 /// The persistent segment store. Thread-safe: transports and the stdio loop
 /// may put/load concurrently (one internal mutex; segment IO is quick

@@ -56,6 +56,33 @@ std::uint32_t parse_u32(const ParsePosition& at, std::string_view text) {
   return out;
 }
 
+/// Decodes a '|'-separated node-id list into `path` (sized exactly) in one
+/// pass over its digits. Accepts what parse_u32 accepts per id: one or more
+/// decimal digits, any number of them leading zeros, up to 2^32 - 1.
+void parse_path(const ParsePosition& at, std::string_view text,
+                std::vector<graph::NodeId>& path) {
+  path.reserve(static_cast<std::size_t>(
+                   std::count(text.begin(), text.end(), '|')) + 1);
+  std::size_t token = 0;  // where the current id starts
+  std::uint64_t value = 0;
+  for (std::size_t i = 0;; ++i) {
+    if (i == text.size() || text[i] == '|') {
+      if (i == token) break;  // empty id
+      path.push_back(static_cast<graph::NodeId>(value));
+      if (i == text.size()) return;
+      token = i + 1;
+      value = 0;
+      continue;
+    }
+    const auto digit = static_cast<unsigned char>(text[i] - '0');
+    value = value * 10 + digit;
+    if (digit > 9 || value > ~std::uint32_t{0}) break;
+  }
+  const std::string_view bad = text.substr(token);
+  fail(at, "not an unsigned integer: '" +
+               std::string(bad.substr(0, bad.find('|'))) + "'");
+}
+
 double parse_double(const ParsePosition& at, std::string_view text) {
   const std::optional<double> value = util::parse_double(text);
   if (!value) fail(at, "not a number: '" + std::string(text) + "'");
@@ -141,14 +168,7 @@ std::vector<traffic::TrafficFlow> parse_flows(const graph::RoadNetwork& net,
     flow.daily_vehicles = parse_double(at, row[2]);
     flow.passengers_per_vehicle = parse_double(at, row[3]);
     flow.alpha = parse_double(at, row[4]);
-    std::string_view path = row[5];
-    flow.path.reserve(static_cast<std::size_t>(
-                          std::count(path.begin(), path.end(), '|')) + 1);
-    for (std::size_t bar = 0; bar != std::string_view::npos;) {
-      bar = path.find('|');
-      flow.path.push_back(parse_u32(at, path.substr(0, bar)));
-      path.remove_prefix(bar == std::string_view::npos ? path.size() : bar + 1);
-    }
+    parse_path(at, row[5], flow.path);
     try {
       traffic::validate_flow(net, flow);
     } catch (const std::invalid_argument& error) {

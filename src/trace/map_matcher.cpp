@@ -59,8 +59,8 @@ std::vector<graph::NodeId> MapMatcher::match_run(
     const graph::NodeId next = snapped[i];
     if (prev == next) continue;  // can happen after a stitched segment
     bool direct = false;
-    for (const graph::EdgeId id : net_->out_edges(prev)) {
-      if (net_->edge(id).to == next) {
+    for (const graph::OutEdge& e : net_->out_edges(prev)) {
+      if (e.to == next) {
         direct = true;
         break;
       }

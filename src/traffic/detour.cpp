@@ -5,15 +5,29 @@
 #include "src/graph/path.h"
 
 namespace rap::traffic {
+namespace {
 
-std::vector<double> remaining_along_path(const graph::RoadNetwork& net,
-                                         const TrafficFlow& flow) {
-  std::vector<double> out = graph::cumulative_lengths(net, flow.path);
+/// Fills `out` with the distance travelled to each path node and returns
+/// the path's length. Throws kNotAWalk, or when the path does not end at
+/// the flow's destination.
+double travelled_along_path(const graph::RoadNetwork& net,
+                            const TrafficFlow& flow, std::span<double> out) {
+  if (!graph::cumulative_lengths(net, flow.path, out)) {
+    throw std::invalid_argument(kNotAWalk);
+  }
   if (flow.path.back() != flow.destination) {
     throw std::invalid_argument(
         "remaining_along_path: path does not end at the flow's destination");
   }
-  const double total = out.back();
+  return out.back();
+}
+
+}  // namespace
+
+std::vector<double> remaining_along_path(const graph::RoadNetwork& net,
+                                         const TrafficFlow& flow) {
+  std::vector<double> out(flow.path.size());
+  const double total = travelled_along_path(net, flow, out);
   for (double& travelled : out) travelled = total - travelled;
   return out;
 }
@@ -27,14 +41,13 @@ DetourCalculator::DetourCalculator(const graph::RoadNetwork& net,
       graph::dijkstra(net, shop, graph::Direction::kForward).distances();
 }
 
-std::vector<double> DetourCalculator::detours_along_path(
-    const TrafficFlow& flow) const {
-  std::vector<double> out = remaining_along_path(*net_, flow);  // d'''
-  const double d2 = from_shop_[flow.destination];               // d''
+void DetourCalculator::price_path(const TrafficFlow& flow,
+                                  std::span<double> out) const {
+  const double total = travelled_along_path(*net_, flow, out);
+  const double d2 = from_shop_[flow.destination];  // d''
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = detour_distance(to_shop_[flow.path[i]], d2, out[i]);
+    out[i] = detour_distance(to_shop_[flow.path[i]], d2, total - out[i]);
   }
-  return out;
 }
 
 }  // namespace rap::traffic

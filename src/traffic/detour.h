@@ -16,6 +16,8 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "src/graph/dijkstra.h"
@@ -44,28 +46,52 @@ struct NodeIncidence {
 
 /// d''' at every stop of the flow's path: the distance left along it.
 /// Walks the path once. Throws std::invalid_argument unless it is a
-/// non-empty walk ending at flow.destination, so every path node and the
-/// destination index per-node arrays safely; validate_flow's other checks
-/// are the caller's (core::fixed_path_coverage runs them).
+/// non-empty walk (kNotAWalk) ending at flow.destination, so every path
+/// node and the destination index per-node arrays safely; validate_flow's
+/// other checks are the caller's.
 [[nodiscard]] std::vector<double> remaining_along_path(
     const graph::RoadNetwork& net, const TrafficFlow& flow);
 
 /// Anything that can price a flow's detour at every node of its path.
 /// DetourCalculator is the single-shop implementation; the multi-shop
 /// extension (core/multishop.h) takes the minimum over several shops.
+///
+/// Pricing walks the path, and that walk is the walk check: a source
+/// throws std::invalid_argument(kNotAWalk) for a path that is not a walk
+/// on its network, so core::fixed_path_coverage runs no walk of its own.
 class DetourSource {
  public:
   virtual ~DetourSource() = default;
 
-  /// Detour distances at every node of the flow's path, in path order;
-  /// kUnreachable where no detour exists.
-  [[nodiscard]] virtual std::vector<double> detours_along_path(
-      const TrafficFlow& flow) const = 0;
+  /// Writes the detour at every node of the flow's path into `out`, in
+  /// path order; kUnreachable where no detour exists. `out` must hold
+  /// exactly flow.path.size() values.
+  void detours_along_path(const TrafficFlow& flow,
+                          std::span<double> out) const {
+    if (out.size() != flow.path.size()) {
+      throw std::invalid_argument(
+          "detours_along_path: output size differs from the path's");
+    }
+    price_path(flow, out);
+  }
+
+  /// The same detours in a fresh vector.
+  [[nodiscard]] std::vector<double> detours_along_path(
+      const TrafficFlow& flow) const {
+    std::vector<double> out(flow.path.size());
+    price_path(flow, out);
+    return out;
+  }
 
  protected:
   DetourSource() = default;
   DetourSource(const DetourSource&) = default;
   DetourSource& operator=(const DetourSource&) = default;
+
+ private:
+  /// detours_along_path's body; `out.size() == flow.path.size()`.
+  virtual void price_path(const TrafficFlow& flow,
+                          std::span<double> out) const = 0;
 };
 
 class DetourCalculator final : public DetourSource {
@@ -84,12 +110,13 @@ class DetourCalculator final : public DetourSource {
     return from_shop_;
   }
 
-  /// Detour distances at every node of the flow's path, in path order.
-  /// Checks the path as remaining_along_path does.
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const TrafficFlow& flow) const override;
-
  private:
+  /// One walk fills out[i] with the distance travelled to path[i]; one
+  /// pass then prices d' + d'' - (total - travelled). Checks the path as
+  /// remaining_along_path does.
+  void price_path(const TrafficFlow& flow,
+                  std::span<double> out) const override;
+
   const graph::RoadNetwork* net_;
   graph::NodeId shop_;
   std::vector<double> to_shop_;    // reverse Dijkstra from the shop: d'

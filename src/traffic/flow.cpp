@@ -9,6 +9,12 @@
 namespace rap::traffic {
 
 void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow) {
+  check_flow_ends(flow);
+  if (!graph::is_walk(net, flow.path)) throw std::invalid_argument(kNotAWalk);
+  check_flow_weights(flow);
+}
+
+void check_flow_ends(const TrafficFlow& flow) {
   if (flow.path.empty()) {
     throw std::invalid_argument("validate_flow: empty path");
   }
@@ -17,9 +23,9 @@ void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow) {
     throw std::invalid_argument(
         "validate_flow: path endpoints disagree with origin/destination");
   }
-  if (!graph::is_walk(net, flow.path)) {
-    throw std::invalid_argument("validate_flow: path is not a walk on the network");
-  }
+}
+
+void check_flow_weights(const TrafficFlow& flow) {
   if (!(flow.daily_vehicles >= 0.0) || !std::isfinite(flow.daily_vehicles)) {
     throw std::invalid_argument("validate_flow: daily_vehicles must be finite and >= 0");
   }

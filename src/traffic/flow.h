@@ -36,10 +36,22 @@ struct TrafficFlow {
   friend bool operator==(const TrafficFlow&, const TrafficFlow&) = default;
 };
 
+/// What validate_flow throws for a path that is not a walk on the network.
+inline constexpr const char* kNotAWalk =
+    "validate_flow: path is not a walk on the network";
+
 /// Throws std::invalid_argument unless the flow is well-formed on `net`:
 /// non-empty walk from origin to destination, positive volumes whose
-/// product (the population) is finite, alpha in [0, 1].
+/// product (the population) is finite, alpha in [0, 1]. Runs, in order,
+/// check_flow_ends, the walk check (kNotAWalk) and check_flow_weights.
 void validate_flow(const graph::RoadNetwork& net, const TrafficFlow& flow);
+
+/// validate_flow's checks before the walk: the path is non-empty and runs
+/// from origin to destination.
+void check_flow_ends(const TrafficFlow& flow);
+
+/// validate_flow's checks after the walk: the volumes and alpha.
+void check_flow_weights(const TrafficFlow& flow);
 
 /// Builds a flow travelling a shortest path from `origin` to `destination`.
 /// Throws if the destination is unreachable.

@@ -82,7 +82,7 @@ TrafficFlow looping_flow(const graph::RoadNetwork& net, std::size_t steps,
   flow.path.push_back(at);
   for (std::size_t s = 0; s < steps; ++s) {
     const auto out = net.out_edges(at);
-    at = net.edge(out[rng.next_below(out.size())]).to;
+    at = out[rng.next_below(out.size())].to;
     flow.path.push_back(at);
   }
   flow.origin = flow.path.front();

@@ -170,13 +170,12 @@ class ScriptedDetours final : public DetourSource {
  public:
   explicit ScriptedDetours(std::vector<double> detours)
       : detours_(std::move(detours)) {}
-  [[nodiscard]] std::vector<double> detours_along_path(
-      const TrafficFlow& flow) const override {
-    return {detours_.begin(),
-            detours_.begin() + static_cast<std::ptrdiff_t>(flow.path.size())};
+ private:
+  void price_path(const TrafficFlow& flow,
+                  std::span<double> out) const override {
+    std::copy_n(detours_.begin(), flow.path.size(), out.begin());
   }
 
- private:
   std::vector<double> detours_;
 };
 

@@ -115,9 +115,13 @@ TEST(RoadNetwork, AdjacencySurvivesMutation) {
         if (g.edge(id).from == v) out.push_back(id);
         if (g.edge(id).to == v) in.push_back(id);
       }
-      const auto out_edges = g.out_edges(v);
+      std::vector<EdgeId> out_ids;
+      for (const OutEdge& e : g.out_edges(v)) {
+        out_ids.push_back(e.id);
+        EXPECT_EQ(e.to, g.edge(e.id).to);
+      }
       const auto in_edges = g.in_edges(v);
-      EXPECT_EQ(std::vector<EdgeId>(out_edges.begin(), out_edges.end()), out);
+      EXPECT_EQ(out_ids, out);
       EXPECT_EQ(std::vector<EdgeId>(in_edges.begin(), in_edges.end()), in);
     }
   };
@@ -143,7 +147,7 @@ TEST(RoadNetwork, OutEdgesContent) {
   builder.add_edge(a, c, 2.0);
   const RoadNetwork net = std::move(builder).build();
   std::vector<NodeId> targets;
-  for (const EdgeId id : net.out_edges(a)) targets.push_back(net.edge(id).to);
+  for (const OutEdge& e : net.out_edges(a)) targets.push_back(e.to);
   std::sort(targets.begin(), targets.end());
   EXPECT_EQ(targets, (std::vector<NodeId>{b, c}));
 }

@@ -6,7 +6,9 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <stdexcept>
+#include <vector>
 
 #include "src/core/evaluator.h"
 
@@ -109,13 +111,105 @@ TEST(ScenarioKey, DeterministicAndContentSensitive) {
 }
 
 TEST(ScenarioKey, FileSpecKeyIsStable) {
-  // Recorded when file keys hashed each whole file at once. Keys name the
-  // store's segments, so hashing the files in chunks must not move them.
+  // Recorded with the v2 keys (ContentHash). Keys name the store's
+  // segments, so neither the file chunking nor a refactor may move them.
   const auto dir =
       std::filesystem::temp_directory_path() / "rap_scenario_key_golden";
   const ScenarioSpec spec = file_spec(dir);
   EXPECT_GT(std::filesystem::file_size(spec.flows_path), 3u * 64 * 1024);
-  EXPECT_EQ(scenario_key(spec), 0xc0c37e0770befaadULL);
+  EXPECT_EQ(scenario_key(spec), 0x0633311f12ee281fULL);
+  std::filesystem::remove_all(dir);
+}
+
+std::uint64_t content_hash64(std::string_view bytes) {
+  return ContentHash().update(bytes).digest();
+}
+
+/// `size` bytes of a fixed pseudo-random pattern (zero bytes included).
+std::string pattern_bytes(std::size_t size) {
+  std::string bytes(size, '\0');
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  for (char& byte : bytes) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    byte = static_cast<char>(state >> 56);
+  }
+  return bytes;
+}
+
+TEST(ContentHash, PinnedValues) {
+  EXPECT_EQ(content_hash64(""), 0x6fb12417e5c69512ULL);
+  EXPECT_EQ(content_hash64("rap.serve.scenario.v2"), 0x5dcb93c0e658a8d6ULL);
+  EXPECT_EQ(content_hash64(pattern_bytes(1000)), 0x85c8de2f88a56dc1ULL);
+}
+
+TEST(ContentHash, FileEqualsInlineBytesHoweverSplit) {
+  const auto dir = std::filesystem::temp_directory_path() / "rap_content_hash";
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "bytes.bin";
+  for (const std::size_t size :
+       {0, 1, 7, 8, 31, 32, 33, 65'535, 65'536, 65'537}) {
+    SCOPED_TRACE("size " + std::to_string(size));
+    const std::string bytes = pattern_bytes(size);
+    write_text(path, bytes);
+    const std::uint64_t whole = content_hash64(bytes);
+    EXPECT_EQ(ContentHash().update_file(path.string()).digest(), whole);
+    for (const std::size_t piece : {1, 3, 8, 13, 32, 33}) {
+      ContentHash pieces;
+      for (std::size_t at = 0; at < size; at += piece) {
+        pieces.update(std::string_view(bytes).substr(at, piece));
+      }
+      EXPECT_EQ(pieces.length(), size);
+      EXPECT_EQ(pieces.digest(), whole) << "pieces of " << piece;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ContentHash, EveryByteOfShortInputsCounts) {
+  for (std::size_t size = 1; size <= 70; ++size) {
+    const std::string bytes = pattern_bytes(size);
+    const std::uint64_t base = content_hash64(bytes);
+    for (std::size_t at = 0; at < size; ++at) {
+      std::string flipped = bytes;
+      flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+      EXPECT_NE(content_hash64(flipped), base) << size << " bytes, byte " << at;
+    }
+    EXPECT_NE(content_hash64(bytes + '\0'), base) << size << " bytes + NUL";
+  }
+}
+
+TEST(ScenarioKey, EveryByteAroundTheChunkBoundaryAndInTheTailCounts) {
+  const auto dir = std::filesystem::temp_directory_path() / "rap_key_flips";
+  ScenarioSpec spec = file_spec(dir);
+  constexpr std::size_t kChunk = 64 * 1024;
+  const std::string flows = pattern_bytes(kChunk + 100);
+  write_text(spec.flows_path, flows);
+  const std::uint64_t base = scenario_key(spec);
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = kChunk - 40; at < kChunk + 40; ++at) {
+    offsets.push_back(at);
+  }
+  // The last 40 bytes hold the final sub-stripe tail and its sub-word end.
+  for (std::size_t at = flows.size() - 40; at < flows.size(); ++at) {
+    offsets.push_back(at);
+  }
+  for (const std::size_t at : offsets) {
+    std::string flipped = flows;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x20);
+    write_text(spec.flows_path, flipped);
+    EXPECT_NE(scenario_key(spec), base) << "byte " << at;
+  }
+  write_text(spec.flows_path, flows + '\0');
+  EXPECT_NE(scenario_key(spec), base) << "appended NUL";
+  // A 5-byte flows file: flips in the last bytes of the key's input.
+  write_text(spec.flows_path, "abcde");
+  const std::uint64_t small = scenario_key(spec);
+  for (std::size_t at = 0; at < 5; ++at) {
+    std::string flipped = "abcde";
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+    write_text(spec.flows_path, flipped);
+    EXPECT_NE(scenario_key(spec), small) << "flows byte " << at;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "src/obs/events.h"
+#include "src/obs/trace_export.h"
 #include "src/serve/protocol.h"
 
 namespace rap::serve {
@@ -195,6 +199,42 @@ TEST(ServeServer, TelemetryRecordsRequestMetrics) {
   const auto& counters = server.telemetry().metrics.counters();
   EXPECT_EQ(counters.at("serve.requests").value(), 2U);
   EXPECT_EQ(counters.at("serve.cache.misses").value(), 1U);
+}
+
+// A cache hit does little but hash the inputs, so the key's time and the
+// bytes it read must show in the trace and the telemetry (what rap_serve
+// --trace-out and --metrics-out write).
+TEST(ServeServer, FileLoadTracesTheKeyAndCountsItsBytes) {
+  const auto dir = std::filesystem::temp_directory_path() / "rap_server_key";
+  std::filesystem::create_directories(dir);
+  const std::string network =
+      "node,0,0\nnode,1,0\nedge,0,1,1\nedge,1,0,1\n";
+  const std::string flows =
+      "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n"
+      "0,1,10,2,0.5,0|1\n";
+  std::ofstream(dir / "net.csv", std::ios::binary) << network;
+  std::ofstream(dir / "flows.csv", std::ios::binary) << flows;
+  const std::string load = R"({"op":"load","network_path":")" +
+                           (dir / "net.csv").string() +
+                           R"(","flows_path":")" +
+                           (dir / "flows.csv").string() +
+                           R"(","utility":"linear","d":4,"shop":0})";
+
+  const obs::FlightRecorder recorder;
+  Server server;
+  expect_ok(handle(server, load));
+  expect_ok(handle(server, load));  // a hit pays the key again
+  const std::string trace = obs::to_chrome_trace(recorder);
+  EXPECT_NE(trace.find(R"("name":"serve.scenario_key","ph":"B")"),
+            std::string::npos);
+  EXPECT_NE(trace.find(R"("name":"serve.key_bytes")"), std::string::npos);
+  // Both loads hash both files in full, plus the tags and parameters.
+  const auto& counters = server.telemetry().metrics.counters();
+  const std::uint64_t key_bytes = counters.at("serve.key_bytes").value();
+  EXPECT_EQ(key_bytes % 2, 0U);
+  EXPECT_GT(key_bytes / 2, network.size() + flows.size());
+  EXPECT_LT(key_bytes / 2, network.size() + flows.size() + 200);
+  std::filesystem::remove_all(dir);
 }
 
 // A NaN alpha must fail the load itself, not every later place/evaluate.

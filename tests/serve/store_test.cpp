@@ -223,6 +223,50 @@ TEST(ServeStore, TruncatedSegmentIsCorrupt) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServeStore, VersionFourSegmentUnderItsOldKeyIsDeletedAndRebuilt) {
+  // Version 4 sealed its checksum with FNV-1a and was filed under an FNV-1a
+  // key, which no spec hashes to any more. Such a segment must be counted
+  // corrupt once and deleted at startup (not rehydrated into a cache slot
+  // nothing can hit), and the load then builds and persists afresh.
+  const std::string dir = temp_store_dir("version_four");
+  {
+    Server server(store_options(dir));
+    (void)expect_ok(server, load_request(7));
+  }
+  std::filesystem::path segment;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    segment = entry.path();
+  }
+  ASSERT_FALSE(segment.empty());
+  const std::uint64_t old_key = 0x0123456789abcdefULL;
+  {
+    // The u64 format version and the u64 key follow the 8-byte magic.
+    std::fstream file(segment, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint64_t fields[2] = {4, old_key};
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(fields), sizeof fields);
+  }
+  const std::filesystem::path old_segment =
+      segment.parent_path() / "0123456789abcdef.rseg";
+  std::filesystem::rename(segment, old_segment);
+
+  Server restarted(store_options(dir));
+  EXPECT_EQ(restarted.rehydrated_at_start(), 0U);
+  ASSERT_NE(restarted.store(), nullptr);
+  EXPECT_EQ(restarted.store()->stats().corrupt, 1U);
+  EXPECT_FALSE(std::filesystem::exists(old_segment));
+  EXPECT_EQ(restarted.store()->segment_count(), 0U);
+  const JsonValue::Object loaded = expect_ok(restarted, load_request(7));
+  EXPECT_EQ(loaded.at("source").as_string(), "built");
+  EXPECT_EQ(restarted.store()->stats().persisted, 1U);
+  EXPECT_TRUE(std::filesystem::exists(segment));
+
+  Server again(store_options(dir));
+  EXPECT_EQ(again.rehydrated_at_start(), 1U);
+  EXPECT_EQ(again.store()->stats().corrupt, 0U);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServeStore, FlippedHeaderFieldIsCorrupt) {
   // The scalar header fields (the utility range at offset 64, shop and
   // reserved at 72 and 76, the string lengths at 80 and 88) sit outside the

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string_view>
+#include <utility>
 
 #include "src/trace/generator.h"
 #include "tests/testing/builders.h"
@@ -95,6 +96,54 @@ TEST(FlowsCsv, ValidatesAgainstNetwork) {
   // Bad node id.
   EXPECT_THROW(flows_from_csv(net, header + "0,9,1,1,0.5,0|9\n"),
                std::invalid_argument);
+}
+
+// The path decoder accepts exactly what std::from_chars<uint32_t> accepted
+// per '|'-separated id, and names the first bad id in the same message.
+TEST(FlowsCsv, PathIdsDecodeAsFromChars) {
+  const graph::RoadNetwork net = testing::line_network(8);
+  const std::string header =
+      "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n";
+  const auto path_of = [&](const std::string& row) {
+    return flows_from_csv(net, header + row).at(0).path;
+  };
+  EXPECT_EQ(path_of("0,0,1,1,0.5,0\n"), (std::vector<graph::NodeId>{0}));
+  EXPECT_EQ(path_of("7,7,1,1,0.5,007\n"), (std::vector<graph::NodeId>{7}));
+  EXPECT_EQ(path_of("1,3,1,1,0.5,00000000001|2|0003\n"),
+            (std::vector<graph::NodeId>{1, 2, 3}));
+  // 2^32 - 1 decodes; the walk check, not the decoder, rejects it.
+  try {
+    (void)flows_from_csv(net, header + "4294967295,4294967295,1,1,0.5,"
+                                       "4294967295\n");
+    FAIL() << "expected a validation error";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(
+        error.what(),
+        "<string>:2: validate_flow: path is not a walk on the network");
+  }
+  const std::pair<std::string, std::string> rejected[] = {
+      {"4294967296", "4294967296"},
+      {"1||2", ""},
+      {"|1", ""},
+      {"1|", ""},
+      {"", ""},
+      {"+1", "+1"},
+      {"-1", "-1"},
+      {" 1", " 1"},
+      {"1a", "1a"},
+      {"1|2a|3", "2a"},
+      {"1|99999999999|x", "99999999999"},
+  };
+  for (const auto& [path, token] : rejected) {
+    try {
+      (void)flows_from_csv(net, header + "1,2,1,1,0.5," + path + "\n");
+      FAIL() << "accepted path '" << path << "'";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "<string>:2: not an unsigned integer: '" + token + "'")
+          << "path '" << path << "'";
+    }
+  }
 }
 
 TEST(FlowsCsv, ErrorsNameSourceAndLine) {

@@ -139,8 +139,10 @@ Inputs generate_city(const std::string& kind, std::uint64_t seed,
   return inputs;
 }
 
-graph::NodeId pick_shop(const Inputs& inputs, const util::CliFlags& flags,
-                        util::Rng& rng) {
+/// `classes` are the intersection classes of `inputs`; --shop skips them.
+graph::NodeId pick_shop(const Inputs& inputs,
+                        const std::vector<trace::LocationClass>& classes,
+                        const util::CliFlags& flags, util::Rng& rng) {
   if (flags.has("shop")) {
     const auto shop = static_cast<graph::NodeId>(flags.get_int("shop", 0));
     inputs.net.check_node(shop);
@@ -157,8 +159,6 @@ graph::NodeId pick_shop(const Inputs& inputs, const util::CliFlags& flags,
   } else {
     throw std::invalid_argument("unknown --shop-class '" + wanted + "'");
   }
-  const obs::Span span("classify");
-  const auto classes = trace::classify_intersections(inputs.net, inputs.flows);
   const auto pool = trace::nodes_in_class(classes, cls);
   if (pool.empty()) {
     throw std::runtime_error("no intersection in the requested shop class");
@@ -262,11 +262,16 @@ int main(int argc, char** argv) {
     }
     const auto utility =
         traffic::make_utility(kind, flags.get_double("d", 2'500.0));
-    const graph::NodeId shop = pick_shop(inputs, flags, rng);
+    // One classification serves the shop pick and the shop's line.
+    std::vector<trace::LocationClass> classes;
+    if (!flags.has("shop") || !quiet) {
+      const obs::Span span("classify");
+      classes = trace::classify_intersections(inputs.net, inputs.flows);
+    }
+    const graph::NodeId shop = pick_shop(inputs, classes, flags, rng);
     if (!quiet) {
       std::cout << "shop at intersection " << shop << " ("
-                << trace::to_string(trace::classify_intersections(
-                       inputs.net, inputs.flows)[shop])
+                << trace::to_string(classes[shop])
                 << " class), utility=" << utility->name()
                 << " D=" << util::format_fixed(utility->range(), 0) << " ft\n";
     }

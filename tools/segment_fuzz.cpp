@@ -84,14 +84,16 @@ Layout layout_of(const std::string& segment) {
   return at;
 }
 
-/// Recomputes the checksum as ScenarioStore writes it: FNV-1a over the
-/// header fields after the checksum, continued over the payload.
+/// Recomputes the checksum as ScenarioStore writes it: the content hash of
+/// the header fields after the checksum, continued over the payload.
 void reseal(std::string& segment) {
   const std::string_view bytes(segment);
-  const std::uint64_t header = serve::fnv1a64(
-      bytes.substr(kHashOffset + 8, kHeaderBytes - kHashOffset - 8));
   write_at(segment, kHashOffset,
-           serve::fnv1a64(bytes.substr(kHeaderBytes), header));
+           serve::ContentHash()
+               .update(bytes.substr(kHashOffset + 8,
+                                    kHeaderBytes - kHashOffset - 8))
+               .update(bytes.substr(kHeaderBytes))
+               .digest());
 }
 
 struct Mutation {
