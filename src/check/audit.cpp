@@ -117,7 +117,7 @@ AuditResult audit_state(const core::PlacementState& state,
 
   const double value = state.value();
   const double scale = std::max({1.0, std::abs(value), std::abs(contribution_sum)});
-  if (std::abs(value - contribution_sum) > options.value_tolerance * scale) {
+  if (std::abs(value - contribution_sum) > kValueTolerance * scale) {
     result.violations.push_back("A1: value " + format_double(value) +
                                 " != sum of contributions " +
                                 format_double(contribution_sum));

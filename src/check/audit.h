@@ -36,15 +36,16 @@
 
 namespace rap::check {
 
+/// Relative tolerance for (A1): value accumulates increments while the
+/// audit sums final contributions, so the two may differ in the last ulps.
+inline constexpr double kValueTolerance = 1e-9;
+
 struct AuditOptions {
   /// The paper's utilities are non-increasing, making contribution ==
   /// customers(best_detour) (A3). Adversarial non-monotone utilities break
   /// that equality by design; set false to audit only the always-valid
   /// invariants (A1, A2, A4, A5).
   bool monotone_utility = true;
-  /// Relative tolerance for (A1): value accumulates increments while the
-  /// audit sums final contributions, so the two may differ in the last ulps.
-  double value_tolerance = 1e-9;
 };
 
 struct AuditResult {

@@ -52,20 +52,8 @@ GridCoord GridCity::coord_of(graph::NodeId node) const {
   return {node % spec_.cols, node / spec_.cols};
 }
 
-double GridCity::grid_distance(GridCoord a, GridCoord b) const noexcept {
-  const auto diff = [](std::size_t x, std::size_t y) {
-    return static_cast<double>(x > y ? x - y : y - x);
-  };
-  return spec_.spacing * (diff(a.col, b.col) + diff(a.row, b.row));
-}
-
 graph::NodeId GridCity::center_node() const {
   return node_at(spec_.cols / 2, spec_.rows / 2);
-}
-
-std::array<graph::NodeId, 4> GridCity::corner_nodes() const {
-  return {node_at(0, 0), node_at(spec_.cols - 1, 0),
-          node_at(0, spec_.rows - 1), node_at(spec_.cols - 1, spec_.rows - 1)};
 }
 
 }  // namespace rap::citygen

@@ -3,7 +3,6 @@
 // in exactly four directions.
 #pragma once
 
-#include <array>
 #include <cstddef>
 
 #include "src/geo/point.h"
@@ -38,14 +37,8 @@ class GridCity {
   [[nodiscard]] graph::NodeId node_at(std::size_t col, std::size_t row) const;
   [[nodiscard]] GridCoord coord_of(graph::NodeId node) const;
 
-  /// Grid (L1) distance between two intersections, in feet.
-  [[nodiscard]] double grid_distance(GridCoord a, GridCoord b) const noexcept;
-
   /// Node closest to the geometric centre (the paper puts the shop there).
   [[nodiscard]] graph::NodeId center_node() const;
-
-  /// The four corner intersections (SW, SE, NW, NE).
-  [[nodiscard]] std::array<graph::NodeId, 4> corner_nodes() const;
 
  private:
   GridSpec spec_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace rap::citygen {
 namespace {
@@ -54,7 +55,6 @@ PartialGridCity::PartialGridCity(const PartialGridSpec& spec, util::Rng& rng)
 
   graph::NetworkBuilder scratch;
   std::vector<graph::NodeId> scratch_id(node_alive.size(), graph::kInvalidNode);
-  std::vector<GridCoord> scratch_coord;
   for (std::size_t row = 0; row < g.rows; ++row) {
     for (std::size_t col = 0; col < g.cols; ++col) {
       const GridCoord c{col, row};
@@ -66,7 +66,6 @@ PartialGridCity::PartialGridCity(const PartialGridSpec& spec, util::Rng& rng)
         pos.y += rng.next_gaussian(0.0, spec.position_jitter);
       }
       scratch_id[cell(c)] = scratch.add_node(pos);
-      scratch_coord.push_back(c);
     }
   }
 
@@ -98,23 +97,6 @@ PartialGridCity::PartialGridCity(const PartialGridSpec& spec, util::Rng& rng)
   const graph::RoadNetwork whole = std::move(scratch).build();
   const std::vector<graph::NodeId> keep = whole.largest_scc();
   network_ = graph::induced_subnetwork(whole, keep);
-  by_coord_.assign(g.cols * g.rows, std::nullopt);
-  for (graph::NodeId id = 0; id < keep.size(); ++id) {
-    coords_.push_back(scratch_coord[keep[id]]);
-    by_coord_[cell(coords_.back())] = id;
-  }
-}
-
-GridCoord PartialGridCity::coord_of(graph::NodeId node) const {
-  network_.check_node(node);
-  return coords_[node];
-}
-
-std::optional<graph::NodeId> PartialGridCity::node_at(GridCoord coord) const {
-  if (coord.col >= spec_.grid.cols || coord.row >= spec_.grid.rows) {
-    throw std::out_of_range("PartialGridCity::node_at: outside the grid");
-  }
-  return by_coord_[coord.row * spec_.grid.cols + coord.col];
 }
 
 }  // namespace rap::citygen

@@ -9,9 +9,6 @@
 // every surviving OD pair has a route.
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "src/citygen/grid_city.h"
 #include "src/graph/road_network.h"
 #include "src/util/rng.h"
@@ -37,12 +34,6 @@ class PartialGridCity {
   }
   [[nodiscard]] const PartialGridSpec& spec() const noexcept { return spec_; }
 
-  /// Grid coordinate of a surviving node (all survivors keep one).
-  [[nodiscard]] GridCoord coord_of(graph::NodeId node) const;
-
-  /// Surviving node at a grid coordinate, if that intersection survived.
-  [[nodiscard]] std::optional<graph::NodeId> node_at(GridCoord coord) const;
-
   /// Fraction of the ideal grid's street segments that survived (a measure
   /// of "how grid-like" the city is; 1.0 = perfect grid).
   [[nodiscard]] double grid_fidelity() const noexcept { return fidelity_; }
@@ -50,8 +41,6 @@ class PartialGridCity {
  private:
   PartialGridSpec spec_;
   graph::RoadNetwork network_;
-  std::vector<GridCoord> coords_;                       // per surviving node
-  std::vector<std::optional<graph::NodeId>> by_coord_;  // grid cell -> node
   double fidelity_ = 1.0;
 };
 

@@ -77,11 +77,6 @@ InterestMatrix::InterestMatrix(std::size_t num_flows, std::size_t num_ads,
   }
 }
 
-InterestMatrix InterestMatrix::uniform(std::size_t num_flows,
-                                       std::size_t num_ads) {
-  return {num_flows, num_ads, std::vector<double>(num_flows * num_ads, 1.0)};
-}
-
 double InterestMatrix::operator()(traffic::FlowIndex flow, AdKind ad) const {
   if (flow >= num_flows_ || ad >= num_ads_) {
     throw std::out_of_range("InterestMatrix: bad index");

@@ -37,9 +37,6 @@ class InterestMatrix {
   InterestMatrix(std::size_t num_flows, std::size_t num_ads,
                  std::vector<double> values);
 
-  /// Uniform interest 1.0 (reduces to the single-ad model for any ad).
-  static InterestMatrix uniform(std::size_t num_flows, std::size_t num_ads);
-
   [[nodiscard]] std::size_t num_flows() const noexcept { return num_flows_; }
   [[nodiscard]] std::size_t num_ads() const noexcept { return num_ads_; }
   [[nodiscard]] double operator()(traffic::FlowIndex flow, AdKind ad) const;

@@ -77,11 +77,10 @@ core::Placement nested_order(AlgorithmId id, const core::CoverageModel& model,
 
 Workload make_workload(const graph::RoadNetwork& net,
                        std::vector<traffic::TrafficFlow> flows,
-                       std::string name,
-                       const trace::ClassifyOptions& options) {
+                       std::string name) {
   Workload workload;
   workload.net = &net;
-  workload.classes = trace::classify_intersections(net, flows, options);
+  workload.classes = trace::classify_intersections(net, flows);
   workload.flows = std::move(flows);
   workload.name = std::move(name);
   return workload;

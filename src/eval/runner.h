@@ -28,8 +28,7 @@ struct Workload {
 /// Builds a workload, classifying intersections from the flows.
 [[nodiscard]] Workload make_workload(const graph::RoadNetwork& net,
                                      std::vector<traffic::TrafficFlow> flows,
-                                     std::string name,
-                                     const trace::ClassifyOptions& options = {});
+                                     std::string name);
 
 /// Runs the experiment. Throws std::invalid_argument on an empty k sweep,
 /// no intersection in the requested shop class, or a two-stage algorithm

@@ -42,19 +42,4 @@ void BBox::expand(const Point& p) noexcept {
   max_.y = std::max(max_.y, p.y);
 }
 
-BBox BBox::inflated(double margin) const {
-  if (margin < 0.0) {
-    throw std::invalid_argument("BBox::inflated: margin must be >= 0");
-  }
-  if (empty()) return {};
-  return BBox({min_.x - margin, min_.y - margin},
-              {max_.x + margin, max_.y + margin});
-}
-
-bool BBox::intersects(const BBox& other) const noexcept {
-  if (empty() || other.empty()) return false;
-  return min_.x <= other.max_.x && other.min_.x <= max_.x &&
-         min_.y <= other.max_.y && other.min_.y <= max_.y;
-}
-
 }  // namespace rap::geo

@@ -31,11 +31,6 @@ class BBox {
   /// Grows the box to include p.
   void expand(const Point& p) noexcept;
 
-  /// Grows the box outward by `margin` on all sides (margin >= 0).
-  [[nodiscard]] BBox inflated(double margin) const;
-
-  [[nodiscard]] bool intersects(const BBox& other) const noexcept;
-
  private:
   Point min_{1.0, 1.0};
   Point max_{-1.0, -1.0};  // min > max encodes "empty"

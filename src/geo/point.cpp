@@ -8,10 +8,6 @@ double euclidean_distance(const Point& a, const Point& b) noexcept {
   return std::hypot(a.x - b.x, a.y - b.y);
 }
 
-double manhattan_distance(const Point& a, const Point& b) noexcept {
-  return std::abs(a.x - b.x) + std::abs(a.y - b.y);
-}
-
 SegmentProjection project_onto_segment(const Point& p, const Point& a,
                                        const Point& b) noexcept {
   const double len2 = squared_distance(a, b);

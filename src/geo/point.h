@@ -28,9 +28,6 @@ struct Point {
 /// Euclidean (straight-line) distance.
 [[nodiscard]] double euclidean_distance(const Point& a, const Point& b) noexcept;
 
-/// Manhattan (L1) distance — the natural street metric in grid cities.
-[[nodiscard]] double manhattan_distance(const Point& a, const Point& b) noexcept;
-
 /// Squared Euclidean distance (comparison without the sqrt).
 [[nodiscard]] constexpr double squared_distance(const Point& a,
                                                 const Point& b) noexcept {

@@ -105,34 +105,4 @@ std::optional<std::size_t> SpatialIndex::nearest_within(const Point& query,
   return best;
 }
 
-std::vector<std::size_t> SpatialIndex::within_radius(const Point& query,
-                                                     double radius) const {
-  std::vector<std::size_t> out;
-  if (points_.empty() || radius < 0.0) return out;
-  const double r2 = radius * radius;
-  for (const std::size_t idx :
-       within_box(BBox({query.x - radius, query.y - radius},
-                       {query.x + radius, query.y + radius}))) {
-    if (squared_distance(points_[idx], query) <= r2) out.push_back(idx);
-  }
-  return out;
-}
-
-std::vector<std::size_t> SpatialIndex::within_box(const BBox& box) const {
-  std::vector<std::size_t> out;
-  if (points_.empty() || box.empty() || !box.intersects(bounds_)) return out;
-  const CellCoord lo = cell_of(box.min());
-  const CellCoord hi = cell_of(box.max());
-  for (std::int64_t cy = lo.cy; cy <= hi.cy; ++cy) {
-    for (std::int64_t cx = lo.cx; cx <= hi.cx; ++cx) {
-      const std::size_t c = cell_index({cx, cy});
-      for (std::uint32_t k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
-        const std::uint32_t idx = bucket_entries_[k];
-        if (box.contains(points_[idx])) out.push_back(idx);
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace rap::geo

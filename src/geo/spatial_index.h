@@ -30,13 +30,6 @@ class SpatialIndex {
   [[nodiscard]] std::optional<std::size_t> nearest_within(const Point& query,
                                                           double radius) const;
 
-  /// All point indices within `radius` of `query` (unsorted).
-  [[nodiscard]] std::vector<std::size_t> within_radius(const Point& query,
-                                                       double radius) const;
-
-  /// All point indices inside the closed box (unsorted).
-  [[nodiscard]] std::vector<std::size_t> within_box(const BBox& box) const;
-
  private:
   struct CellCoord {
     std::int64_t cx = 0;

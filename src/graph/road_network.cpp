@@ -71,10 +71,6 @@ EdgeId NetworkBuilder::add_two_way_edge(NodeId a, NodeId b, double length) {
   return forward;
 }
 
-EdgeId NetworkBuilder::add_street(NodeId a, NodeId b) {
-  return add_two_way_edge(a, b, euclidean_distance(position(a), position(b)));
-}
-
 geo::Point NetworkBuilder::position(NodeId node) const {
   check_node(node);
   return positions_[node];

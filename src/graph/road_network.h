@@ -133,9 +133,6 @@ class NetworkBuilder {
   /// id of the forward edge (the backward edge is the next id).
   EdgeId add_two_way_edge(NodeId a, NodeId b, double length);
 
-  /// Convenience: two-way street with length = Euclidean node distance.
-  EdgeId add_street(NodeId a, NodeId b);
-
   [[nodiscard]] std::size_t num_nodes() const noexcept { return positions_.size(); }
   [[nodiscard]] geo::Point position(NodeId node) const;
 

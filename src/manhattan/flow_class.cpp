@@ -62,18 +62,6 @@ bool horizontal_entryway(RegionEdge e) noexcept {
 
 }  // namespace
 
-const char* to_string(GridFlowClass c) noexcept {
-  switch (c) {
-    case GridFlowClass::kStraight:
-      return "straight";
-    case GridFlowClass::kTurned:
-      return "turned";
-    case GridFlowClass::kOther:
-      return "other";
-  }
-  return "unknown";
-}
-
 GridFlowClass classify_grid_flow(const GridScenario& scenario,
                                  const GridFlow& flow) {
   if (!is_boundary(scenario, flow.entry) || !is_boundary(scenario, flow.exit)) {

@@ -20,8 +20,6 @@ namespace rap::manhattan {
 
 enum class GridFlowClass : std::uint8_t { kStraight, kTurned, kOther };
 
-[[nodiscard]] const char* to_string(GridFlowClass c) noexcept;
-
 /// Classifies an ideal-grid flow. Throws when entry/exit are not boundary
 /// intersections.
 [[nodiscard]] GridFlowClass classify_grid_flow(const GridScenario& scenario,

@@ -101,8 +101,6 @@ std::vector<TraceEvent> EventRing::snapshot() const {
   return out;
 }
 
-void EventRing::clear() noexcept { pushed_ = 0; }
-
 FlightRecorder::FlightRecorder(RecorderOptions options)
     : options_(options),
       id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {

@@ -96,7 +96,7 @@ struct TraceEvent {
 /// Fixed-capacity single-producer ring of events: push overwrites the
 /// oldest entry once full and counts the overwrite as a drop. snapshot()
 /// returns the retained events oldest-first. Thread-compatible — one
-/// producer; snapshot/clear only while the producer is quiescent.
+/// producer; snapshot only while the producer is quiescent.
 class EventRing {
  public:
   /// `capacity` must be >= 1 (throws std::invalid_argument otherwise).
@@ -114,8 +114,6 @@ class EventRing {
 
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
-
-  void clear() noexcept;
 
  private:
   std::vector<TraceEvent> slots_;

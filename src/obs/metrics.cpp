@@ -67,11 +67,6 @@ void Histogram::merge(const Histogram& other) {
   for (const double value : other.samples_) reservoir_add(value);
 }
 
-std::vector<double> default_latency_edges_ms() {
-  return {0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-          500.0, 1'000.0, 2'500.0, 5'000.0, 10'000.0};
-}
-
 Counter& MetricsRegistry::counter(std::string_view name) {
   const auto it = counters_.find(name);
   if (it != counters_.end()) return it->second;

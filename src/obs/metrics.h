@@ -121,9 +121,6 @@ class Histogram {
   static constexpr std::uint64_t kReservoirSeed = 0x9a7e5eedULL;
 };
 
-/// Default histogram edges for millisecond-scale latencies.
-[[nodiscard]] std::vector<double> default_latency_edges_ms();
-
 /// Name-keyed collection of all three metric kinds. Thread-compatible;
 /// merge per-thread instances instead of sharing one.
 class MetricsRegistry {

@@ -360,11 +360,6 @@ const JsonValue::Object& JsonValue::as_object() const {
   type_error("an object");
 }
 
-JsonValue::Array& JsonValue::as_array() {
-  if (Array* value = std::get_if<Array>(&value_)) return *value;
-  type_error("an array");
-}
-
 JsonValue::Object& JsonValue::as_object() {
   if (Object* value = std::get_if<Object>(&value_)) return *value;
   type_error("an object");

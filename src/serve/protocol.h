@@ -77,7 +77,6 @@ class JsonValue {
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;
-  [[nodiscard]] Array& as_array();
   [[nodiscard]] Object& as_object();
 
  private:

@@ -218,10 +218,6 @@ UnixClient::UnixClient(const std::string& socket_path) {
 
 UnixClient::~UnixClient() { close_quietly(fd_); }
 
-void UnixClient::shutdown_write() noexcept {
-  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_WR);
-}
-
 std::string UnixClient::request(const std::string& line) {
   if (fd_ < 0 || !send_line(fd_, line)) {
     throw std::runtime_error("serve connection closed while sending");

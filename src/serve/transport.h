@@ -76,10 +76,6 @@ class UnixClient {
   /// connection drops first.
   [[nodiscard]] std::string request(const std::string& line);
 
-  /// Half-closes the write side so the server sees EOF and drops this
-  /// client; further request() calls throw.
-  void shutdown_write() noexcept;
-
  private:
   int fd_ = -1;
   std::string buffer_;  // bytes received past the last returned line

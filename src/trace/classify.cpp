@@ -1,18 +1,12 @@
 #include "src/trace/classify.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace rap::trace {
 
 std::vector<LocationClass> classify_intersections(
     const graph::RoadNetwork& net,
-    const std::vector<traffic::TrafficFlow>& flows,
-    const ClassifyOptions& options) {
-  if (options.center_fraction < 0.0 || options.city_fraction < 0.0 ||
-      options.center_fraction + options.city_fraction > 1.0) {
-    throw std::invalid_argument("classify_intersections: bad fractions");
-  }
+    const std::vector<traffic::TrafficFlow>& flows) {
   const std::vector<double> vehicles =
       traffic::passing_traffic(net, flows).vehicles;
 
@@ -28,10 +22,9 @@ std::vector<LocationClass> classify_intersections(
 
   std::vector<LocationClass> classes(net.num_nodes(), LocationClass::kSuburb);
   const auto center_cut = static_cast<std::size_t>(
-      options.center_fraction * static_cast<double>(ranked.size()));
+      kCenterFraction * static_cast<double>(ranked.size()));
   const auto city_cut = static_cast<std::size_t>(
-      (options.center_fraction + options.city_fraction) *
-      static_cast<double>(ranked.size()));
+      (kCenterFraction + kCityFraction) * static_cast<double>(ranked.size()));
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     if (i < center_cut) {
       classes[ranked[i]] = LocationClass::kCityCenter;

@@ -14,22 +14,19 @@ namespace rap::trace {
 
 enum class LocationClass : std::uint8_t { kCityCenter, kCity, kSuburb };
 
-struct ClassifyOptions {
-  /// Top fraction (by passing vehicles) tagged city-centre.
-  double center_fraction = 0.10;
-  /// Next fraction tagged city; the rest (and all traffic-free
-  /// intersections) are suburb.
-  double city_fraction = 0.40;
-};
+/// Top fraction of the intersections with traffic (by passing vehicles)
+/// tagged city-centre.
+inline constexpr double kCenterFraction = 0.10;
+/// Next fraction tagged city; the rest (and all traffic-free
+/// intersections) are suburb.
+inline constexpr double kCityFraction = 0.40;
 
 /// Class per intersection, ranked by daily vehicles passing it
 /// (traffic::passing_traffic, the rule MaxVehicles ranks by). Throws
-/// std::invalid_argument when the fractions are negative or sum above 1,
-/// and on a bad flow.
+/// std::invalid_argument on a bad flow.
 [[nodiscard]] std::vector<LocationClass> classify_intersections(
     const graph::RoadNetwork& net,
-    const std::vector<traffic::TrafficFlow>& flows,
-    const ClassifyOptions& options = {});
+    const std::vector<traffic::TrafficFlow>& flows);
 
 /// All intersections of one class.
 [[nodiscard]] std::vector<graph::NodeId> nodes_in_class(

@@ -14,8 +14,6 @@
 namespace rap::trace {
 namespace {
 
-constexpr const char* kRecordHeader[] = {"vehicle_id", "journey_id", "run_id",
-                                         "timestamp", "x", "y"};
 constexpr const char* kFlowHeader[] = {
     "origin", "destination", "daily_vehicles", "passengers_per_vehicle",
     "alpha",  "path"};
@@ -129,28 +127,6 @@ std::ifstream open_file(const std::filesystem::path& path) {
   return in;
 }
 
-/// Parses trace records from `input` (CSV text or a stream of it), with
-/// room reserved for `rows` of them.
-template <typename Input>
-std::vector<TraceRecord> parse_records(Input& input,
-                                       std::string_view source_name,
-                                       std::size_t rows) {
-  std::vector<TraceRecord> records;
-  records.reserve(rows);
-  const auto parse_row = [&](const ParsePosition& at, Row row) {
-    if (row.size() != 6) fail(at, "ragged row");
-    TraceRecord r;
-    r.vehicle_id = parse_u32(at, row[0]);
-    r.journey_id = parse_u32(at, row[1]);
-    r.run_id = parse_u32(at, row[2]);
-    r.timestamp = parse_double(at, row[3]);
-    r.position = {parse_double(at, row[4]), parse_double(at, row[5])};
-    records.push_back(r);
-  };
-  for_each_data_row(input, source_name, kRecordHeader, parse_row);
-  return records;
-}
-
 /// Parses flows from `input` (CSV text or a stream of it), validating each
 /// against `net`, with room reserved for `rows` of them.
 template <typename Input>
@@ -188,17 +164,6 @@ void write_header(util::CsvWriter& writer, const char* const (&header)[N]) {
   writer.end_row();
 }
 
-/// The one record writer behind records_to_csv and write_records_csv.
-void write_records(std::ostream& out, std::span<const TraceRecord> records) {
-  util::CsvWriter writer(out);
-  write_header(writer, kRecordHeader);
-  for (const TraceRecord& r : records) {
-    writer.field(r.vehicle_id).field(r.journey_id).field(r.run_id);
-    writer.field(r.timestamp, 3).field(r.position.x, 3).field(r.position.y, 3);
-    writer.end_row();
-  }
-}
-
 /// The one flow writer behind flows_to_csv and write_flows_csv.
 void write_flows(std::ostream& out,
                  std::span<const traffic::TrafficFlow> flows) {
@@ -214,29 +179,6 @@ void write_flows(std::ostream& out,
 }
 
 }  // namespace
-
-std::string records_to_csv(std::span<const TraceRecord> records) {
-  std::ostringstream out;
-  write_records(out, records);
-  return std::move(out).str();
-}
-
-std::vector<TraceRecord> records_from_csv(std::string_view text,
-                                          std::string_view source_name) {
-  return parse_records(text, source_name, max_data_rows(text));
-}
-
-void write_records_csv(const std::filesystem::path& path,
-                       std::span<const TraceRecord> records) {
-  util::write_text_file(
-      "write_records_csv", path,
-      [&](std::ostream& out) { write_records(out, records); });
-}
-
-std::vector<TraceRecord> read_records_csv(const std::filesystem::path& path) {
-  std::ifstream in = open_file(path);
-  return parse_records(in, path.string(), 0);
-}
 
 std::string flows_to_csv(std::span<const traffic::TrafficFlow> flows) {
   std::ostringstream out;

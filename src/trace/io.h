@@ -1,9 +1,4 @@
-// Trace and flow CSV I/O.
-//
-// Record CSV schema (header required, column order fixed):
-//   vehicle_id,journey_id,run_id,timestamp,x,y
-// matching the fields the paper's datasets expose (bus id, journey/route
-// id, coordinates) plus the explicit run id. Flows serialise as
+// Flow CSV I/O. Flows serialise as (header required, column order fixed)
 //   origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path
 // with `path` a '|'-separated node-id list — enough to check a regenerated
 // workload into version control or feed in a real, externally matched one.
@@ -13,27 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "src/trace/record.h"
 #include "src/traffic/flow.h"
 
 namespace rap::trace {
-
-/// Serialises records to CSV text (with header).
-[[nodiscard]] std::string records_to_csv(std::span<const TraceRecord> records);
-
-/// Parses records from CSV text. Throws std::invalid_argument on a missing
-/// or wrong header, malformed numbers, or ragged rows; errors name
-/// `source_name` and the 1-based line of the offending row (the file
-/// wrappers pass the path).
-[[nodiscard]] std::vector<TraceRecord> records_from_csv(
-    std::string_view text, std::string_view source_name = "<string>");
-
-/// File convenience wrappers (throw std::runtime_error naming the path on
-/// any I/O failure, the final flush and close included).
-void write_records_csv(const std::filesystem::path& path,
-                       std::span<const TraceRecord> records);
-[[nodiscard]] std::vector<TraceRecord> read_records_csv(
-    const std::filesystem::path& path);
 
 /// Serialises flows to CSV text (with header).
 [[nodiscard]] std::string flows_to_csv(
@@ -45,6 +22,8 @@ void write_records_csv(const std::filesystem::path& path,
     const graph::RoadNetwork& net, std::string_view text,
     std::string_view source_name = "<string>");
 
+/// File forms (throw std::runtime_error naming the path on any I/O failure,
+/// the final flush and close included).
 void write_flows_csv(const std::filesystem::path& path,
                      std::span<const traffic::TrafficFlow> flows);
 [[nodiscard]] std::vector<traffic::TrafficFlow> read_flows_csv(

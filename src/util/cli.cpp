@@ -100,23 +100,6 @@ bool CliFlags::get_bool(std::string_view name, bool fallback) const {
   fail("CliFlags: not a boolean", *value);
 }
 
-std::vector<std::int64_t> CliFlags::get_int_list(
-    std::string_view name, const std::vector<std::int64_t>& fallback) const {
-  const auto value = raw(name);
-  if (!value) return fallback;
-  std::vector<std::int64_t> out;
-  for (const auto& part : split(*value, ',')) {
-    std::int64_t item = 0;
-    const auto [ptr, ec] =
-        std::from_chars(part.data(), part.data() + part.size(), item);
-    if (ec != std::errc{} || ptr != part.data() + part.size()) {
-      fail("CliFlags: not an integer list", *value);
-    }
-    out.push_back(item);
-  }
-  return out;
-}
-
 std::vector<std::string> CliFlags::unused() const {
   std::vector<std::string> out;
   for (const auto& [name, _] : values_) {

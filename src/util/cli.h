@@ -32,10 +32,6 @@ class CliFlags {
   [[nodiscard]] double get_double(std::string_view name, double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view name, bool fallback) const;
 
-  /// Comma-separated list of integers, e.g. --ks=1,2,5,10.
-  [[nodiscard]] std::vector<std::int64_t> get_int_list(
-      std::string_view name, const std::vector<std::int64_t>& fallback) const;
-
   /// Names that were provided but never queried; lets binaries reject typos.
   [[nodiscard]] std::vector<std::string> unused() const;
 

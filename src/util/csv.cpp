@@ -159,7 +159,7 @@ class CsvRecordParser {
     if (quote_pending_) in_quotes_ = quote_pending_ = false;
     if (in_quotes_) {
       throw CsvSyntaxError(
-          "parse_csv: unterminated quote in row starting on line " +
+          "for_each_csv_record: unterminated quote in row starting on line " +
           std::to_string(row_line_));
     }
     if (row_open()) end_row();
@@ -295,24 +295,6 @@ void for_each_csv_record(std::istream& in, const CsvRecordFn& fn) {
   }
   if (in.bad()) throw std::runtime_error("for_each_csv_record: read failed");
   parser.finish();
-}
-
-std::vector<CsvRecord> parse_csv_records(std::string_view text) {
-  std::vector<CsvRecord> rows;
-  for_each_csv_record(text, [&](const CsvRecordView& record) {
-    rows.push_back({record.line,
-                    std::vector<std::string>(record.fields.begin(),
-                                             record.fields.end())});
-  });
-  return rows;
-}
-
-std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
-  std::vector<std::vector<std::string>> rows;
-  for_each_csv_record(text, [&](const CsvRecordView& record) {
-    rows.emplace_back(record.fields.begin(), record.fields.end());
-  });
-  return rows;
 }
 
 void write_csv_file(const std::filesystem::path& path,

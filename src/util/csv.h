@@ -1,7 +1,7 @@
 // Minimal RFC-4180-style CSV writing and parsing: the text path under the
-// network, flow and trace-record files and the benchmark harnesses' figure
-// series. Both directions run without a heap allocation per field: the
-// writer formats into one buffer, the parser hands out views.
+// network and flow files and the benchmark harnesses' figure series. Both
+// directions run without a heap allocation per field: the writer formats
+// into one buffer, the parser hands out views.
 #pragma once
 
 #include <cstdint>
@@ -65,23 +65,10 @@ class CsvWriter {
   bool row_open_ = false;  // the current row has a field
 };
 
-/// Parses CSV text into rows of fields. Handles quoted fields, embedded
-/// commas/quotes/newlines, and both \n and \r\n terminators. Throws
-/// CsvSyntaxError (a std::invalid_argument) on an unterminated quoted field.
-[[nodiscard]] std::vector<std::vector<std::string>> parse_csv(
-    std::string_view text);
-
-/// One parsed row plus the 1-based line it started on — quoted fields may
-/// span lines, so consumers that report errors positionally need the row's
-/// own start, not a running count of '\n' seen.
-struct CsvRecord {
-  std::size_t line = 0;  ///< 1-based line number of the row's first character
-  std::vector<std::string> fields;
-};
-
-/// The same row as the streaming parsers deliver it: views that point into
-/// the input, or into the parser's one reused row buffer for a row that
-/// spans read chunks or holds quotes. Valid only during the callback.
+/// One row as the parsers deliver it: the 1-based line it started on (a
+/// quoted field may span lines) and views that point into the input, or
+/// into the parser's one reused row buffer for a row that spans read chunks
+/// or holds quotes. Valid only during the callback.
 struct CsvRecordView {
   std::size_t line = 0;
   std::span<const std::string_view> fields;
@@ -110,10 +97,6 @@ inline constexpr std::size_t kCsvChunkBytes = 64 * 1024;
 /// records and lines as the std::string_view overload on the same bytes.
 /// Also throws std::runtime_error when the stream reports a read error.
 void for_each_csv_record(std::istream& in, const CsvRecordFn& fn);
-
-/// parse_csv, but every row carries its 1-based source line so format
-/// errors can name the offending line.
-[[nodiscard]] std::vector<CsvRecord> parse_csv_records(std::string_view text);
 
 /// Writes rows to a file, creating parent directories. Throws
 /// std::runtime_error naming the file on any I/O error, its close included.

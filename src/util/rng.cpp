@@ -42,15 +42,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::next_int: lo > hi");
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-  if (span == ~std::uint64_t{0}) return static_cast<std::int64_t>(next_u64());
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                   next_below(span + 1));
-}
-
 double Rng::next_double() noexcept {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }

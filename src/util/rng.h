@@ -55,8 +55,6 @@ class Rng {
   /// Uniform integer in [0, bound). Requires bound > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t next_int(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double next_double() noexcept;

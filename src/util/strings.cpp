@@ -1,6 +1,5 @@
 #include "src/util/strings.h"
 
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -9,39 +8,6 @@
 #include <stdexcept>
 
 namespace rap::util {
-
-std::vector<std::string> split(std::string_view text, char delimiter) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t pos = text.find(delimiter, start);
-    if (pos == std::string_view::npos) {
-      parts.emplace_back(text.substr(start));
-      return parts;
-    }
-    parts.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-std::string_view trim(std::string_view text) noexcept {
-  const auto is_space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
-  while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
-  while (!text.empty() && is_space(text.back())) text.remove_suffix(1);
-  return text;
-}
-
-std::string join(const std::vector<std::string>& parts,
-                 std::string_view separator) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += separator;
-    out += parts[i];
-  }
-  return out;
-}
 
 std::size_t format_fixed_to(char* out, double value, int decimals) {
   if (decimals < 0 || decimals > 17) {

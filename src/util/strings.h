@@ -6,21 +6,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace rap::util {
-
-/// Splits on a delimiter; adjacent delimiters yield empty fields.
-/// split("a,,b", ',') -> {"a", "", "b"}; split("", ',') -> {""}.
-[[nodiscard]] std::vector<std::string> split(std::string_view text,
-                                             char delimiter);
-
-/// Trims ASCII whitespace from both ends.
-[[nodiscard]] std::string_view trim(std::string_view text) noexcept;
-
-/// Joins parts with a separator.
-[[nodiscard]] std::string join(const std::vector<std::string>& parts,
-                               std::string_view separator);
 
 /// Formats a double with a fixed number of decimals, byte for byte as
 /// printf("%.*f") in the C locale (exact ties round to even; -0, inf and

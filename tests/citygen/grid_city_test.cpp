@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/graph/dijkstra.h"
 
 namespace rap::citygen {
@@ -56,31 +58,17 @@ TEST(GridCity, GraphDistanceEqualsManhattanDistance) {
       graph::dijkstra(city.network(), city.node_at(1, 2));
   for (std::size_t row = 0; row < 5; ++row) {
     for (std::size_t col = 0; col < 5; ++col) {
-      EXPECT_DOUBLE_EQ(tree.distance(city.node_at(col, row)),
-                       city.grid_distance({1, 2}, {col, row}));
+      const double blocks =
+          std::abs(static_cast<double>(col) - 1.0) +
+          std::abs(static_cast<double>(row) - 2.0);
+      EXPECT_DOUBLE_EQ(tree.distance(city.node_at(col, row)), 2.0 * blocks);
     }
   }
-}
-
-TEST(GridCity, GridDistance) {
-  const GridCity city({5, 5, 3.0, {0.0, 0.0}});
-  EXPECT_DOUBLE_EQ(city.grid_distance({0, 0}, {2, 3}), 15.0);
-  EXPECT_DOUBLE_EQ(city.grid_distance({4, 1}, {1, 1}), 9.0);
-  EXPECT_DOUBLE_EQ(city.grid_distance({2, 2}, {2, 2}), 0.0);
 }
 
 TEST(GridCity, CenterNodeOfOddGrid) {
   const GridCity city({5, 5, 1.0, {0.0, 0.0}});
   EXPECT_EQ(city.coord_of(city.center_node()), (GridCoord{2, 2}));
-}
-
-TEST(GridCity, CornerNodes) {
-  const GridCity city({4, 3, 1.0, {0.0, 0.0}});
-  const auto corners = city.corner_nodes();
-  EXPECT_EQ(city.coord_of(corners[0]), (GridCoord{0, 0}));
-  EXPECT_EQ(city.coord_of(corners[1]), (GridCoord{3, 0}));
-  EXPECT_EQ(city.coord_of(corners[2]), (GridCoord{0, 2}));
-  EXPECT_EQ(city.coord_of(corners[3]), (GridCoord{3, 2}));
 }
 
 TEST(GridCity, AllEdgesHaveSpacingLength) {

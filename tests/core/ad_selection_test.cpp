@@ -10,6 +10,11 @@ namespace {
 
 using testing::Fig4;
 
+/// Interest 1.0 everywhere: the single-ad model for any ad.
+InterestMatrix all_ones(std::size_t num_flows, std::size_t num_ads) {
+  return {num_flows, num_ads, std::vector<double>(num_flows * num_ads, 1.0)};
+}
+
 TEST(InterestMatrix, Validation) {
   EXPECT_THROW(InterestMatrix(2, 2, {1.0, 1.0, 1.0}), std::invalid_argument);
   EXPECT_THROW(InterestMatrix(1, 1, {1.5}), std::invalid_argument);
@@ -18,15 +23,6 @@ TEST(InterestMatrix, Validation) {
   EXPECT_DOUBLE_EQ(m(1, 2), 0.6);
   EXPECT_THROW(m(2, 0), std::out_of_range);
   EXPECT_THROW(m(0, 3), std::out_of_range);
-}
-
-TEST(InterestMatrix, UniformIsAllOnes) {
-  const InterestMatrix m = InterestMatrix::uniform(3, 2);
-  for (traffic::FlowIndex f = 0; f < 3; ++f) {
-    for (AdKind a = 0; a < 2; ++a) {
-      EXPECT_DOUBLE_EQ(m(f, a), 1.0);
-    }
-  }
 }
 
 class AdSelectionFig4 : public ::testing::Test {
@@ -40,7 +36,7 @@ class AdSelectionFig4 : public ::testing::Test {
 };
 
 TEST_F(AdSelectionFig4, SingleUniformAdMatchesNaiveGreedy) {
-  const InterestMatrix interest = InterestMatrix::uniform(4, 1);
+  const InterestMatrix interest = all_ones(4, 1);
   const AdPlacementResult multi = multi_ad_greedy_placement(problem_, interest, 2);
   const PlacementResult single = naive_marginal_greedy_placement(problem_, 2);
   ASSERT_EQ(multi.raps.size(), single.nodes.size());
@@ -73,8 +69,8 @@ TEST_F(AdSelectionFig4, PicksTheAdEachFlowPrefers) {
 
 TEST_F(AdSelectionFig4, MoreAdKindsNeverHurt) {
   // Duplicate the single ad into two identical kinds: value unchanged.
-  const InterestMatrix one = InterestMatrix::uniform(4, 1);
-  const InterestMatrix two = InterestMatrix::uniform(4, 2);
+  const InterestMatrix one = all_ones(4, 1);
+  const InterestMatrix two = all_ones(4, 2);
   EXPECT_DOUBLE_EQ(multi_ad_greedy_placement(problem_, one, 2).customers,
                    multi_ad_greedy_placement(problem_, two, 2).customers);
 }
@@ -102,7 +98,7 @@ TEST_F(AdSelectionFig4, EvaluateMatchesGreedyValue) {
 }
 
 TEST_F(AdSelectionFig4, EvaluateIgnoresDuplicateNodes) {
-  const InterestMatrix interest = InterestMatrix::uniform(4, 2);
+  const InterestMatrix interest = all_ones(4, 2);
   const std::vector<AdAssignment> raps{{Fig4::V3, 0}, {Fig4::V3, 1}};
   // Second RAP on the same intersection is ignored (one RAP per node).
   EXPECT_DOUBLE_EQ(evaluate_ad_placement(problem_, interest, raps),
@@ -111,8 +107,8 @@ TEST_F(AdSelectionFig4, EvaluateIgnoresDuplicateNodes) {
 }
 
 TEST_F(AdSelectionFig4, Validation) {
-  const InterestMatrix wrong_flows = InterestMatrix::uniform(3, 1);
-  const InterestMatrix ok = InterestMatrix::uniform(4, 1);
+  const InterestMatrix wrong_flows = all_ones(3, 1);
+  const InterestMatrix ok = all_ones(4, 1);
   EXPECT_THROW(multi_ad_greedy_placement(problem_, wrong_flows, 2),
                std::invalid_argument);
   EXPECT_THROW(multi_ad_greedy_placement(problem_, ok, 0),

@@ -77,9 +77,11 @@ TEST(WriteCsv, RoundTripsThroughParser) {
   write_csv(sample_result(), path);
   std::ifstream in(path);
   ASSERT_TRUE(in);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(util::parse_csv(buffer.str()), to_csv_rows(sample_result()));
+  std::vector<std::vector<std::string>> rows;
+  util::for_each_csv_record(in, [&](const util::CsvRecordView& record) {
+    rows.emplace_back(record.fields.begin(), record.fields.end());
+  });
+  EXPECT_EQ(rows, to_csv_rows(sample_result()));
   std::filesystem::remove_all(dir);
 }
 

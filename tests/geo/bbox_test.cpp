@@ -52,27 +52,6 @@ TEST(BBox, ExpandGrows) {
   EXPECT_EQ(box.max(), (Point{1.0, 3.0}));
 }
 
-TEST(BBox, Inflated) {
-  const BBox box({0.0, 0.0}, {1.0, 1.0});
-  const BBox grown = box.inflated(0.5);
-  EXPECT_EQ(grown.min(), (Point{-0.5, -0.5}));
-  EXPECT_EQ(grown.max(), (Point{1.5, 1.5}));
-  EXPECT_THROW(box.inflated(-0.1), std::invalid_argument);
-  EXPECT_TRUE(BBox().inflated(1.0).empty());
-}
-
-TEST(BBox, Intersects) {
-  const BBox a({0.0, 0.0}, {2.0, 2.0});
-  const BBox b({1.0, 1.0}, {3.0, 3.0});
-  const BBox c({5.0, 5.0}, {6.0, 6.0});
-  const BBox touching({2.0, 0.0}, {4.0, 2.0});
-  EXPECT_TRUE(a.intersects(b));
-  EXPECT_TRUE(b.intersects(a));
-  EXPECT_FALSE(a.intersects(c));
-  EXPECT_TRUE(a.intersects(touching));  // shared boundary counts
-  EXPECT_FALSE(a.intersects(BBox{}));
-}
-
 TEST(BBox, DegenerateSquareIsPoint) {
   const BBox box = BBox::centered_square({1.0, 2.0}, 0.0);
   EXPECT_FALSE(box.empty());

@@ -18,17 +18,6 @@ TEST(Distances, Euclidean345) {
   EXPECT_DOUBLE_EQ(euclidean_distance({1.0, 1.0}, {1.0, 1.0}), 0.0);
 }
 
-TEST(Distances, ManhattanSumsAxes) {
-  EXPECT_DOUBLE_EQ(manhattan_distance({0.0, 0.0}, {3.0, 4.0}), 7.0);
-  EXPECT_DOUBLE_EQ(manhattan_distance({-1.0, -2.0}, {1.0, 2.0}), 6.0);
-}
-
-TEST(Distances, ManhattanDominatesEuclidean) {
-  const Point a{2.5, -7.0};
-  const Point b{-4.0, 3.5};
-  EXPECT_GE(manhattan_distance(a, b), euclidean_distance(a, b));
-}
-
 TEST(Distances, SquaredMatchesEuclidean) {
   const Point a{1.0, 2.0};
   const Point b{4.0, 6.0};

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -39,7 +38,6 @@ TEST(SpatialIndex, EmptySetReturnsNothing) {
   const SpatialIndex index(std::vector<Point>{}, 1.0);
   EXPECT_EQ(index.size(), 0u);
   EXPECT_FALSE(index.nearest({0.0, 0.0}).has_value());
-  EXPECT_TRUE(index.within_radius({0.0, 0.0}, 10.0).empty());
 }
 
 TEST(SpatialIndex, SinglePoint) {
@@ -75,58 +73,6 @@ TEST(SpatialIndex, NearestWithinRespectsRadius) {
   const SpatialIndex index(points, 2.0);
   EXPECT_EQ(index.nearest_within({1.0, 0.0}, 2.0).value(), 0u);
   EXPECT_FALSE(index.nearest_within({5.0, 0.0}, 1.0).has_value());
-}
-
-TEST(SpatialIndex, WithinRadiusMatchesBruteForce) {
-  util::Rng rng(103);
-  const auto points = random_points(200, rng, 50.0);
-  const SpatialIndex index(points, 5.0);
-  for (int q = 0; q < 50; ++q) {
-    const Point query{rng.next_double(0.0, 50.0), rng.next_double(0.0, 50.0)};
-    const double radius = rng.next_double(1.0, 15.0);
-    auto got = index.within_radius(query, radius);
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (euclidean_distance(points[i], query) <= radius) expected.push_back(i);
-    }
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected);
-  }
-}
-
-TEST(SpatialIndex, WithinRadiusNegativeIsEmpty) {
-  const std::vector<Point> points{{0.0, 0.0}};
-  const SpatialIndex index(points, 1.0);
-  EXPECT_TRUE(index.within_radius({0.0, 0.0}, -1.0).empty());
-}
-
-TEST(SpatialIndex, WithinBoxMatchesBruteForce) {
-  util::Rng rng(107);
-  const auto points = random_points(200, rng, 50.0);
-  const SpatialIndex index(points, 4.0);
-  for (int q = 0; q < 50; ++q) {
-    const BBox box({rng.next_double(0.0, 40.0), rng.next_double(0.0, 40.0)},
-                   {rng.next_double(0.0, 50.0), rng.next_double(0.0, 50.0)});
-    auto got = index.within_box(box);
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (box.contains(points[i])) expected.push_back(i);
-    }
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected);
-  }
-}
-
-TEST(SpatialIndex, WithinBoxOutsideBoundsIsEmpty) {
-  const std::vector<Point> points{{0.0, 0.0}, {1.0, 1.0}};
-  const SpatialIndex index(points, 1.0);
-  EXPECT_TRUE(index.within_box(BBox({100.0, 100.0}, {110.0, 110.0})).empty());
-}
-
-TEST(SpatialIndex, DuplicatePointsAllReported) {
-  const std::vector<Point> points{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}};
-  const SpatialIndex index(points, 1.0);
-  EXPECT_EQ(index.within_radius({1.0, 1.0}, 0.1).size(), 3u);
 }
 
 TEST(SpatialIndex, FarQueryStillFindsNearest) {

@@ -84,15 +84,6 @@ TEST(RoadNetwork, TwoWayEdgeAddsBothDirections) {
   EXPECT_EQ(net.edge(forward).length, 2.0);
 }
 
-TEST(RoadNetwork, AddStreetUsesEuclideanLength) {
-  NetworkBuilder builder;
-  const NodeId a = builder.add_node({0.0, 0.0});
-  const NodeId b = builder.add_node({3.0, 4.0});
-  const EdgeId id = builder.add_street(a, b);
-  const RoadNetwork net = std::move(builder).build();
-  EXPECT_DOUBLE_EQ(net.edge(id).length, 5.0);
-}
-
 TEST(RoadNetwork, AdjacencySurvivesMutation) {
   // The adjacency is complete straight out of build(), and copies and moves
   // carry it along: every node's out and in lists hold exactly the edges

@@ -47,7 +47,9 @@ TEST_P(ParserFuzz, CsvParserNeverCrashes) {
   util::Rng rng(GetParam() * 71 + 5);
   for (int trial = 0; trial < 50; ++trial) {
     const std::string soup = random_bytes(rng, rng.next_below(200));
-    expect_parse_or_throw([&] { (void)util::parse_csv(soup); });
+    expect_parse_or_throw([&] {
+      util::for_each_csv_record(soup, [](const util::CsvRecordView&) {});
+    });
   }
 }
 
@@ -60,12 +62,14 @@ TEST_P(ParserFuzz, NetworkParserNeverCrashes) {
   }
 }
 
-TEST_P(ParserFuzz, TraceRecordParserNeverCrashes) {
+TEST_P(ParserFuzz, FlowParserNeverCrashes) {
   util::Rng rng(GetParam() * 79 + 9);
-  const std::string header = "vehicle_id,journey_id,run_id,timestamp,x,y\n";
+  const auto net = testing::line_network(5);
+  const std::string header =
+      "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n";
   for (int trial = 0; trial < 50; ++trial) {
     const std::string soup = header + random_bytes(rng, rng.next_below(150));
-    expect_parse_or_throw([&] { (void)trace::records_from_csv(soup); });
+    expect_parse_or_throw([&] { (void)trace::flows_from_csv(net, soup); });
   }
 }
 

@@ -69,12 +69,6 @@ TEST(ClassifyGridFlow, RejectsInteriorEndpoints) {
                std::invalid_argument);
 }
 
-TEST(ToStringGridFlowClass, Covers) {
-  EXPECT_STREQ(to_string(GridFlowClass::kStraight), "straight");
-  EXPECT_STREQ(to_string(GridFlowClass::kTurned), "turned");
-  EXPECT_STREQ(to_string(GridFlowClass::kOther), "other");
-}
-
 // ---- Network-variant tests on a 9x9 unit grid with a 4x4 region box.
 
 class PathRegion : public ::testing::Test {

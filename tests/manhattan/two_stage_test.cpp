@@ -36,6 +36,14 @@ std::vector<bool> straight_turned_mask(const GridScenario& scenario,
   return mask;
 }
 
+/// The four corner intersections of the scenario's grid.
+std::vector<graph::NodeId> corner_nodes(const GridScenario& scenario) {
+  const citygen::GridCity& city = scenario.city();
+  const std::size_t last = scenario.n() - 1;
+  return {city.node_at(0, 0), city.node_at(last, 0), city.node_at(0, last),
+          city.node_at(last, last)};
+}
+
 TEST(TwoStageGrid, RejectsZeroK) {
   const GridScenario scenario(5, 1.0);
   const auto flows = mixed_flows(scenario, 10, 1);
@@ -106,7 +114,7 @@ TEST(TwoStageGrid, CornersVariantPlacesCorners) {
       two_stage_grid_placement(
           model, scenario, flows, 8, TwoStageVariant::kCorners);
   const std::set<graph::NodeId> placed(result.nodes.begin(), result.nodes.end());
-  for (const graph::NodeId corner : scenario.city().corner_nodes()) {
+  for (const graph::NodeId corner : corner_nodes(scenario)) {
     EXPECT_TRUE(placed.contains(corner));
   }
   EXPECT_LE(result.nodes.size(), 8u);
@@ -136,9 +144,7 @@ TEST(TwoStageGrid, FourCornersCoverAllTurnedFlows) {
   // corner of the region.
   const GridScenario scenario(9, 1.0);
   const auto flows = mixed_flows(scenario, 60, 5);
-  const auto corner_array = scenario.city().corner_nodes();
-  const std::vector<graph::NodeId> corners(corner_array.begin(),
-                                           corner_array.end());
+  const std::vector<graph::NodeId> corners = corner_nodes(scenario);
   for (const GridFlow& flow : flows) {
     if (classify_grid_flow(scenario, flow) != GridFlowClass::kTurned) continue;
     EXPECT_LT(scenario.best_detour(flow, corners), graph::kUnreachable)

@@ -68,21 +68,6 @@ TEST(EventRing, WrapsManyTimesAndKeepsNewestWindow) {
   }
 }
 
-TEST(EventRing, ClearResetsEverything) {
-  EventRing ring(2);
-  ring.push(instant("a"));
-  ring.push(instant("b"));
-  ring.push(instant("c"));
-  ring.clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.total_pushed(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
-  ring.push(instant("d"));
-  ASSERT_EQ(ring.snapshot().size(), 1u);
-  EXPECT_EQ(ring.snapshot()[0].name, "d");
-}
-
 TEST(VirtualClock, StartsAtZeroAndOnlyAdvanceMovesIt) {
   ASSERT_FALSE(EventClock::virtual_enabled());
   const VirtualClockGuard guard;

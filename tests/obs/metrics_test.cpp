@@ -236,17 +236,5 @@ TEST(MetricsRegistryTest, MergeMatchesSequentialObservation) {
   EXPECT_DOUBLE_EQ(merged.percentile(50.0), full.percentile(50.0));
 }
 
-TEST(DefaultLatencyEdges, StrictlyIncreasing) {
-  const std::vector<double> edges = default_latency_edges_ms();
-  ASSERT_FALSE(edges.empty());
-  for (std::size_t i = 1; i < edges.size(); ++i) {
-    EXPECT_LT(edges[i - 1], edges[i]);
-  }
-  // Must construct a valid histogram.
-  Histogram h(edges);
-  h.observe(0.3);
-  EXPECT_EQ(h.count(), 1u);
-}
-
 }  // namespace
 }  // namespace rap::obs

@@ -50,20 +50,19 @@ TEST(Classify, PartitionsByTraffic) {
       line_flow(4, 9, 10.0),
       line_flow(3, 6, 5.0),
   };
-  ClassifyOptions options;
-  options.center_fraction = 0.2;
-  options.city_fraction = 0.4;
-  const auto classes = classify_intersections(net, flows, options);
+  const auto classes = classify_intersections(net, flows);
   ASSERT_EQ(classes.size(), 10u);
-  // Nodes 4, 5 have 25 vehicles each -> the top 20% of 10 ranked nodes.
+  // All 10 nodes carry traffic. Nodes 4, 5 have 25 vehicles each; the top
+  // 10% (one node) is city-centre, and the tie goes to the lower id.
   EXPECT_EQ(classes[4], LocationClass::kCityCenter);
-  EXPECT_EQ(classes[5], LocationClass::kCityCenter);
-  // City band (next 40%): nodes 3, 6 (15 vehicles), then the lowest-id
-  // 10-vehicle nodes 0, 1.
+  // City band (next 40%, four nodes): node 5, nodes 3, 6 (15 vehicles),
+  // then the lowest-id 10-vehicle node 0.
+  EXPECT_EQ(classes[5], LocationClass::kCity);
   EXPECT_EQ(classes[3], LocationClass::kCity);
   EXPECT_EQ(classes[6], LocationClass::kCity);
   EXPECT_EQ(classes[0], LocationClass::kCity);
   // The remaining 10-vehicle nodes fall to suburb.
+  EXPECT_EQ(classes[1], LocationClass::kSuburb);
   EXPECT_EQ(classes[2], LocationClass::kSuburb);
   EXPECT_EQ(classes[9], LocationClass::kSuburb);
 }
@@ -110,17 +109,6 @@ TEST(Classify, CenterHasMoreTrafficThanSuburb) {
     }
   }
   EXPECT_GE(min_center, max_suburb);
-}
-
-TEST(Classify, RejectsBadFractions) {
-  const auto net = testing::line_network(3);
-  ClassifyOptions bad;
-  bad.center_fraction = -0.1;
-  EXPECT_THROW(classify_intersections(net, {}, bad), std::invalid_argument);
-  bad = {};
-  bad.center_fraction = 0.7;
-  bad.city_fraction = 0.7;
-  EXPECT_THROW(classify_intersections(net, {}, bad), std::invalid_argument);
 }
 
 TEST(NodesInClass, FiltersCorrectly) {

@@ -7,66 +7,11 @@
 #include <string_view>
 #include <utility>
 
-#include "src/trace/generator.h"
 #include "tests/testing/builders.h"
 #include "tests/testing/parse_verdict.h"
 
 namespace rap::trace {
 namespace {
-
-std::vector<TraceRecord> sample_records() {
-  std::vector<TraceRecord> records(3);
-  records[0] = {1, 10, 100, 0.5, {12.25, -3.5}};
-  records[1] = {1, 10, 100, 1.5, {14.0, -2.0}};
-  records[2] = {2, 11, 101, 0.0, {0.0, 0.0}};
-  return records;
-}
-
-TEST(RecordsCsv, RoundTrip) {
-  const auto records = sample_records();
-  const auto parsed = records_from_csv(records_to_csv(records));
-  ASSERT_EQ(parsed.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(parsed[i].vehicle_id, records[i].vehicle_id);
-    EXPECT_EQ(parsed[i].journey_id, records[i].journey_id);
-    EXPECT_EQ(parsed[i].run_id, records[i].run_id);
-    EXPECT_NEAR(parsed[i].timestamp, records[i].timestamp, 1e-3);
-    EXPECT_NEAR(parsed[i].position.x, records[i].position.x, 1e-3);
-    EXPECT_NEAR(parsed[i].position.y, records[i].position.y, 1e-3);
-  }
-}
-
-TEST(RecordsCsv, HeaderOnly) {
-  const auto parsed = records_from_csv(records_to_csv({}));
-  EXPECT_TRUE(parsed.empty());
-}
-
-TEST(RecordsCsv, RejectsBadInput) {
-  EXPECT_THROW(records_from_csv(""), std::invalid_argument);
-  EXPECT_THROW(records_from_csv("wrong,header\n"), std::invalid_argument);
-  const std::string good_header = "vehicle_id,journey_id,run_id,timestamp,x,y\n";
-  EXPECT_THROW(records_from_csv(good_header + "1,2,3\n"),
-               std::invalid_argument);
-  EXPECT_THROW(records_from_csv(good_header + "a,2,3,0.0,1.0,2.0\n"),
-               std::invalid_argument);
-  EXPECT_THROW(records_from_csv(good_header + "1,2,3,zz,1.0,2.0\n"),
-               std::invalid_argument);
-}
-
-TEST(RecordsCsv, FileRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "rap_trace_io";
-  std::filesystem::remove_all(dir);
-  const auto path = dir / "records.csv";
-  write_records_csv(path, sample_records());
-  const auto parsed = read_records_csv(path);
-  EXPECT_EQ(parsed.size(), 3u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(RecordsCsv, MissingFileThrows) {
-  EXPECT_THROW(read_records_csv("/nonexistent/rap/records.csv"),
-               std::runtime_error);
-}
 
 TEST(FlowsCsv, RoundTripPreservesEverything) {
   const auto net = testing::line_network(6);
@@ -222,19 +167,6 @@ TEST(FlowsCsv, StreamedFileErrorsNamePathAndLine) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(RecordsCsv, GoldenBytes) {
-  // Three decimals: exact binary ties (0.0625, 0.1875) round to even.
-  std::vector<TraceRecord> records(3);
-  records[0] = {1, 10, 100, 0.0625, {12.25, -3.5}};
-  records[1] = {4294967295u, 0, 7, 0.1875, {-0.0, 1e20}};
-  records[2] = {2, 11, 101, 86399.9995, {-1234.56789, 0.0005}};
-  EXPECT_EQ(records_to_csv(records),
-            "vehicle_id,journey_id,run_id,timestamp,x,y\n"
-            "1,10,100,0.062,12.250,-3.500\n"
-            "4294967295,0,7,0.188,-0.000,100000000000000000000.000\n"
-            "2,11,101,86400.000,-1234.568,0.001\n");
-}
-
 TEST(FlowsCsv, GoldenBytes) {
   // Six decimals for volumes, nine for alpha; ties at both round to even.
   std::vector<traffic::TrafficFlow> flows(4);
@@ -252,156 +184,98 @@ TEST(FlowsCsv, GoldenBytes) {
 }
 
 TEST(TraceCsv, NumericFieldVerdicts) {
-  // What the parsers accept in a number field, and the exact error text
-  // of what they reject.
+  // What the flow parser accepts in a number field, and the exact error text
+  // of what it rejects.
   const struct {
     std::string_view text;
     std::string_view daily_vehicles;
     std::string_view path_id;
-    std::string_view timestamp;
-    std::string_view y;
   } cases[] = {
       {" 1.5",
        "ok 0x1.8p+0",
-       "error: <string>:2: not an unsigned integer: ' 1.5'",
-       "ok 0x1.8p+0",
-       "ok 0x1.8p+0"},
+       "error: <string>:2: not an unsigned integer: ' 1.5'"},
       {"+1.5",
        "ok 0x1.8p+0",
-       "error: <string>:2: not an unsigned integer: '+1.5'",
-       "ok 0x1.8p+0",
-       "ok 0x1.8p+0"},
+       "error: <string>:2: not an unsigned integer: '+1.5'"},
       {"0x1p3",
        "ok 0x1p+3",
-       "error: <string>:2: not an unsigned integer: '0x1p3'",
-       "ok 0x1p+3",
-       "ok 0x1p+3"},
+       "error: <string>:2: not an unsigned integer: '0x1p3'"},
       {"1e400",
        "error: <string>:2: not a number: '1e400'",
-       "error: <string>:2: not an unsigned integer: '1e400'",
-       "error: <string>:2: not a number: '1e400'",
-       "error: <string>:2: not a number: '1e400'"},
+       "error: <string>:2: not an unsigned integer: '1e400'"},
       {"1e-400",
        "error: <string>:2: not a number: '1e-400'",
-       "error: <string>:2: not an unsigned integer: '1e-400'",
-       "error: <string>:2: not a number: '1e-400'",
-       "error: <string>:2: not a number: '1e-400'"},
+       "error: <string>:2: not an unsigned integer: '1e-400'"},
       {"nan",
        "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
-       "error: <string>:2: not an unsigned integer: 'nan'",
-       "ok nan",
-       "ok nan"},
+       "error: <string>:2: not an unsigned integer: 'nan'"},
       {"inf",
        "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
-       "error: <string>:2: not an unsigned integer: 'inf'",
-       "ok inf",
-       "ok inf"},
+       "error: <string>:2: not an unsigned integer: 'inf'"},
       {"",
        "error: <string>:2: not a number: ''",
-       "error: <string>:2: not an unsigned integer: ''",
-       "error: <string>:2: not a number: ''",
-       "error: <string>:2: not a number: ''"},
+       "error: <string>:2: not an unsigned integer: ''"},
       {"1.5x",
        "error: <string>:2: not a number: '1.5x'",
-       "error: <string>:2: not an unsigned integer: '1.5x'",
-       "error: <string>:2: not a number: '1.5x'",
-       "error: <string>:2: not a number: '1.5x'"},
+       "error: <string>:2: not an unsigned integer: '1.5x'"},
       {"-0",
        "ok -0x0p+0",
-       "error: <string>:2: not an unsigned integer: '-0'",
-       "ok -0x0p+0",
-       "ok -0x0p+0"},
+       "error: <string>:2: not an unsigned integer: '-0'"},
       {"4294967296",
        "ok 0x1p+32",
-       "error: <string>:2: not an unsigned integer: '4294967296'",
-       "ok 0x1p+32",
-       "ok 0x1p+32"},
+       "error: <string>:2: not an unsigned integer: '4294967296'"},
       {"1e-310",
        "error: <string>:2: not a number: '1e-310'",
-       "error: <string>:2: not an unsigned integer: '1e-310'",
-       "error: <string>:2: not a number: '1e-310'",
-       "error: <string>:2: not a number: '1e-310'"},
+       "error: <string>:2: not an unsigned integer: '1e-310'"},
       {"-nan",
        "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
-       "error: <string>:2: not an unsigned integer: '-nan'",
-       "ok -nan",
-       "ok -nan"},
+       "error: <string>:2: not an unsigned integer: '-nan'"},
       {"Infinity",
        "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
-       "error: <string>:2: not an unsigned integer: 'Infinity'",
-       "ok inf",
-       "ok inf"},
+       "error: <string>:2: not an unsigned integer: 'Infinity'"},
       {"1.5 ",
        "error: <string>:2: not a number: '1.5 '",
-       "error: <string>:2: not an unsigned integer: '1.5 '",
-       "error: <string>:2: not a number: '1.5 '",
-       "error: <string>:2: not a number: '1.5 '"},
+       "error: <string>:2: not an unsigned integer: '1.5 '"},
       {".5",
        "ok 0x1p-1",
-       "error: <string>:2: not an unsigned integer: '.5'",
-       "ok 0x1p-1",
-       "ok 0x1p-1"},
+       "error: <string>:2: not an unsigned integer: '.5'"},
       {"5.",
        "ok 0x1.4p+2",
-       "error: <string>:2: not an unsigned integer: '5.'",
-       "ok 0x1.4p+2",
-       "ok 0x1.4p+2"},
+       "error: <string>:2: not an unsigned integer: '5.'"},
       {"-.5e1",
        "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
-       "error: <string>:2: not an unsigned integer: '-.5e1'",
-       "ok -0x1.4p+2",
-       "ok -0x1.4p+2"},
+       "error: <string>:2: not an unsigned integer: '-.5e1'"},
       {"1E5",
        "ok 0x1.86ap+16",
-       "error: <string>:2: not an unsigned integer: '1E5'",
-       "ok 0x1.86ap+16",
-       "ok 0x1.86ap+16"},
+       "error: <string>:2: not an unsigned integer: '1E5'"},
       {"007",
        "ok 0x1.cp+2",
-       "error: <string>:2: validate_flow: path endpoints disagree with origin/destination",
-       "ok 0x1.cp+2",
-       "ok 0x1.cp+2"},
+       "error: <string>:2: validate_flow: path endpoints disagree with origin/destination"},
       {"-",
        "error: <string>:2: not a number: '-'",
-       "error: <string>:2: not an unsigned integer: '-'",
-       "error: <string>:2: not a number: '-'",
-       "error: <string>:2: not a number: '-'"},
+       "error: <string>:2: not an unsigned integer: '-'"},
       {"e5",
        "error: <string>:2: not a number: 'e5'",
-       "error: <string>:2: not an unsigned integer: 'e5'",
-       "error: <string>:2: not a number: 'e5'",
-       "error: <string>:2: not a number: 'e5'"},
+       "error: <string>:2: not an unsigned integer: 'e5'"},
       {"-1",
        "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
-       "error: <string>:2: not an unsigned integer: '-1'",
-       "ok -0x1p+0",
-       "ok -0x1p+0"},
+       "error: <string>:2: not an unsigned integer: '-1'"},
       {"0x10",
        "ok 0x1p+4",
-       "error: <string>:2: not an unsigned integer: '0x10'",
-       "ok 0x1p+4",
-       "ok 0x1p+4"},
+       "error: <string>:2: not an unsigned integer: '0x10'"},
       {"\t2",
        "ok 0x1p+1",
-       "error: <string>:2: not an unsigned integer: '\t2'",
-       "ok 0x1p+1",
-       "ok 0x1p+1"},
+       "error: <string>:2: not an unsigned integer: '\t2'"},
       {"2.5e",
        "error: <string>:2: not a number: '2.5e'",
-       "error: <string>:2: not an unsigned integer: '2.5e'",
-       "error: <string>:2: not a number: '2.5e'",
-       "error: <string>:2: not a number: '2.5e'"},
+       "error: <string>:2: not an unsigned integer: '2.5e'"},
       {"nan(1)",
        "error: <string>:2: validate_flow: daily_vehicles must be finite and >= 0",
-       "error: <string>:2: not an unsigned integer: 'nan(1)'",
-       "ok nan",
-       "ok nan"},
+       "error: <string>:2: not an unsigned integer: 'nan(1)'"},
   };
   const auto net = testing::line_network(3);
   const std::string flow_header =
       "origin,destination,daily_vehicles,passengers_per_vehicle,alpha,path\n";
-  const std::string record_header =
-      "vehicle_id,journey_id,run_id,timestamp,x,y\n";
   for (const auto& c : cases) {
     const std::string text(c.text);
     EXPECT_EQ(testing::parse_verdict([&] {
@@ -422,22 +296,6 @@ TEST(TraceCsv, NumericFieldVerdicts) {
               }),
               c.path_id)
         << "path id '" << text << "'";
-    EXPECT_EQ(testing::parse_verdict([&] {
-                return records_from_csv(record_header + "1,2,3," + text +
-                                        ",1,2\n")
-                    .at(0)
-                    .timestamp;
-              }),
-              c.timestamp)
-        << "timestamp '" << text << "'";
-    EXPECT_EQ(testing::parse_verdict([&] {
-                return records_from_csv(record_header + "1,2,3,0,1," + text +
-                                        "\n")
-                    .at(0)
-                    .position.y;
-              }),
-              c.y)
-        << "y '" << text << "'";
   }
 }
 
@@ -455,27 +313,6 @@ TEST(TraceCsv, WriteErrorsAtCloseThrow) {
     }
   };
   expect_names_path([] { write_flows_csv("/dev/full", {}); });
-  expect_names_path([] { write_records_csv("/dev/full", {}); });
-}
-
-TEST(TraceIo, GeneratedTraceSurvivesRoundTrip) {
-  // The full circle: generate -> serialize -> parse -> identical pipeline
-  // inputs (sorted order preserved).
-  util::Rng net_rng(1);
-  const auto net = testing::random_network(6, 6, 6, net_rng);
-  TraceGenSpec spec;
-  spec.num_journeys = 5;
-  spec.mean_runs_per_journey = 3.0;
-  spec.sample_spacing = 0.8;
-  spec.gps_noise = 0.05;
-  util::Rng rng(2);
-  const SyntheticTrace trace = generate_trace(net, spec, rng);
-  const auto parsed = records_from_csv(records_to_csv(trace.records));
-  ASSERT_EQ(parsed.size(), trace.records.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].journey_id, trace.records[i].journey_id);
-    EXPECT_EQ(parsed[i].run_id, trace.records[i].run_id);
-  }
 }
 
 }  // namespace

@@ -41,27 +41,15 @@ TEST(CliFlags, HasDetectsPresence) {
   EXPECT_FALSE(flags.has("b"));
 }
 
-TEST(CliFlags, IntList) {
-  const CliFlags flags({"--ks=1,2,5,10"});
-  EXPECT_EQ(flags.get_int_list("ks", {}),
-            (std::vector<std::int64_t>{1, 2, 5, 10}));
-}
-
-TEST(CliFlags, IntListFallback) {
-  const CliFlags flags(std::vector<std::string>{});
-  EXPECT_EQ(flags.get_int_list("ks", {3, 4}), (std::vector<std::int64_t>{3, 4}));
-}
-
 TEST(CliFlags, RejectsNonFlagToken) {
   EXPECT_THROW(CliFlags({"positional"}), std::invalid_argument);
 }
 
 TEST(CliFlags, RejectsMalformedNumbers) {
-  const CliFlags flags({"--n=abc", "--x=1.5z", "--b=maybe", "--ks=1,x"});
+  const CliFlags flags({"--n=abc", "--x=1.5z", "--b=maybe"});
   EXPECT_THROW(flags.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(flags.get_double("x", 0.0), std::invalid_argument);
   EXPECT_THROW(flags.get_bool("b", false), std::invalid_argument);
-  EXPECT_THROW(flags.get_int_list("ks", {}), std::invalid_argument);
 }
 
 TEST(CliFlags, BooleanSpellings) {

@@ -92,55 +92,87 @@ TEST(CsvWriter, BytesReachTheStreamOnFlushAndWhenTheBufferFills) {
   EXPECT_EQ(out.str(), want);
 }
 
+/// One delivered row, copied out of the callback's views.
+struct Record {
+  std::size_t line = 0;
+  std::vector<std::string> fields;
+};
+
+/// Every record for_each_csv_record delivers from `input` (text or a
+/// stream), with its line.
+template <typename Input>
+std::vector<Record> collect_records(Input& input) {
+  std::vector<Record> records;
+  for_each_csv_record(input, [&](const CsvRecordView& record) {
+    records.push_back(
+        {record.line, std::vector<std::string>(record.fields.begin(),
+                                               record.fields.end())});
+  });
+  return records;
+}
+
+/// Every record of `text`, read through the std::string_view overload.
+std::vector<Record> text_records(std::string_view text) {
+  return collect_records(text);
+}
+
+/// The fields of every record of `text`.
+std::vector<std::vector<std::string>> parse_rows(std::string_view text) {
+  std::vector<std::vector<std::string>> rows;
+  for (Record& record : text_records(text)) {
+    rows.push_back(std::move(record.fields));
+  }
+  return rows;
+}
+
 TEST(ParseCsv, SimpleGrid) {
-  const auto rows = parse_csv("a,b\nc,d\n");
+  const auto rows = parse_rows("a,b\nc,d\n");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
 }
 
 TEST(ParseCsv, MissingFinalNewline) {
-  const auto rows = parse_csv("a,b");
+  const auto rows = parse_rows("a,b");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(ParseCsv, EmptyFields) {
-  const auto rows = parse_csv("a,,b\n,\n");
+  const auto rows = parse_rows("a,,b\n,\n");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "", "b"}));
   EXPECT_EQ(rows[1], (std::vector<std::string>{"", ""}));
 }
 
 TEST(ParseCsv, QuotedFields) {
-  const auto rows = parse_csv("\"a,b\",\"c\"\"d\"\n");
+  const auto rows = parse_rows("\"a,b\",\"c\"\"d\"\n");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a,b", "c\"d"}));
 }
 
 TEST(ParseCsv, QuotedNewline) {
-  const auto rows = parse_csv("\"line1\nline2\",x\n");
+  const auto rows = parse_rows("\"line1\nline2\",x\n");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], "line1\nline2");
 }
 
 TEST(ParseCsv, CrLfTerminators) {
-  const auto rows = parse_csv("a,b\r\nc,d\r\n");
+  const auto rows = parse_rows("a,b\r\nc,d\r\n");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
 }
 
 TEST(ParseCsv, UnterminatedQuoteThrows) {
-  EXPECT_THROW(parse_csv("\"abc"), std::invalid_argument);
+  EXPECT_THROW(parse_rows("\"abc"), std::invalid_argument);
 }
 
 TEST(ParseCsv, EmptyInputYieldsNoRows) {
-  EXPECT_TRUE(parse_csv("").empty());
+  EXPECT_TRUE(parse_rows("").empty());
 }
 
 TEST(ParseCsvRecords, TracksRowStartLines) {
-  const auto records =
-      parse_csv_records("a,b\n\"q\nuoted\",c\nlast,row\n");
+  const auto records = text_records("a,b\n\"q\nuoted\",c\nlast,row\n");
   ASSERT_EQ(records.size(), 3U);
   EXPECT_EQ(records[0].line, 1U);
   EXPECT_EQ(records[0].fields, (std::vector<std::string>{"a", "b"}));
@@ -158,7 +190,7 @@ TEST(ParseCsv, RoundTripsThroughWriter) {
   CsvWriter writer(out);
   for (const auto& row : rows) writer.write_row(row);
   writer.flush();
-  EXPECT_EQ(parse_csv(out.str()), rows);
+  EXPECT_EQ(parse_rows(out.str()), rows);
 }
 
 TEST(WriteCsvFile, CreatesDirectoriesAndRoundTrips) {
@@ -171,7 +203,7 @@ TEST(WriteCsvFile, CreatesDirectoriesAndRoundTrips) {
   ASSERT_TRUE(in);
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_EQ(parse_csv(buffer.str()), rows);
+  EXPECT_EQ(parse_rows(buffer.str()), rows);
   std::filesystem::remove_all(dir);
 }
 
@@ -191,21 +223,15 @@ TEST(WriteCsvFile, WriteErrorAtCloseThrows) {
 
 /// Every record of `text` with its line, read through the std::istream
 /// overload (in kCsvChunkBytes chunks).
-std::vector<CsvRecord> stream_records(const std::string& text) {
+std::vector<Record> stream_records(const std::string& text) {
   std::istringstream in(text);
-  std::vector<CsvRecord> records;
-  for_each_csv_record(in, [&](const CsvRecordView& record) {
-    records.push_back(
-        {record.line, std::vector<std::string>(record.fields.begin(),
-                                               record.fields.end())});
-  });
-  return records;
+  return collect_records(in);
 }
 
 /// Both overloads yield the same records, lines included.
 void expect_same_records(const std::string& text) {
-  const std::vector<CsvRecord> want = parse_csv_records(text);
-  const std::vector<CsvRecord> got = stream_records(text);
+  const std::vector<Record> want = text_records(text);
+  const std::vector<Record> got = stream_records(text);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].line, want[i].line) << "record " << i;
@@ -246,7 +272,7 @@ TEST(CsvStream, EscapedQuoteSplitAcrossTheChunkBoundary) {
   ASSERT_EQ(text[kCsvChunkBytes - 1], '"');
   ASSERT_EQ(text[kCsvChunkBytes], '"');
   expect_same_records(text);
-  const std::vector<CsvRecord> records = stream_records(text);
+  const std::vector<Record> records = stream_records(text);
   ASSERT_EQ(records.size(), 2u);
   ASSERT_EQ(records[0].fields.size(), 3u);
   EXPECT_EQ(records[0].fields[1].substr(records[0].fields[1].size() - 5),
@@ -262,7 +288,7 @@ TEST(CsvStream, ClosingQuoteAtTheChunkBoundary) {
       padded("a,\"", kCsvChunkBytes - 1) + "\",b\nc\n";
   ASSERT_EQ(text[kCsvChunkBytes - 1], '"');
   expect_same_records(text);
-  const std::vector<CsvRecord> records = stream_records(text);
+  const std::vector<Record> records = stream_records(text);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].fields.size(), 3u);
   EXPECT_EQ(records[0].fields[2], "b");
@@ -281,9 +307,9 @@ TEST(CsvStream, QuotedFieldWithEscapeStraddlesTheChunkBoundary) {
   ASSERT_LT(text.find("\"\""), kCsvChunkBytes);
   ASSERT_GT(text.find("\",z"), kCsvChunkBytes);
   expect_same_records(text);
-  const std::vector<CsvRecord> records = stream_records(text);
+  const std::vector<Record> records = stream_records(text);
   ASSERT_EQ(records.size(), plain_rows + 2);
-  const CsvRecord& quoted = records[plain_rows];
+  const Record& quoted = records[plain_rows];
   EXPECT_EQ(quoted.line, plain_rows + 1);
   EXPECT_EQ(quoted.fields, (std::vector<std::string>{"a", field, "z"}));
   EXPECT_EQ(records.back().line, plain_rows + 3);
@@ -295,7 +321,7 @@ TEST(CsvStream, PlainRowStraddlesTheChunkBoundary) {
   const std::string text =
       padded("", kCsvChunkBytes - 5) + "\nabcdefgh,ijk\r\nend\n";
   expect_same_records(text);
-  const std::vector<CsvRecord> records = stream_records(text);
+  const std::vector<Record> records = stream_records(text);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[1].line, 2u);
   EXPECT_EQ(records[1].fields, (std::vector<std::string>{"abcdefgh", "ijk"}));
@@ -308,7 +334,7 @@ TEST(CsvStream, UnterminatedQuoteNamesTheSameLine) {
         padded("a,b\nc,d\ne,\"open\n", 2 * kCsvChunkBytes + 5)}) {
     std::string want;
     try {
-      (void)parse_csv_records(text);
+      (void)text_records(text);
     } catch (const CsvSyntaxError& error) {
       want = error.what();
     }

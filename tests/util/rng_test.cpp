@@ -72,26 +72,6 @@ TEST(Rng, NextBelowIsRoughlyUniform) {
   }
 }
 
-TEST(Rng, NextIntInclusiveBounds) {
-  Rng rng(9);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.next_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(Rng, NextIntBadRangeThrows) {
-  Rng rng(9);
-  EXPECT_THROW(rng.next_int(2, 1), std::invalid_argument);
-}
-
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng rng(13);
   for (int i = 0; i < 10000; ++i) {

@@ -7,35 +7,6 @@
 namespace rap::util {
 namespace {
 
-TEST(Split, Basic) {
-  EXPECT_EQ(split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(Split, AdjacentDelimiters) {
-  EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
-}
-
-TEST(Split, EmptyString) {
-  EXPECT_EQ(split("", ','), std::vector<std::string>{""});
-}
-
-TEST(Split, TrailingDelimiter) {
-  EXPECT_EQ(split("a,", ','), (std::vector<std::string>{"a", ""}));
-}
-
-TEST(Trim, StripsBothEnds) {
-  EXPECT_EQ(trim("  hello \t\n"), "hello");
-  EXPECT_EQ(trim("hello"), "hello");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim(""), "");
-}
-
-TEST(Join, Basic) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"only"}, ","), "only");
-}
-
 TEST(FormatFixed, Decimals) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(2.0, 0), "2");
