@@ -12,11 +12,11 @@
 //      flexible routing — the Fig. 12 vs Fig. 13 mechanism in isolation.
 //   4. Lazy (CELF) greedy: identical output to the eager greedy with a
 //      fraction of the gain evaluations — the k|V||T| term in practice.
-//   5. Detour preprocessing: the paper's O(|V|^3) all-pairs matrix vs the
-//      per-shop Dijkstra engine, per-shop pricing time. The Dijkstra side is
-//      the library's DetourCalculator; the matrix side is a short loop here
-//      that prices each path with remaining_along_path and detour_distance,
-//      reading d' and d'' off the matrix.
+//   5. Detour preprocessing: the paper's all-pairs table vs the per-shop
+//      Dijkstra engine, per-shop pricing time. The Dijkstra side is the
+//      library's DetourCalculator; the table side is a short loop here that
+//      reads d' and d'' off bench::all_pairs_rows, d''' off
+//      graph::cumulative_lengths, and prices with detour_distance.
 //
 // Flags: --instances (default 30), --seed, --k (default 6).
 #include <chrono>
@@ -33,7 +33,6 @@
 #include "src/core/greedy.h"
 #include "src/core/lazy_greedy.h"
 #include "src/core/local_search.h"
-#include "src/graph/apsp.h"
 #include "src/graph/path.h"
 #include "src/manhattan/flexible_eval.h"
 #include "src/traffic/detour.h"
@@ -255,17 +254,18 @@ int main(int argc, char** argv) {
         }
       }
     });
-    const graph::DistanceMatrix matrix =
-        graph::all_pairs_shortest_paths(*city.net);
+    const std::vector<std::vector<double>> rows =
+        bench::all_pairs_rows(*city.net);
     const double apsp_ms = time_of([&] {
       for (graph::NodeId shop = 0; shop < 20; ++shop) {
         for (const auto& flow : city.workload.flows) {
           std::vector<double> out =
-              traffic::remaining_along_path(*city.net, flow);  // d'''
-          const double d2 = matrix(shop, flow.destination);     // d''
+              graph::cumulative_lengths(*city.net, flow.path);
+          const double total = out.back();
+          const double d2 = rows[shop][flow.destination];  // d''
           for (std::size_t i = 0; i < out.size(); ++i) {
-            out[i] = traffic::detour_distance(matrix(flow.path[i], shop), d2,
-                                              out[i]);
+            out[i] = traffic::detour_distance(rows[flow.path[i]][shop], d2,
+                                              total - out[i]);  // d', d'''
           }
         }
       }

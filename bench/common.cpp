@@ -12,10 +12,12 @@
 #include "src/obs/json.h"
 #include "src/obs/telemetry.h"
 #include "src/citygen/radial_city.h"
+#include "src/graph/dijkstra.h"
 #include "src/trace/flow_extractor.h"
 #include "src/trace/generator.h"
 #include "src/util/rng.h"
 #include "src/util/text_file.h"
+#include "src/util/thread_pool.h"
 #include "rap_version.h"
 
 namespace rap::bench {
@@ -127,6 +129,17 @@ std::vector<eval::AlgorithmId> manhattan_algorithms() {
           eval::AlgorithmId::kCompositeGreedy,
           eval::AlgorithmId::kMaxCustomers,
           eval::AlgorithmId::kRandom};
+}
+
+std::vector<std::vector<double>> all_pairs_rows(const graph::RoadNetwork& net) {
+  std::vector<std::vector<double>> rows(net.num_nodes());
+  util::parallel_for(0, rows.size(), 16, [&](const util::ChunkRange& chunk) {
+    for (std::size_t source = chunk.first; source < chunk.last; ++source) {
+      rows[source] =
+          graph::dijkstra(net, static_cast<graph::NodeId>(source)).distances();
+    }
+  });
+  return rows;
 }
 
 void write_bench_json(

@@ -49,6 +49,14 @@ void run_and_report(const eval::Workload& workload,
 /// The algorithm set for the Manhattan scenario (adds Algorithms 3/4).
 [[nodiscard]] std::vector<eval::AlgorithmId> manhattan_algorithms();
 
+/// The paper's all-pairs preprocessing, for benches that time it: row s
+/// holds graph::dijkstra(net, s)'s distances. Rows are filled in 16-source
+/// chunks under util::parallel_for, so the result is the same for every
+/// thread count. The library itself prices detours off the shop's two
+/// trees and builds no such table.
+[[nodiscard]] std::vector<std::vector<double>> all_pairs_rows(
+    const graph::RoadNetwork& net);
+
 // ---------------------------------------------------------------------------
 // rap.bench.v1 — the standard bench result schema.
 //

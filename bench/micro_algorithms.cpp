@@ -12,7 +12,6 @@
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
 #include "src/core/greedy.h"
-#include "src/graph/apsp.h"
 #include "src/graph/dijkstra.h"
 #include "src/manhattan/flexible_eval.h"
 #include "src/obs/telemetry.h"
@@ -50,24 +49,6 @@ void BM_DijkstraSingleSource(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(net.num_nodes()));
 }
 BENCHMARK(BM_DijkstraSingleSource)->Arg(10)->Arg(20)->Arg(40)->Complexity();
-
-void BM_AllPairsShortestPaths(benchmark::State& state) {
-  const auto net = make_city(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::all_pairs_shortest_paths(net));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(net.num_nodes()));
-}
-BENCHMARK(BM_AllPairsShortestPaths)->Arg(8)->Arg(16)->Arg(24)->Complexity();
-
-void BM_FloydWarshallOracle(benchmark::State& state) {
-  const auto net = make_city(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::floyd_warshall(net));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(net.num_nodes()));
-}
-BENCHMARK(BM_FloydWarshallOracle)->Arg(8)->Arg(12)->Arg(16)->Complexity();
 
 void BM_ProblemBuild(benchmark::State& state) {
   const auto net = make_city(15);

@@ -1,7 +1,9 @@
-// Parallel speedup bench: times the three parallelised kernels — APSP, the
-// coverage greedy (Algorithm 1), and the composite greedy (Algorithm 2) —
-// on a 20x20 grid city at threads=1 vs threads=4 and writes the wall-clock
-// ratios to BENCH_parallel.json in the rap.bench.v1 schema (bench/common.h).
+// Parallel speedup bench: times three parallel kernels — the all-pairs rows
+// of the paper's preprocessing (bench::all_pairs_rows, reported as "apsp"),
+// the coverage greedy (Algorithm 1), and the composite greedy (Algorithm 2)
+// — on a 20x20 grid city at threads=1 vs threads=4 and writes the
+// wall-clock ratios to BENCH_parallel.json in the rap.bench.v1 schema
+// (bench/common.h).
 // Determinism means the parallel runs also double as a correctness check:
 // the bench aborts if any result differs from the serial run.
 //
@@ -18,7 +20,6 @@
 #include "src/core/composite_greedy.h"
 #include "src/core/greedy.h"
 #include "src/core/problem.h"
-#include "src/graph/apsp.h"
 #include "src/traffic/utility.h"
 #include "src/util/cli.h"
 #include "src/util/rng.h"
@@ -86,21 +87,22 @@ int main(int argc, char** argv) {
 
     std::vector<KernelTiming> timings;
 
-    // APSP: 400 Dijkstra sources, 16-row chunks.
+    // All-pairs rows: 400 Dijkstra sources, 16-row chunks.
     {
       KernelTiming t{"apsp", 0.0, 0.0};
       util::set_parallel_config({1});
-      const graph::DistanceMatrix serial = graph::all_pairs_shortest_paths(net);
+      const std::vector<std::vector<double>> serial =
+          bench::all_pairs_rows(net);
       t.serial_ms =
-          time_best_ms(trials, [&] { (void)graph::all_pairs_shortest_paths(net); });
+          time_best_ms(trials, [&] { (void)bench::all_pairs_rows(net); });
       util::set_parallel_config({threads});
-      const graph::DistanceMatrix parallel =
-          graph::all_pairs_shortest_paths(net);
+      const std::vector<std::vector<double>> parallel =
+          bench::all_pairs_rows(net);
       t.parallel_ms =
-          time_best_ms(trials, [&] { (void)graph::all_pairs_shortest_paths(net); });
-      for (graph::NodeId i = 0; i < serial.size(); ++i) {
-        for (graph::NodeId j = 0; j < serial.size(); ++j) {
-          if (serial(i, j) != parallel(i, j)) {
+          time_best_ms(trials, [&] { (void)bench::all_pairs_rows(net); });
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        for (std::size_t j = 0; j < serial.size(); ++j) {
+          if (serial[i][j] != parallel[i][j]) {
             std::cerr << "determinism violation in apsp at (" << i << "," << j
                       << ")\n";
             return 1;

@@ -19,6 +19,17 @@
 namespace rap::check {
 namespace {
 
+/// Random placements per scenario for evaluate-vs-oracle checks.
+constexpr std::size_t kRandomPlacements = 4;
+/// Skip the oracle's plain-enumeration exhaustive cross-check when
+/// sum_{j<=k} C(n, j) exceeds this (the oracle re-evaluates every leaf from
+/// scratch; this bounds fuzz wall-clock, not correctness).
+constexpr std::size_t kOracleExhaustiveBudget = 150'000;
+/// Only instances with k at most this run exhaustive/ratio checks.
+constexpr std::size_t kExhaustiveKLimit = 4;
+/// Relative tolerance for value comparisons that sum in different orders.
+constexpr double kTolerance = 1e-9;
+
 /// Pins the ambient thread count for one leg of a serial-vs-parallel check,
 /// restoring the previous config on scope exit.
 class ScopedThreads {
@@ -74,8 +85,7 @@ double subset_count(std::size_t n, std::size_t k) {
 
 class Checker {
  public:
-  Checker(DiffReport& report, const DiffOptions& options)
-      : report_(report), options_(options) {}
+  explicit Checker(DiffReport& report) : report_(report) {}
 
   void expect(bool ok, const char* check, const std::string& detail) {
     ++report_.checks_run;
@@ -90,12 +100,11 @@ class Checker {
   }
 
   void expect_close(double a, double b, const char* check) {
-    expect(close(a, b, options_.tolerance), check, fmt(a) + " vs " + fmt(b));
+    expect(close(a, b, kTolerance), check, fmt(a) + " vs " + fmt(b));
   }
 
  private:
   DiffReport& report_;
-  const DiffOptions& options_;
 };
 
 /// Independent re-implementation of Algorithm 2's step rule on top of the
@@ -167,7 +176,7 @@ DiffReport run_differential_checks(const Scenario& scenario,
                                    const DiffOptions& options) {
   DiffReport report;
   report.seed = scenario.seed;
-  Checker check(report, options);
+  Checker check(report);
 
   const core::CoverageModel& model = *scenario.problem;
   const std::size_t n = model.num_nodes();
@@ -252,7 +261,7 @@ DiffReport run_differential_checks(const Scenario& scenario,
     check.expect_close(naive.customers, oracle_evaluate(model, naive.nodes),
                        "evaluate_vs_oracle_naive");
     util::Rng rng = util::Rng(scenario.seed).fork(0x0ddc0ffee);
-    for (std::size_t trial = 0; trial < options.random_placements; ++trial) {
+    for (std::size_t trial = 0; trial < kRandomPlacements; ++trial) {
       const std::size_t size =
           1 + static_cast<std::size_t>(
                   rng.next_below(std::min<std::uint64_t>(n, 8)));
@@ -290,7 +299,7 @@ DiffReport run_differential_checks(const Scenario& scenario,
       check.expect(picked == single.node ||
                        (picked != graph::kInvalidNode &&
                         close(oracle_evaluate(model, single_id),
-                              single.customers, options.tolerance)),
+                              single.customers, kTolerance)),
                    "best_single_node",
                    std::to_string(picked) + " vs " +
                        std::to_string(single.node) + " value " +
@@ -326,7 +335,7 @@ DiffReport run_differential_checks(const Scenario& scenario,
       } else {
         // The adversarial family can make improvement negative; the guarded
         // gain never counts a losing swap, so it dominates the split.
-        check.expect(gain + options.tolerance >= split,
+        check.expect(gain + kTolerance >= split,
                      "gain_dominates_decomposition",
                      fmt(gain) + " vs " + fmt(split));
       }
@@ -343,14 +352,12 @@ DiffReport run_differential_checks(const Scenario& scenario,
 
   // --- Exhaustive optimum: Algorithm 3's k <= 4 path vs the oracle's plain
   // enumeration, plus the proven approximation ratios. ---
-  if (monotone && k <= options.exhaustive_k_limit) {
+  if (monotone && k <= kExhaustiveKLimit) {
     const core::PlacementResult opt = core::exhaustive_optimal_placement(model, k);
-    const double tol_eps =
-        options.tolerance * (1.0 + std::abs(opt.customers));
+    const double tol_eps = kTolerance * (1.0 + std::abs(opt.customers));
     check.expect(core::evaluate_placement(model, opt.nodes) == opt.customers,
                  "exhaustive_value_replays", fmt_result(opt));
-    if (subset_count(n, k) <=
-        static_cast<double>(options.oracle_exhaustive_budget)) {
+    if (subset_count(n, k) <= static_cast<double>(kOracleExhaustiveBudget)) {
       const core::PlacementResult oracle_opt = oracle_exhaustive(model, k);
       check.expect_close(opt.customers, oracle_opt.customers,
                          "exhaustive_vs_oracle");

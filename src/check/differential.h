@@ -35,16 +35,6 @@ namespace rap::check {
 struct DiffOptions {
   /// Thread count for the parallel leg of serial-vs-parallel checks.
   std::size_t parallel_threads = 4;
-  /// Random placements per scenario for evaluate-vs-oracle checks.
-  std::size_t random_placements = 4;
-  /// Skip the oracle's plain-enumeration exhaustive cross-check when
-  /// sum_{j<=k} C(n, j) exceeds this (the oracle re-evaluates every leaf
-  /// from scratch; this bounds fuzz wall-clock, not correctness).
-  std::size_t oracle_exhaustive_budget = 150'000;
-  /// Only instances with k at most this run exhaustive/ratio checks.
-  std::size_t exhaustive_k_limit = 4;
-  /// Relative tolerance for value comparisons that sum in different orders.
-  double tolerance = 1e-9;
 };
 
 struct DiffFailure {

@@ -6,8 +6,7 @@
 namespace rap::core {
 
 MultiShopDetour::MultiShopDetour(const graph::RoadNetwork& net,
-                                 const std::vector<graph::NodeId>& shops)
-    : net_(&net) {
+                                 const std::vector<graph::NodeId>& shops) {
   if (shops.empty()) {
     throw std::invalid_argument("MultiShopDetour: need at least one shop");
   }
@@ -20,16 +19,12 @@ MultiShopDetour::MultiShopDetour(const graph::RoadNetwork& net,
 
 void MultiShopDetour::price_path(const traffic::TrafficFlow& flow,
                                  std::span<double> out) const {
-  // One walk serves every shop.
-  const std::vector<double> direct =
-      traffic::remaining_along_path(*net_, flow);  // d'''
   std::fill(out.begin(), out.end(), graph::kUnreachable);
+  std::vector<double> shop_detours(out.size());
   for (const traffic::DetourCalculator& calc : calculators_) {
-    const double d2 = calc.from_shop()[flow.destination];
+    calc.detours_along_path(flow, shop_detours);
     for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = std::min(out[i], traffic::detour_distance(
-                                    calc.to_shop()[flow.path[i]], d2,
-                                    direct[i]));
+      out[i] = std::min(out[i], shop_detours[i]);
     }
   }
 }

@@ -28,10 +28,11 @@ class MultiShopDetour final : public traffic::DetourSource {
                   const std::vector<graph::NodeId>& shops);
 
  private:
+  /// Each shop's calculator prices the path in turn; `out` keeps the
+  /// element-wise minimum, folded in shop order.
   void price_path(const traffic::TrafficFlow& flow,
                   std::span<double> out) const override;
 
-  const graph::RoadNetwork* net_;
   std::vector<traffic::DetourCalculator> calculators_;
 };
 

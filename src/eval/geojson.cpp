@@ -71,15 +71,13 @@ std::string to_geojson(const graph::RoadNetwork& net,
                        util::format_fixed(e.length, 2) + "}");
     }
   }
-  if (options.include_flows) {
-    for (const traffic::TrafficFlow& flow : flows) {
-      if (flow.daily_vehicles < options.min_flow_vehicles) continue;
-      features.add(line_geometry(net, flow.path),
-                   R"({"kind":"flow","daily_vehicles":)" +
-                       util::format_fixed(flow.daily_vehicles, 2) +
-                       R"(,"population":)" +
-                       util::format_fixed(flow.population(), 2) + "}");
-    }
+  for (const traffic::TrafficFlow& flow : flows) {
+    if (flow.daily_vehicles < options.min_flow_vehicles) continue;
+    features.add(line_geometry(net, flow.path),
+                 R"({"kind":"flow","daily_vehicles":)" +
+                     util::format_fixed(flow.daily_vehicles, 2) +
+                     R"(,"population":)" +
+                     util::format_fixed(flow.population(), 2) + "}");
   }
   if (shop != graph::kInvalidNode) {
     features.add(point_geometry(net.position(shop)), R"({"kind":"shop"})");

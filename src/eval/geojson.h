@@ -15,7 +15,6 @@ namespace rap::eval {
 
 struct GeoJsonOptions {
   bool include_streets = true;
-  bool include_flows = true;
   /// Flows with fewer daily vehicles are skipped (declutters dense maps).
   double min_flow_vehicles = 0.0;
 };

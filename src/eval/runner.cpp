@@ -179,8 +179,8 @@ ExperimentResult run_experiment(const Workload& workload,
   // Repetitions dispatch through the shared deterministic pool: one chunk
   // per repetition, each with its own forked RNG stream (root.fork(rep) —
   // the same stream assignment the serial loop uses). Parallel regions
-  // inside a repetition (APSP rows, greedy candidate scans) detect they are
-  // on a pool worker and run inline, so thread counts compose without
+  // inside a repetition (greedy candidate scans) detect they are on a pool
+  // worker and run inline, so thread counts compose without
   // oversubscription.
   const std::size_t threads =
       std::min(config.threads == 0 ? util::parallel_config().effective()

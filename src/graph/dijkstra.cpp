@@ -124,4 +124,26 @@ std::optional<std::vector<NodeId>> shortest_path(const RoadNetwork& net,
   return tree.path_to(target);
 }
 
+std::vector<std::vector<double>> floyd_warshall(const RoadNetwork& net) {
+  const obs::Span span("floyd_warshall");
+  const std::size_t n = net.num_nodes();
+  std::vector<std::vector<double>> dist(n,
+                                        std::vector<double>(n, kUnreachable));
+  for (std::size_t i = 0; i < n; ++i) dist[i][i] = 0.0;
+  for (const Edge& e : net.edges()) {
+    dist[e.from][e.to] = std::min(dist[e.from][e.to], e.length);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double dik = dist[i][k];
+      if (dik == kUnreachable) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double via = dik + dist[k][j];
+        if (via < dist[i][j]) dist[i][j] = via;
+      }
+    }
+  }
+  return dist;
+}
+
 }  // namespace rap::graph

@@ -4,7 +4,10 @@
 // Forward mode answers dist(source, v) for all v; reverse mode answers
 // dist(v, source) by traversing incoming edges — the placement engine uses
 // reverse mode to compute every intersection's distance *to* the shop in one
-// run, which is the d' term of the paper's detour formula.
+// run, which is the d' term of the paper's detour formula. The detour needs
+// only distances to and from the shop, so no all-pairs table is built; the
+// paper's O(|V|^3) preprocessing survives only as floyd_warshall, the
+// reference the tests check the trees against.
 #pragma once
 
 #include <limits>
@@ -66,5 +69,10 @@ class ShortestPathTree {
 /// unreachable.
 [[nodiscard]] std::optional<std::vector<NodeId>> shortest_path(
     const RoadNetwork& net, NodeId source, NodeId target);
+
+/// All-pairs distances by Floyd–Warshall (O(|V|^3); test reference): row i,
+/// column j holds dist(i, j), kUnreachable when j cannot be reached.
+[[nodiscard]] std::vector<std::vector<double>> floyd_warshall(
+    const RoadNetwork& net);
 
 }  // namespace rap::graph

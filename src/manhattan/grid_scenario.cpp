@@ -9,6 +9,9 @@
 namespace rap::manhattan {
 namespace {
 
+// Share of generated flows drawn straight across one street.
+constexpr double kStraightFraction = 0.3;
+
 double l1(citygen::GridCoord a, citygen::GridCoord b, double spacing) noexcept {
   const auto diff = [](std::size_t x, std::size_t y) {
     return static_cast<double>(x > y ? x - y : y - x);
@@ -91,10 +94,6 @@ std::vector<GridFlow> generate_grid_flows(const GridScenario& scenario,
   if (spec.count == 0) {
     throw std::invalid_argument("generate_grid_flows: count must be > 0");
   }
-  if (spec.straight_fraction < 0.0 || spec.straight_fraction > 1.0) {
-    throw std::invalid_argument(
-        "generate_grid_flows: straight_fraction must be in [0, 1]");
-  }
   const std::vector<citygen::GridCoord> boundary = scenario.boundary_coords();
   const std::size_t last = scenario.n() - 1;
   std::vector<GridFlow> flows;
@@ -102,7 +101,7 @@ std::vector<GridFlow> generate_grid_flows(const GridScenario& scenario,
   while (flows.size() < spec.count) {
     citygen::GridCoord entry;
     citygen::GridCoord exit;
-    if (rng.next_bool(spec.straight_fraction)) {
+    if (rng.next_bool(kStraightFraction)) {
       // Arterial through-traffic: straight across one street.
       const std::size_t lane = rng.next_below(scenario.n());
       const bool horizontal = rng.next_bool(0.5);

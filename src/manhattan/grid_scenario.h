@@ -81,13 +81,12 @@ struct GridFlowGenSpec {
   double mean_vehicles = 20.0;  ///< daily vehicles ~ 1 + Poisson(mean)
   double passengers_per_vehicle = 200.0;
   double alpha = 0.001;
-  /// Fraction of flows forced to be straight (arterial through-traffic);
-  /// the rest are uniform boundary-to-boundary pairs. Must be in [0, 1].
-  double straight_fraction = 0.3;
 };
 
 /// Random boundary-to-boundary flows (entry != exit, not on the same
-/// boundary point), deterministic from `rng`.
+/// boundary point), deterministic from `rng`. 30% of them are drawn
+/// straight across one street (arterial through-traffic); the rest are
+/// uniform boundary-to-boundary pairs.
 [[nodiscard]] std::vector<GridFlow> generate_grid_flows(
     const GridScenario& scenario, const GridFlowGenSpec& spec, util::Rng& rng);
 

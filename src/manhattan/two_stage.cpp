@@ -26,13 +26,15 @@ void check_flow_count(const core::CoverageModel& model, std::size_t flows,
   }
 }
 
+// Combination budget for the k <= 4 exhaustive stage; beyond it the
+// composite greedy is used instead (documented fallback).
+constexpr std::size_t kExhaustiveCap = 200'000;
+
 // Exhaustive optimum when affordable, composite greedy otherwise.
 core::PlacementResult small_k_placement(const core::CoverageModel& model,
-                                        std::size_t k,
-                                        const TwoStageOptions& options) {
-  if (core::exhaustive_combination_count(model, k) <= options.exhaustive_cap) {
-    return core::exhaustive_optimal_placement(model, k,
-                                              {options.exhaustive_cap});
+                                        std::size_t k) {
+  if (core::exhaustive_combination_count(model, k) <= kExhaustiveCap) {
+    return core::exhaustive_optimal_placement(model, k, {kExhaustiveCap});
   }
   return core::composite_greedy_placement(model, k);
 }
@@ -119,7 +121,7 @@ core::PlacementResult two_stage_grid_placement(
     const TwoStageOptions& options) {
   check_flow_count(model, flows.size(), "two_stage_grid_placement");
   k = core::checked_budget(model, k, "two_stage_grid_placement");
-  if (k <= 4) return small_k_placement(model, k, options);
+  if (k <= 4) return small_k_placement(model, k);
 
   const citygen::GridCity& city = scenario.city();
   const std::size_t last = scenario.n() - 1;
@@ -151,7 +153,7 @@ core::PlacementResult two_stage_network_placement(
   if (region.empty()) {
     throw std::invalid_argument("two_stage_network_placement: empty region");
   }
-  if (k <= 4) return small_k_placement(model, k, options);
+  if (k <= 4) return small_k_placement(model, k);
 
   const graph::RoadNetwork& net = model.network();
   const geo::Point lo = region.min();

@@ -33,9 +33,6 @@ enum class TwoStageVariant {
 };
 
 struct TwoStageOptions {
-  /// Combination budget for the k <= 4 exhaustive stage; beyond it the
-  /// composite greedy is used instead (documented fallback).
-  std::size_t exhaustive_cap = 200'000;
   /// Implementation extension: once every straight flow is served, spend
   /// any leftover stage-2 budget with the composite greedy over ALL flows
   /// instead of wasting it (never worse than the faithful algorithm, which

@@ -46,16 +46,11 @@ std::string json_quote(const std::string& text) {
 
 namespace {
 
-// Local aliases keep the exporter bodies unchanged after the helpers moved
-// to the public obs API.
-std::string json_number(double value) { return json_number_repr(value); }
-std::string quote(const std::string& text) { return json_quote(text); }
-
 void append_trace_node(std::ostringstream& out, const Tracer::Node& node) {
-  out << "{\"name\":" << quote(node.name) << ",\"calls\":" << node.calls
-      << ",\"total_ms\":" << json_number(node.total_ms())
+  out << "{\"name\":" << json_quote(node.name) << ",\"calls\":" << node.calls
+      << ",\"total_ms\":" << json_number_repr(node.total_ms())
       << ",\"self_ms\":"
-      << json_number(static_cast<double>(node.self_ns()) / 1e6)
+      << json_number_repr(static_cast<double>(node.self_ns()) / 1e6)
       << ",\"children\":[";
   for (std::size_t i = 0; i < node.children.size(); ++i) {
     if (i > 0) out << ",";
@@ -66,15 +61,20 @@ void append_trace_node(std::ostringstream& out, const Tracer::Node& node) {
 
 void append_histogram(std::ostringstream& out, const Histogram& hist) {
   const bool empty = hist.count() == 0;
-  const auto stat = [&](double v) { return empty ? "null" : json_number(v); };
+  const auto stat = [&](double v) {
+    return empty ? "null" : json_number_repr(v);
+  };
   out << "{\"count\":" << hist.count()
       << ",\"mean\":" << stat(hist.stats().mean())
       << ",\"stddev\":" << stat(hist.stats().stddev())
       << ",\"min\":" << stat(hist.stats().min())
       << ",\"max\":" << stat(hist.stats().max())
-      << ",\"p50\":" << (empty ? "null" : json_number(hist.percentile(50.0)))
-      << ",\"p95\":" << (empty ? "null" : json_number(hist.percentile(95.0)))
-      << ",\"p99\":" << (empty ? "null" : json_number(hist.percentile(99.0)))
+      << ",\"p50\":"
+      << (empty ? "null" : json_number_repr(hist.percentile(50.0)))
+      << ",\"p95\":"
+      << (empty ? "null" : json_number_repr(hist.percentile(95.0)))
+      << ",\"p99\":"
+      << (empty ? "null" : json_number_repr(hist.percentile(99.0)))
       << ",\"percentiles_exact\":"
       << (hist.percentiles_exact() ? "true" : "false") << ",\"buckets\":[";
   const auto edges = hist.upper_edges();
@@ -82,7 +82,7 @@ void append_histogram(std::ostringstream& out, const Histogram& hist) {
   for (std::size_t i = 0; i < counts.size(); ++i) {
     if (i > 0) out << ",";
     out << "{\"le\":"
-        << (i < edges.size() ? json_number(edges[i]) : std::string("null"))
+        << (i < edges.size() ? json_number_repr(edges[i]) : std::string("null"))
         << ",\"count\":" << counts[i] << "}";
   }
   out << "]}";
@@ -91,7 +91,7 @@ void append_histogram(std::ostringstream& out, const Histogram& hist) {
 void append_text_node(std::ostringstream& out, const Tracer::Node& node,
                       int depth) {
   out << std::string(static_cast<std::size_t>(depth) * 2, ' ') << node.name
-      << "  " << json_number(node.total_ms()) << " ms  (" << node.calls
+      << "  " << json_number_repr(node.total_ms()) << " ms  (" << node.calls
       << (node.calls == 1 ? " call)" : " calls)") << "\n";
   for (const auto& child : node.children) {
     append_text_node(out, *child, depth + 1);
@@ -113,7 +113,7 @@ std::string to_json(const Telemetry& telemetry) {
   for (const auto& [name, counter] : telemetry.metrics.counters()) {
     if (!first) out << ",";
     first = false;
-    out << quote(name) << ":" << counter.value();
+    out << json_quote(name) << ":" << counter.value();
   }
   out << "},\"gauges\":{";
   first = true;
@@ -122,8 +122,8 @@ std::string to_json(const Telemetry& telemetry) {
     first = false;
     // Unset gauges export null: 0.0 would be indistinguishable from a real
     // zero reading.
-    out << quote(name) << ":"
-        << (gauge.has_value() ? json_number(gauge.value())
+    out << json_quote(name) << ":"
+        << (gauge.has_value() ? json_number_repr(gauge.value())
                               : std::string("null"));
   }
   out << "},\"histograms\":{";
@@ -131,7 +131,7 @@ std::string to_json(const Telemetry& telemetry) {
   for (const auto& [name, hist] : telemetry.metrics.histograms()) {
     if (!first) out << ",";
     first = false;
-    out << quote(name) << ":";
+    out << json_quote(name) << ":";
     append_histogram(out, hist);
   }
   out << "}}";

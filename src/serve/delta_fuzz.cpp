@@ -10,6 +10,7 @@
 #include "src/check/scenario.h"
 #include "src/core/evaluator.h"
 #include "src/core/lazy_greedy.h"
+#include "src/serve/scenario_cache.h"
 #include "src/serve/session.h"
 #include "src/util/rng.h"
 
@@ -17,8 +18,8 @@ namespace rap::serve {
 namespace {
 
 /// Adopts a generated check::Scenario as a pinned ServeScenario (moving the
-/// network, flows and utility; the scenario's own problem is dropped and a
-/// serve-style problem with a shared detour engine is built instead).
+/// network, flows and utility; the scenario's own problem is dropped and
+/// derive_scenario builds the serve-style one, as a build does).
 std::shared_ptr<const ServeScenario> adopt_scenario(
     std::unique_ptr<check::Scenario> scenario) {
   auto serve = std::make_shared<ServeScenario>();
@@ -29,11 +30,7 @@ std::shared_ptr<const ServeScenario> adopt_scenario(
   serve->flows = std::move(scenario->flows);
   serve->utility = std::move(scenario->utility);
   serve->shop = scenario->shop;
-  serve->detours = std::make_shared<const traffic::DetourCalculator>(
-      serve->net, serve->shop);
-  serve->problem = std::make_unique<core::PlacementProblem>(
-      serve->net, serve->flows, serve->shop, *serve->utility,
-      std::make_unique<SharedDetours>(serve->detours));
+  derive_scenario(*serve);
   return serve;
 }
 

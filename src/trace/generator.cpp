@@ -35,13 +35,16 @@ void validate_spec(const TraceGenSpec& spec) {
   }
 }
 
+// Demand gravity: node attractiveness = exp(-dist_to_centre / scale), where
+// scale is this fraction of the bbox diagonal.
+constexpr double kCenterScaleFraction = 0.35;
+
 // Gravity weights: nodes near the bbox centre attract more demand.
-std::vector<double> demand_weights(const graph::RoadNetwork& net,
-                                   double center_scale_fraction) {
+std::vector<double> demand_weights(const graph::RoadNetwork& net) {
   const geo::BBox box = net.bounds();
   const geo::Point center = box.center();
   const double diag = std::hypot(box.width(), box.height());
-  const double scale = std::max(1.0, center_scale_fraction * diag);
+  const double scale = std::max(1.0, kCenterScaleFraction * diag);
   std::vector<double> weights(net.num_nodes());
   for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
     weights[v] = std::exp(-euclidean_distance(net.position(v), center) / scale);
@@ -92,8 +95,7 @@ SyntheticTrace generate_trace(const graph::RoadNetwork& net,
   if (net.num_nodes() < 2) {
     throw std::invalid_argument("generate_trace: network too small");
   }
-  const std::vector<double> weights =
-      demand_weights(net, spec.center_scale_fraction);
+  const std::vector<double> weights = demand_weights(net);
   const geo::BBox box = net.bounds();
   const double min_trip =
       spec.min_trip_fraction * std::hypot(box.width(), box.height());

@@ -31,9 +31,6 @@ struct TraceGenSpec {
   double drop_prob = 0.05;
   /// Average vehicle speed, feet/second (timestamps only).
   double speed = 30.0;
-  /// Demand gravity: node attractiveness = exp(-dist_to_centre / scale)
-  /// where scale = centre_scale_fraction * network diameter estimate.
-  double center_scale_fraction = 0.35;
   /// Minimum OD Euclidean separation as a fraction of the bbox diagonal
   /// (rejects trivial trips).
   double min_trip_fraction = 0.25;

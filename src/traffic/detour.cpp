@@ -17,20 +17,12 @@ double travelled_along_path(const graph::RoadNetwork& net,
   }
   if (flow.path.back() != flow.destination) {
     throw std::invalid_argument(
-        "remaining_along_path: path does not end at the flow's destination");
+        "detours_along_path: path does not end at the flow's destination");
   }
   return out.back();
 }
 
 }  // namespace
-
-std::vector<double> remaining_along_path(const graph::RoadNetwork& net,
-                                         const TrafficFlow& flow) {
-  std::vector<double> out(flow.path.size());
-  const double total = travelled_along_path(net, flow, out);
-  for (double& travelled : out) travelled = total - travelled;
-  return out;
-}
 
 DetourCalculator::DetourCalculator(const graph::RoadNetwork& net,
                                    graph::NodeId shop)

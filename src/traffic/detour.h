@@ -44,14 +44,6 @@ struct NodeIncidence {
   double detour = graph::kUnreachable;
 };
 
-/// d''' at every stop of the flow's path: the distance left along it.
-/// Walks the path once. Throws std::invalid_argument unless it is a
-/// non-empty walk (kNotAWalk) ending at flow.destination, so every path
-/// node and the destination index per-node arrays safely; validate_flow's
-/// other checks are the caller's.
-[[nodiscard]] std::vector<double> remaining_along_path(
-    const graph::RoadNetwork& net, const TrafficFlow& flow);
-
 /// Anything that can price a flow's detour at every node of its path.
 /// DetourCalculator is the single-shop implementation; the multi-shop
 /// extension (core/multishop.h) takes the minimum over several shops.
@@ -112,8 +104,11 @@ class DetourCalculator final : public DetourSource {
 
  private:
   /// One walk fills out[i] with the distance travelled to path[i]; one
-  /// pass then prices d' + d'' - (total - travelled). Checks the path as
-  /// remaining_along_path does.
+  /// pass then prices d' + d'' - (total - travelled), d''' being the
+  /// distance left along the path. Throws std::invalid_argument unless the
+  /// path is a non-empty walk (kNotAWalk) ending at flow.destination, so
+  /// every path node and the destination index the trees safely;
+  /// validate_flow's other checks are the caller's.
   void price_path(const TrafficFlow& flow,
                   std::span<double> out) const override;
 

@@ -47,11 +47,6 @@ void CsvWriter::write_row(std::span<const std::string> fields) {
   end_row();
 }
 
-void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
-  for (const std::string_view f : fields) field(f);
-  end_row();
-}
-
 CsvWriter& CsvWriter::field(std::string_view text) {
   start_field();
   // Only a field that needs quotes pays for csv_escape's copy.
@@ -92,11 +87,6 @@ void CsvWriter::end_row() {
   *reserve(1) = '\n';
   ++used_;
   row_open_ = false;
-}
-
-void CsvWriter::flush() {
-  drain();
-  out_->flush();
 }
 
 void CsvWriter::start_field() {

@@ -26,9 +26,9 @@ inline constexpr std::size_t kCsvWriteBufferBytes = 64 * 1024;
 
 /// Streams CSV rows to a std::ostream it does not own. Fields are formatted
 /// straight into one kCsvWriteBufferBytes buffer (numbers with
-/// std::to_chars), which reaches the stream when it fills, on flush(), and
-/// when the writer is destroyed. Write errors land in the stream's state:
-/// check it after the stream is flushed or closed.
+/// std::to_chars), which reaches the stream when it fills and when the
+/// writer is destroyed. Write errors land in the stream's state: check it
+/// after the stream is flushed or closed.
 class CsvWriter {
  public:
   explicit CsvWriter(std::ostream& out);
@@ -38,7 +38,6 @@ class CsvWriter {
 
   /// Writes one row; fields are escaped as needed.
   void write_row(std::span<const std::string> fields);
-  void write_row(std::initializer_list<std::string_view> fields);
 
   /// Typed appends: each adds one field to the current row, which end_row()
   /// terminates. Text is escaped as csv_escape does; a double is written as
@@ -49,9 +48,6 @@ class CsvWriter {
   CsvWriter& field(double value, int decimals);
   CsvWriter& field(std::span<const std::uint32_t> ids, char separator);
   void end_row();
-
-  /// Hands the buffered bytes to the stream and flushes it.
-  void flush();
 
  private:
   void start_field();

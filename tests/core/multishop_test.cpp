@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "src/core/composite_greedy.h"
 #include "src/core/evaluator.h"
+#include "src/graph/dijkstra.h"
 #include "tests/testing/builders.h"
 
 namespace rap::core {
@@ -43,6 +47,67 @@ TEST(MultiShopDetour, TakesMinimumOverShops) {
     const auto b = at_v6.detours_along_path(flow);
     for (std::size_t i = 0; i < combined.size(); ++i) {
       EXPECT_DOUBLE_EQ(combined[i], std::min(a[i], b[i]));
+    }
+  }
+}
+
+// A random network re-priced with non-integer lengths, plus a trap: node 0
+// leads one way into `trap`, which reaches only itself and its neighbour.
+graph::RoadNetwork network_with_trap(util::Rng& rng, graph::NodeId& trap) {
+  const graph::RoadNetwork base = testing::random_network(5, 4, 5, rng);
+  graph::NetworkBuilder builder;
+  for (std::size_t v = 0; v < base.num_nodes(); ++v) {
+    builder.add_node(base.position(static_cast<graph::NodeId>(v)));
+  }
+  for (const graph::Edge& e : base.edges()) {
+    builder.add_edge(e.from, e.to, e.length * (1.0 + rng.next_double()) / 3.0);
+  }
+  trap = builder.add_node({-1.0, -1.0});
+  const graph::NodeId beyond = builder.add_node({-2.0, -1.0});
+  builder.add_edge(0, trap, 0.7 + rng.next_double());
+  builder.add_two_way_edge(trap, beyond, 0.3 + rng.next_double());
+  return std::move(builder).build();
+}
+
+TEST(MultiShopDetour, EqualsPerShopMinimumBitwise) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed);
+    graph::NodeId trap = graph::kInvalidNode;
+    const graph::RoadNetwork net = network_with_trap(rng, trap);
+    const std::size_t n = net.num_nodes();
+    std::vector<traffic::TrafficFlow> flows;
+    while (flows.size() < 20) {
+      const auto i = static_cast<graph::NodeId>(rng.next_below(n));
+      const auto j = static_cast<graph::NodeId>(rng.next_below(n));
+      if (i == j || !graph::shortest_path(net, i, j)) continue;
+      flows.push_back(
+          traffic::make_shortest_path_flow(net, i, j, 1.0, 1.0, 1.0));
+    }
+    // 1-4 shops; the trap, which cannot reach most destinations, among them.
+    const std::size_t count = 1 + (seed - 1) % 4;
+    std::vector<graph::NodeId> shops;
+    for (std::size_t s = 0; s + 1 < count; ++s) {
+      shops.push_back(static_cast<graph::NodeId>(rng.next_below(n)));
+    }
+    shops.insert(shops.begin() + static_cast<std::ptrdiff_t>(seed % count),
+                 trap);
+
+    const MultiShopDetour multi(net, shops);
+    std::vector<traffic::DetourCalculator> singles;
+    for (const graph::NodeId shop : shops) singles.emplace_back(net, shop);
+    for (const traffic::TrafficFlow& flow : flows) {
+      std::vector<double> want(flow.path.size(), graph::kUnreachable);
+      for (const traffic::DetourCalculator& single : singles) {
+        const std::vector<double> d = single.detours_along_path(flow);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          want[i] = std::min(want[i], d[i]);
+        }
+      }
+      const std::vector<double> got = multi.detours_along_path(flow);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], want[i]) << "seed " << seed << " stop " << i;
+      }
     }
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/graph/apsp.h"
 #include "src/graph/path.h"
 #include "tests/testing/builders.h"
 
@@ -141,11 +140,11 @@ TEST_P(DijkstraVsOracle, AllPairsMatch) {
   util::Rng rng(GetParam());
   const RoadNetwork net = testing::random_network(
       3 + rng.next_below(3), 3 + rng.next_below(3), rng.next_below(8), rng);
-  const DistanceMatrix oracle = floyd_warshall(net);
+  const std::vector<std::vector<double>> oracle = floyd_warshall(net);
   for (NodeId s = 0; s < net.num_nodes(); ++s) {
     const ShortestPathTree tree = dijkstra(net, s);
     for (NodeId t = 0; t < net.num_nodes(); ++t) {
-      EXPECT_NEAR(tree.distance(t), oracle(s, t), 1e-9)
+      EXPECT_NEAR(tree.distance(t), oracle[s][t], 1e-9)
           << "s=" << s << " t=" << t;
     }
   }
@@ -160,11 +159,11 @@ class DijkstraMetric : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DijkstraMetric, TriangleInequality) {
   util::Rng rng(GetParam() + 500);
   const RoadNetwork net = testing::random_network(4, 4, 5, rng);
-  const DistanceMatrix dist = all_pairs_shortest_paths(net);
+  const std::vector<std::vector<double>> dist = floyd_warshall(net);
   for (NodeId i = 0; i < net.num_nodes(); ++i) {
     for (NodeId j = 0; j < net.num_nodes(); ++j) {
       for (NodeId k = 0; k < net.num_nodes(); ++k) {
-        EXPECT_LE(dist(i, j), dist(i, k) + dist(k, j) + 1e-9);
+        EXPECT_LE(dist[i][j], dist[i][k] + dist[k][j] + 1e-9);
       }
     }
   }

@@ -1,11 +1,12 @@
-// Differential suite for the distance engines that price detours: the dense
-// APSP matrix, single-source Dijkstra trees (forward and reverse, as held by
-// traffic::DetourCalculator), and the early-exit point-to-point query.
+// Differential suite for the distance engines that price detours: the shop's
+// two Dijkstra trees (forward and reverse, as held by
+// traffic::DetourCalculator) and the early-exit point-to-point query, against
+// all-pairs rows of plain graph::dijkstra runs.
 //
 // Forward engines run the same relaxations in the same order, so they must
-// agree with the matrix *bitwise* across every generated-city family. A
-// reverse tree sums each path from the shop end; it must equal the matrix of
-// the transposed network bitwise, and the forward matrix up to rounding (and
+// agree with the rows *bitwise* across every generated-city family. A
+// reverse tree sums each path from the shop end; it must equal the rows of
+// the transposed network bitwise, and the forward rows up to rounding (and
 // exactly wherever both are +infinity).
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include "src/citygen/grid_city.h"
 #include "src/citygen/partial_grid_city.h"
 #include "src/citygen/radial_city.h"
-#include "src/graph/apsp.h"
 #include "src/graph/dijkstra.h"
 #include "src/traffic/detour.h"
 #include "src/util/rng.h"
@@ -25,6 +25,15 @@
 
 namespace rap::graph {
 namespace {
+
+// rows[s][t] = dist(s, t), one forward Dijkstra per source.
+std::vector<std::vector<double>> dijkstra_rows(const RoadNetwork& net) {
+  std::vector<std::vector<double>> rows;
+  for (std::size_t s = 0; s < net.num_nodes(); ++s) {
+    rows.push_back(dijkstra(net, static_cast<NodeId>(s)).distances());
+  }
+  return rows;
+}
 
 RoadNetwork transposed(const RoadNetwork& net) {
   NetworkBuilder out;
@@ -52,20 +61,20 @@ void expect_equal_up_to_rounding(double exact, double reordered,
 // the only non-finite value in play is +infinity, where == is also what we
 // mean.
 void expect_all_pairs_match(const RoadNetwork& net) {
-  const DistanceMatrix matrix = all_pairs_shortest_paths(net);
-  const DistanceMatrix reverse_matrix =
-      all_pairs_shortest_paths(transposed(net));
+  const std::vector<std::vector<double>> rows = dijkstra_rows(net);
+  const std::vector<std::vector<double>> reverse_rows =
+      dijkstra_rows(transposed(net));
   const auto n = static_cast<NodeId>(net.num_nodes());
   for (NodeId s = 0; s < n; ++s) {
     const traffic::DetourCalculator trees(net, s);
     for (NodeId t = 0; t < n; ++t) {
-      ASSERT_EQ(matrix(s, t), trees.from_shop()[t])
+      ASSERT_EQ(rows[s][t], trees.from_shop()[t])
           << "forward tree s=" << s << " t=" << t;
-      ASSERT_EQ(matrix(s, t), dijkstra_distance(net, s, t))
+      ASSERT_EQ(rows[s][t], dijkstra_distance(net, s, t))
           << "point query s=" << s << " t=" << t;
-      ASSERT_EQ(reverse_matrix(s, t), trees.to_shop()[t])
+      ASSERT_EQ(reverse_rows[s][t], trees.to_shop()[t])
           << "reverse tree s=" << s << " t=" << t;
-      expect_equal_up_to_rounding(matrix(t, s), trees.to_shop()[t],
+      expect_equal_up_to_rounding(rows[t][s], trees.to_shop()[t],
                                   net.num_nodes());
     }
   }
@@ -75,13 +84,13 @@ TEST(OracleDifferential, GridCityAllBackends) {
   const citygen::GridCity city({5, 4, 300.0});
   expect_all_pairs_match(city.network());
   // Integer block lengths sum exactly, so here the reverse tree must also
-  // equal the forward matrix bitwise.
-  const DistanceMatrix matrix = all_pairs_shortest_paths(city.network());
+  // equal the forward rows bitwise.
+  const std::vector<std::vector<double>> rows = dijkstra_rows(city.network());
   const auto n = static_cast<NodeId>(city.network().num_nodes());
   for (NodeId s = 0; s < n; ++s) {
     const traffic::DetourCalculator trees(city.network(), s);
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(matrix(v, s), trees.to_shop()[v]) << s << " " << v;
+      ASSERT_EQ(rows[v][s], trees.to_shop()[v]) << s << " " << v;
     }
   }
 }
@@ -118,7 +127,7 @@ TEST(OracleDifferential, RandomChordNetworks) {
 }
 
 // Disconnected graphs: unreachable pairs must come back as the same
-// +infinity the matrix holds, and reachable pairs within each component
+// +infinity the rows hold, and reachable pairs within each component
 // must still match bitwise.
 TEST(OracleDifferential, DisconnectedComponents) {
   // testing::line_network(4)'s line 0-1-2-3...
@@ -145,7 +154,7 @@ TEST(OracleDifferential, DisconnectedComponents) {
 TEST(OracleDifferential, IrregularLengthsStressFloatingPoint) {
   // Irregular edge lengths make floating-point association visible: a
   // forward engine that summed distances in a different order than the
-  // matrix's Dijkstra rows would differ by ulps here.
+  // Dijkstra rows would differ by ulps here.
   for (std::uint64_t seed = 21; seed <= 26; ++seed) {
     util::Rng rng(seed);
     const RoadNetwork net = testing::random_network(4, 4, 3, rng);

@@ -1,12 +1,11 @@
 // Differential determinism suite for the parallel execution engine
-// (DESIGN.md §8): every parallel code path — APSP row sweeps, the greedy
-// family's candidate scans, and the experiment runner's repetition loop —
-// must produce *bit-identical* output at threads=1 and threads=4, across
-// three city topologies and three seeds. Failures here mean a reduction
+// (DESIGN.md §8): every parallel code path — the greedy family's candidate
+// scans and the experiment runner's repetition loop — must produce
+// *bit-identical* output at threads=1 and threads=4, across three city
+// topologies and three seeds. Failures here mean a reduction
 // reassociated floats, a tie broke by timing, or an RNG stream moved.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 #include "src/core/local_search.h"
 #include "src/core/problem.h"
 #include "src/eval/runner.h"
-#include "src/graph/apsp.h"
 #include "src/traffic/utility.h"
 #include "src/util/thread_pool.h"
 #include "tests/testing/builders.h"
@@ -104,27 +102,6 @@ TEST(ParallelDeterminism, PlacementAlgorithmsAreThreadCountInvariant) {
       expect_identical_placements(tag + " local-search", [&] {
         return core::greedy_with_local_search(problem, kK).placement;
       });
-    }
-  }
-}
-
-TEST(ParallelDeterminism, ApspMatrixIsThreadCountInvariant) {
-  const ConfigGuard guard;
-  for (const std::uint64_t seed : kSeeds) {
-    for (const City& city : make_cities(seed)) {
-      util::set_parallel_config({1});
-      const graph::DistanceMatrix serial =
-          graph::all_pairs_shortest_paths(city.net);
-      util::set_parallel_config({4});
-      const graph::DistanceMatrix parallel =
-          graph::all_pairs_shortest_paths(city.net);
-      ASSERT_EQ(serial.size(), parallel.size());
-      for (graph::NodeId i = 0; i < serial.size(); ++i) {
-        const auto a = serial.row(i);
-        const auto b = parallel.row(i);
-        ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
-            << city.name << " seed=" << seed << " row " << i;
-      }
     }
   }
 }

@@ -117,7 +117,7 @@ TEST(ClassifyPath, RuleApplicability) {
   EXPECT_TRUE(rng.rng_exempt);
   EXPECT_FALSE(rng.determinism_core);
 
-  const FileClass header = classify_path("src/graph/apsp.h");
+  const FileClass header = classify_path("src/graph/dijkstra.h");
   EXPECT_TRUE(header.is_header);
   EXPECT_TRUE(header.in_src);
 

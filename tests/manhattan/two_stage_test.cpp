@@ -242,10 +242,8 @@ TEST_F(TwoStageNetwork, MidpointVariantPlacesBetweenCornerAndShop) {
 TEST_F(TwoStageNetwork, SmallKUsesExhaustive) {
   const FlexibleProblem model(city_.network(), flows_, city_.node_at(4, 4),
                               utility_);
-  TwoStageOptions options;
-  options.exhaustive_cap = 200'000;
   const auto two_stage = two_stage_network_placement(
-      model, flows_, region_, 1, TwoStageVariant::kCorners, options);
+      model, flows_, region_, 1, TwoStageVariant::kCorners);
   const auto opt = core::exhaustive_optimal_placement(model, 1);
   EXPECT_NEAR(two_stage.customers, opt.customers, 1e-9);
 }

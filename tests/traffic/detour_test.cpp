@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/graph/apsp.h"
 #include "tests/testing/builders.h"
 #include "tests/testing/shortest_paths.h"
 
@@ -151,17 +150,17 @@ TEST(DetourCalculator, ShortestPathModeClampsWanderingRoutes) {
   EXPECT_DOUBLE_EQ(ds[0], 4.0);
 }
 
-// The paper's literal preprocessing prices detours off the all-pairs matrix.
-// Its reading d' + d'' - d''' must match the per-destination
-// reverse-Dijkstra reading, and, on these shortest-path flows, the
-// tree-built calculator.
+// The paper's literal preprocessing prices detours off an all-pairs table,
+// here Floyd–Warshall's. Its reading d' + d'' - d''' must match the
+// per-destination reverse-Dijkstra reading, and, on these shortest-path
+// flows, the tree-built calculator.
 TEST(ApspDetour, MatchesOnRandomNetworksBothModes) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     util::Rng rng(seed * 13 + 1);
     const auto net = testing::random_network(4, 4, 6, rng);
     const auto flows = testing::random_flows(net, 10, rng);
     const auto shop = static_cast<graph::NodeId>(rng.next_below(net.num_nodes()));
-    const graph::DistanceMatrix matrix = graph::all_pairs_shortest_paths(net);
+    const std::vector<std::vector<double>> dist = graph::floyd_warshall(net);
     const DetourCalculator along(net, shop);
     for (const auto& flow : flows) {
       const auto got_along = along.detours_along_path(flow);
@@ -170,9 +169,9 @@ TEST(ApspDetour, MatchesOnRandomNetworksBothModes) {
       ASSERT_EQ(got_along.size(), flow.path.size());
       ASSERT_EQ(got_shortest.size(), flow.path.size());
       for (std::size_t i = 0; i < flow.path.size(); ++i) {
-        const double d1 = matrix(flow.path[i], shop);
-        const double d2 = matrix(shop, flow.destination);
-        const double d3 = matrix(flow.path[i], flow.destination);
+        const double d1 = dist[flow.path[i]][shop];
+        const double d2 = dist[shop][flow.destination];
+        const double d3 = dist[flow.path[i]][flow.destination];
         const double want = d1 == graph::kUnreachable ||
                                     d2 == graph::kUnreachable ||
                                     d3 == graph::kUnreachable

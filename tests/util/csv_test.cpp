@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace rap::util {
 namespace {
@@ -28,21 +30,22 @@ TEST(CsvEscape, QuotesNewlines) {
   EXPECT_EQ(csv_escape("a\nb"), "\"a\nb\"");
 }
 
-TEST(CsvWriter, WritesRows) {
+/// What a writer leaves in its stream once destroyed, given `rows`.
+std::string written(const std::vector<std::vector<std::string>>& rows) {
   std::ostringstream out;
-  CsvWriter writer(out);
-  writer.write_row({"k", "value"});
-  writer.write_row({"1", "2.5"});
-  writer.flush();
-  EXPECT_EQ(out.str(), "k,value\n1,2.5\n");
+  {
+    CsvWriter writer(out);
+    for (const auto& row : rows) writer.write_row(row);
+  }
+  return out.str();
+}
+
+TEST(CsvWriter, WritesRows) {
+  EXPECT_EQ(written({{"k", "value"}, {"1", "2.5"}}), "k,value\n1,2.5\n");
 }
 
 TEST(CsvWriter, EscapesInRows) {
-  std::ostringstream out;
-  CsvWriter writer(out);
-  writer.write_row({"a,b", "c"});
-  writer.flush();
-  EXPECT_EQ(out.str(), "\"a,b\",c\n");
+  EXPECT_EQ(written({{"a,b", "c"}}), "\"a,b\",c\n");
 }
 
 TEST(CsvWriter, TypedFieldsMatchTheStringForms) {
@@ -57,38 +60,35 @@ TEST(CsvWriter, TypedFieldsMatchTheStringForms) {
     writer.field(-0.0, 2).field(2.5, 0).field(ids, '|').end_row();
     writer.field(std::span<const std::uint32_t>{}, '|').field("").end_row();
   }
-  std::ostringstream strings;
-  {
-    CsvWriter writer(strings);
-    writer.write_row({"plain", "a,\"b\"", "18446744073709551615", "-0.00", "2",
-                      "0|7|4294967295"});
-    writer.write_row({"", ""});
-  }
-  EXPECT_EQ(typed.str(), strings.str());
+  EXPECT_EQ(typed.str(), written({{"plain", "a,\"b\"", "18446744073709551615",
+                                   "-0.00", "2", "0|7|4294967295"},
+                                  {"", ""}}));
   EXPECT_EQ(typed.str(),
             "plain,\"a,\"\"b\"\"\",18446744073709551615,-0.00,2,"
             "0|7|4294967295\n,\n");
 }
 
+// The writer's destruction is its flush.
 TEST(CsvWriter, BytesReachTheStreamOnFlushAndWhenTheBufferFills) {
   std::ostringstream out;
-  CsvWriter writer(out);
-  writer.write_row({"a", "b"});
-  EXPECT_EQ(out.str(), "");
-  writer.flush();
-  EXPECT_EQ(out.str(), "a,b\n");
-  // Rows and one text field longer than the buffer cross it intact.
   std::string want = "a,b\n";
-  const std::string long_field(kCsvWriteBufferBytes + 10, 'z');
-  writer.field(long_field).end_row();
-  want += long_field + "\n";
-  for (std::uint64_t row = 0; want.size() < 3 * kCsvWriteBufferBytes; ++row) {
-    const double half = static_cast<double>(row) * 0.5;
-    writer.field(row).field(half, 3).end_row();
-    want += std::to_string(row) + "," + format_fixed(half, 3) + "\n";
+  {
+    CsvWriter writer(out);
+    writer.write_row(std::vector<std::string>{"a", "b"});
+    EXPECT_EQ(out.str(), "");
+    // Rows and one text field longer than the buffer cross it intact.
+    const std::string long_field(kCsvWriteBufferBytes + 10, 'z');
+    writer.field(long_field).end_row();
+    want += long_field + "\n";
+    for (std::uint64_t row = 0; want.size() < 3 * kCsvWriteBufferBytes;
+         ++row) {
+      const double half = static_cast<double>(row) * 0.5;
+      writer.field(row).field(half, 3).end_row();
+      want += std::to_string(row) + "," + format_fixed(half, 3) + "\n";
+    }
+    EXPECT_GE(out.str().size(), kCsvWriteBufferBytes);
+    EXPECT_EQ(out.str(), want.substr(0, out.str().size()));
   }
-  EXPECT_GE(out.str().size(), kCsvWriteBufferBytes);
-  writer.flush();
   EXPECT_EQ(out.str(), want);
 }
 
@@ -186,11 +186,7 @@ TEST(ParseCsv, RoundTripsThroughWriter) {
       {"plain", "with,comma", "with\"quote"},
       {"", "multi\nline", "end"},
   };
-  std::ostringstream out;
-  CsvWriter writer(out);
-  for (const auto& row : rows) writer.write_row(row);
-  writer.flush();
-  EXPECT_EQ(parse_rows(out.str()), rows);
+  EXPECT_EQ(parse_rows(written(rows)), rows);
 }
 
 TEST(WriteCsvFile, CreatesDirectoriesAndRoundTrips) {

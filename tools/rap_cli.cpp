@@ -29,8 +29,8 @@
 //                                report the optimality gap of the placement:
 //                                gap = (bound - achieved) / bound
 //   --save-network --save-flows --geojson          outputs
-//   --threads=N                  worker threads for parallel kernels (APSP,
-//                                greedy scans); default: hardware
+//   --threads=N                  worker threads for parallel kernels (greedy
+//                                scans); default: hardware
 //                                concurrency. Results are bit-identical for
 //                                any N (see DESIGN.md §8)
 //   --metrics-out=PATH           telemetry JSON (schema rap.telemetry.v1):
