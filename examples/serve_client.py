@@ -61,7 +61,8 @@ def main():
         f"(key {loaded['key']}, cached={loaded['cached']})"
     )
 
-    # Sweep a few budgets in one batch (solved concurrently server-side).
+    # Sweep a few budgets in one request: the server places once at the
+    # largest budget and answers each smaller one with a prefix of that run.
     batch = client.request("place_batch", ks=[2, 4, 8])
     for result in batch["results"]:
         print(

@@ -91,4 +91,17 @@ double evaluate_placement(const CoverageModel& model,
   return state.value();
 }
 
+std::vector<double> prefix_values(const CoverageModel& model,
+                                  std::span<const graph::NodeId> order) {
+  PlacementState state(model);
+  std::vector<double> values;
+  values.reserve(order.size() + 1);
+  values.push_back(state.value());
+  for (const graph::NodeId node : order) {
+    state.add(node);
+    values.push_back(state.value());
+  }
+  return values;
+}
+
 }  // namespace rap::core

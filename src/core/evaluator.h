@@ -95,4 +95,11 @@ class PlacementState {
 [[nodiscard]] double evaluate_placement(const CoverageModel& model,
                                         std::span<const graph::NodeId> nodes);
 
+/// Value after each prefix of `order`: index j holds the value of its first
+/// j nodes, for j in [0, order.size()]. A greedy picks one node at a time,
+/// so these are its values at every budget up to order.size(), bitwise:
+/// the same PlacementState::add sequence as the greedy's own run.
+[[nodiscard]] std::vector<double> prefix_values(
+    const CoverageModel& model, std::span<const graph::NodeId> order);
+
 }  // namespace rap::core

@@ -26,25 +26,6 @@ bool is_two_stage(AlgorithmId id) noexcept {
          id == AlgorithmId::kTwoStageMidpoints;
 }
 
-// Value after each prefix of `order`; index j = value with the first j+1
-// RAPs. Shorter-than-k orders repeat their final value.
-std::vector<double> prefix_values(const core::CoverageModel& model,
-                                  std::span<const graph::NodeId> order) {
-  std::vector<double> values;
-  values.reserve(order.size());
-  core::PlacementState state(model);
-  for (const graph::NodeId node : order) {
-    state.add(node);
-    values.push_back(state.value());
-  }
-  return values;
-}
-
-double value_at_k(const std::vector<double>& prefixes, std::size_t k) {
-  if (prefixes.empty()) return 0.0;
-  return prefixes[std::min(k, prefixes.size()) - 1];
-}
-
 // Placement order of a nested algorithm at budget max_k. MaxCardinality
 // and MaxVehicles rank by the traffic passing each node on the flows'
 // recorded paths, in the Manhattan scenario too.
@@ -167,9 +148,10 @@ ExperimentResult run_experiment(const Workload& workload,
       util::Rng alg_rng = rng.fork(1000 + a);
       const core::Placement order =
           nested_order(id, model, workload.flows, max_k, alg_rng);
-      const std::vector<double> prefixes = prefix_values(model, order);
+      const std::vector<double> prefixes = core::prefix_values(model, order);
       for (std::size_t ki = 0; ki < config.ks.size(); ++ki) {
-        values[a][ki] = value_at_k(prefixes, config.ks[ki]);
+        // Orders shorter than k repeat their final value.
+        values[a][ki] = prefixes[std::min(config.ks[ki], order.size())];
       }
     }
     return values;

@@ -46,8 +46,7 @@ void apply_delta_bound(WarmState& state, const DeltaOp& op,
 }
 
 WarmStartResult warm_start_marginal_greedy(const core::CoverageModel& model,
-                                           std::size_t k, const WarmState& warm,
-                                           WarmState* refresh,
+                                           std::size_t k, WarmState& warm,
                                            Deadline deadline) {
   k = core::checked_budget(model, k, "serve warm-start placement");
   const std::function<void()> check_deadline = [&deadline] {
@@ -76,10 +75,8 @@ WarmStartResult warm_start_marginal_greedy(const core::CoverageModel& model,
   }
   out.placement = std::move(run.placement);
   out.gain_evaluations = run.stats.gain_evaluations;
-  if (refresh != nullptr) {
-    refresh->valid = true;
-    refresh->gains = std::move(round0);
-  }
+  warm.valid = true;
+  warm.gains = std::move(round0);
   return out;
 }
 

@@ -93,14 +93,13 @@ struct WarmStartResult {
 /// Lazy greedy placement seeded from `warm` when valid, full scan otherwise.
 /// Bit-identical to core::lazy_marginal_greedy_placement(model, k) in both
 /// placement and value, warm or cold (the fallback guarantees this even
-/// under a violated bound). When `refresh` is non-null it receives the
-/// updated warm state for the model's current flow set (exact round-0 gains
-/// where re-evaluated, prior bounds elsewhere) — pass nullptr for read-only
-/// concurrent use. Budget contract: core/k_policy.h. Throws
-/// DeadlineExceeded when `deadline` passes mid-run (the state of `refresh`
-/// is then unspecified but safe: it is only written on success).
+/// under a violated bound). On success `warm` becomes the warm state for
+/// the model's current flow set (exact round-0 gains where re-evaluated,
+/// prior bounds elsewhere). Budget contract: core/k_policy.h. Throws
+/// DeadlineExceeded when `deadline` passes mid-run, leaving `warm` as it
+/// was.
 [[nodiscard]] WarmStartResult warm_start_marginal_greedy(
-    const core::CoverageModel& model, std::size_t k, const WarmState& warm,
-    WarmState* refresh = nullptr, Deadline deadline = {});
+    const core::CoverageModel& model, std::size_t k, WarmState& warm,
+    Deadline deadline = {});
 
 }  // namespace rap::serve

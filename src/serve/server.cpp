@@ -1,16 +1,18 @@
 #include "src/serve/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "src/core/evaluator.h"
 #include "src/obs/events.h"
 #include "src/traffic/flow.h"
-#include "src/util/thread_pool.h"
 
 namespace rap::serve {
 namespace {
@@ -121,20 +123,33 @@ graph::NodeId parse_node(const JsonValue& value, const char* what) {
       parse_integer(value.as_number(), what, 0.0, 4294967294.0));
 }
 
-JsonValue placement_json(const WarmStartResult& result) {
-  JsonValue::Object object;
+JsonValue nodes_json(std::span<const graph::NodeId> placed) {
   JsonValue::Array nodes;
-  nodes.reserve(result.placement.nodes.size());
-  for (const graph::NodeId node : result.placement.nodes) {
+  nodes.reserve(placed.size());
+  for (const graph::NodeId node : placed) {
     nodes.emplace_back(static_cast<double>(node));
   }
-  object.emplace("nodes", JsonValue(std::move(nodes)));
-  object.emplace("customers", result.placement.customers);
+  return JsonValue(std::move(nodes));
+}
+
+/// The work fields of one warm-start run.
+void emplace_run_fields(JsonValue::Object& object,
+                        const WarmStartResult& result) {
   object.emplace("warm_reused", result.reused);
   object.emplace("warm_fell_back", result.fell_back);
   object.emplace("gain_evaluations",
                  static_cast<double>(result.gain_evaluations));
-  return JsonValue(std::move(object));
+}
+
+/// Session::place, logging a warm-start fallback.
+WarmStartResult place_logged(Session& session, std::size_t k,
+                             Deadline deadline, obs::EventLog* log) {
+  WarmStartResult result = session.place(k, deadline);
+  if (result.fell_back && log != nullptr) {
+    log->log(obs::LogLevel::kWarn, "warm_start.fallback",
+             {obs::log_num("k", static_cast<double>(k))});
+  }
+  return result;
 }
 
 DeltaOp parse_delta_op(const JsonValue& value, const graph::RoadNetwork& net) {
@@ -183,8 +198,7 @@ DeltaOp parse_delta_op(const JsonValue& value, const graph::RoadNetwork& net) {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_bytes),
-      start_ns_(obs::EventClock::now_ns()),
-      pool_baseline_(util::pool_counters()) {
+      start_ns_(obs::EventClock::now_ns()) {
   cache_.set_event_log(options_.log);
   if (!options_.store_dir.empty()) {
     store_ = std::make_unique<ScenarioStore>(options_.store_dir);
@@ -299,15 +313,14 @@ JsonValue Server::handle_load(ClientLock& client,
 JsonValue Server::handle_place(ClientLock& client,
                                const JsonValue::Object& request) {
   Session& session = session_or_throw(client);
-  const std::size_t k = parse_budget(request);
-  const WarmStartResult result = session.place(k, parse_deadline(request));
-  if (result.fell_back && options_.log != nullptr) {
-    options_.log->log(obs::LogLevel::kWarn, "warm_start.fallback",
-                      {obs::log_num("k", static_cast<double>(k))});
-  }
+  const WarmStartResult result = place_logged(
+      session, parse_budget(request), parse_deadline(request), options_.log);
+  JsonValue::Object placed;
+  placed.emplace("nodes", nodes_json(result.placement.nodes));
+  placed.emplace("customers", result.placement.customers);
+  emplace_run_fields(placed, result);
   JsonValue response = ok_base();
-  JsonValue::Object& object = response.as_object();
-  object.emplace("result", placement_json(result));
+  response.as_object().emplace("result", JsonValue(std::move(placed)));
   return response;
 }
 
@@ -327,51 +340,33 @@ JsonValue Server::handle_place_batch(ClientLock& client,
     budgets.push_back(static_cast<std::size_t>(
         parse_integer(k.as_number(), "ks entries", 1.0, 1e12)));
   }
-  const Deadline deadline = parse_deadline(request);
   obs::observe("serve.batch.size", static_cast<double>(budgets.size()));
 
-  // Warm the session once so the concurrent read-only placements all start
-  // from exact round-0 gains instead of each running a cold full scan.
-  if (!session.warm_valid()) (void)session.place(budgets.front(), deadline);
+  // Greedy places one RAP at a time and the CELF loop's only dependence on
+  // k is its stop test, so the placement at budget k is the first k picks
+  // of the run at the largest budget: one run answers every budget, and
+  // replaying its picks gives each budget's value bitwise.
+  const WarmStartResult run = place_logged(
+      session, *std::max_element(budgets.begin(), budgets.end()),
+      parse_deadline(request), options_.log);
+  const std::span<const graph::NodeId> order = run.placement.nodes;
+  const std::vector<double> values =
+      core::prefix_values(session.model(), order);
 
-  // One private telemetry sink per chunk, merged in chunk order after the
-  // join — workers never share a sink (src/obs/telemetry.h).
-  std::vector<WarmStartResult> results(budgets.size());
-  std::vector<obs::Telemetry> chunk_telemetry(budgets.size());
-  std::exception_ptr first_error;
-  util::Mutex error_mutex;
-  util::parallel_for(
-      0, budgets.size(), 1,
-      [&](const util::ChunkRange& chunk) {
-        obs::TelemetryScope scope(chunk_telemetry[chunk.index]);
-        for (std::size_t i = chunk.first; i < chunk.last; ++i) {
-          try {
-            results[i] = session.place_const(budgets[i], deadline);
-          } catch (...) {
-            const util::MutexLock lock(error_mutex);
-            if (first_error == nullptr) first_error = std::current_exception();
-          }
-        }
-      },
-      options_.threads);
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-  // Merge into this request's ambient sink (installed by handle_line), NOT
-  // the server's telemetry_ — concurrent requests each own their sink.
-  if (obs::Telemetry* ambient = obs::ambient(); ambient != nullptr) {
-    for (const obs::Telemetry& telemetry : chunk_telemetry) {
-      ambient->merge(telemetry);
-    }
-  }
-
-  JsonValue response = ok_base();
   JsonValue::Array out;
-  out.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    JsonValue item = placement_json(results[i]);
-    item.as_object().emplace("k", static_cast<double>(budgets[i]));
-    out.push_back(std::move(item));
+  out.reserve(budgets.size());
+  for (const std::size_t k : budgets) {
+    const std::size_t placed = std::min(k, order.size());
+    JsonValue::Object item;
+    item.emplace("k", static_cast<double>(k));
+    item.emplace("nodes", nodes_json(order.first(placed)));
+    item.emplace("customers", values[placed]);
+    out.emplace_back(std::move(item));
   }
-  response.as_object().emplace("results", JsonValue(std::move(out)));
+  JsonValue response = ok_base();
+  JsonValue::Object& object = response.as_object();
+  object.emplace("results", JsonValue(std::move(out)));
+  emplace_run_fields(object, run);
   return response;
 }
 
@@ -509,21 +504,6 @@ JsonValue Server::handle_stats(ClientLock& client, const JsonValue::Object&) {
     }
   }
   object.emplace("verbs", JsonValue(std::move(verbs_json)));
-
-  // Thread-pool utilization since this server was constructed. The counts
-  // are deterministic for a fixed request sequence (static chunking);
-  // `workers` describes the machine's shared pool.
-  const util::PoolCounters pool = util::pool_counters();
-  JsonValue::Object pool_json;
-  pool_json.emplace("regions",
-                    static_cast<double>(pool.regions - pool_baseline_.regions));
-  pool_json.emplace("chunks",
-                    static_cast<double>(pool.chunks - pool_baseline_.chunks));
-  pool_json.emplace(
-      "workers", static_cast<double>(util::ThreadPool::shared().worker_count()));
-  pool_json.emplace("configured_threads",
-                    static_cast<double>(options_.threads));
-  object.emplace("pool", JsonValue(std::move(pool_json)));
 
   JsonValue::Object clock_json;
   clock_json.emplace("virtual", obs::EventClock::virtual_enabled());

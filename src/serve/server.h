@@ -6,17 +6,16 @@
 //   load        — build, cache-fetch or store-rehydrate a scenario, open a
 //                 session on it for the requesting client
 //   place       — warm-start lazy greedy placement for one budget k
-//   place_batch — many budgets at once, placed concurrently on the
-//                 deterministic thread pool (results independent of the
-//                 thread count, like everything else in librap)
+//   place_batch — many budgets from one place at the largest: greedy picks
+//                 one RAP at a time, so each budget's nodes are a prefix of
+//                 that run and equal, with their value, a place at that k
 //   evaluate    — objective value of an explicit placement
 //   delta       — apply add_flow / remove_flow / scale_flow mutations
 //   stats       — live introspection snapshot: cache hit/miss/eviction
 //                 rates, store persistence/rehydration counts, client
 //                 count, warm-start vs full-rerun counts, per-verb latency
-//                 percentiles, thread-pool utilization, uptime, recorder
-//                 and clock state (all deterministic under the virtual
-//                 clock — see below)
+//                 percentiles, uptime, recorder and clock state (all
+//                 deterministic under the virtual clock — see below)
 //   shutdown    — acknowledge and stop every run loop and transport
 //
 // Concurrency. Every client (one transport connection, or the stdio loop as
@@ -44,14 +43,14 @@
 // under a VirtualClockGuard — where the server advances the clock by
 // exactly one millisecond tick per request — every latency, uptime and
 // percentile in the stats snapshot is a pure function of the request
-// sequence: byte-identical output for identical single-client inputs,
-// serial or with RAP_THREADS=4 (tests/serve/server_stats_test.cpp holds
-// this as a golden contract). Each request records into a private Telemetry
-// merged into the server's under stats_mutex_, so concurrent clients never
-// share a sink. An optional EventLog (ServerOptions::log) receives
-// structured request start/finish/error lines plus cache and warm-start
-// events, and an installed FlightRecorder captures the raw span/instant
-// timeline for rap.trace.v1 export.
+// sequence: byte-identical output for identical single-client inputs, at
+// any RAP_THREADS (tests/serve/server_stats_test.cpp holds this as a golden
+// contract). Each request records into a private Telemetry merged into the
+// server's under stats_mutex_, so concurrent clients never share a sink. An
+// optional EventLog (ServerOptions::log) receives structured request
+// start/finish/error lines plus cache and warm-start events, and an
+// installed FlightRecorder captures the raw span/instant timeline for
+// rap.trace.v1 export.
 #pragma once
 
 #include <atomic>
@@ -71,16 +70,12 @@
 #include "src/serve/store.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
-#include "src/util/thread_pool.h"
 
 namespace rap::serve {
 
 struct ServerOptions {
   /// Scenario cache budget; 0 disables caching.
   std::size_t cache_bytes = 256ULL * 1024 * 1024;
-  /// Threads for place_batch; 0 defers to the ambient ParallelConfig
-  /// (RAP_THREADS env var, else hardware concurrency).
-  std::size_t threads = 0;
   /// Structured JSONL sink for request/cache/warm-start events; nullptr
   /// disables logging. Must outlive the server.
   obs::EventLog* log = nullptr;
@@ -189,8 +184,7 @@ class Server {
   std::map<std::string, obs::Histogram, std::less<>> verb_latency_
       RAP_GUARDED_BY(stats_mutex_);
   std::size_t rehydrated_at_start_ = 0;
-  std::uint64_t start_ns_ = 0;        // EventClock at construction
-  util::PoolCounters pool_baseline_;  // counters at construction
+  std::uint64_t start_ns_ = 0;  // EventClock at construction
   std::atomic<bool> shutdown_{false};
   std::atomic<std::int64_t> pending_{0};
 };

@@ -82,7 +82,7 @@ WarmStartResult Session::place(std::size_t k, Deadline deadline) {
     obs::add_counter("serve.warm_start.attempts");
   }
   const WarmStartResult result =
-      warm_start_marginal_greedy(model(), k, warm_, &warm_, deadline);
+      warm_start_marginal_greedy(model(), k, warm_, deadline);
   ++stats_.places;
   if (result.reused) {
     ++stats_.warm_reused;
@@ -96,10 +96,6 @@ WarmStartResult Session::place(std::size_t k, Deadline deadline) {
   obs::add_counter("serve.warm_start.gain_evaluations",
                    result.gain_evaluations);
   return result;
-}
-
-WarmStartResult Session::place_const(std::size_t k, Deadline deadline) const {
-  return warm_start_marginal_greedy(model(), k, warm_, nullptr, deadline);
 }
 
 double Session::evaluate(std::span<const graph::NodeId> nodes) const {

@@ -10,7 +10,8 @@
 // state (src/serve/delta.h): the first `place` runs cold and records exact
 // round-0 gains; every delta loosens them by an audited upper bound; later
 // `place` calls re-optimize warm and fall back to a full run only when the
-// bound check fails.
+// bound check fails. A place_batch request is one place at its largest
+// budget (src/serve/server.h), so it moves these counters as one place.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +52,6 @@ class Session {
     return flows_.has_value() ? *flows_ : scenario_->flows;
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  /// Whether the next place() can start from warm round-0 gains.
-  [[nodiscard]] bool warm_valid() const noexcept { return warm_.valid; }
 
   /// Applies one delta: validates it against the current flow state (throws
   /// std::invalid_argument / std::out_of_range on a bad op, including a
@@ -65,12 +64,6 @@ class Session {
   /// core::lazy_marginal_greedy_placement on the current model. Updates the
   /// session's warm state.
   [[nodiscard]] WarmStartResult place(std::size_t k, Deadline deadline = {});
-
-  /// Read-only placement for concurrent batch use: uses (but does not
-  /// refresh) the warm state and does not touch session counters. Safe to
-  /// call from several threads at once on a quiescent session.
-  [[nodiscard]] WarmStartResult place_const(std::size_t k,
-                                            Deadline deadline = {}) const;
 
   /// Objective value of an explicit placement on the current model. Throws
   /// std::out_of_range on an invalid node id.

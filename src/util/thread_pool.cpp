@@ -33,11 +33,6 @@ std::atomic<std::size_t>& ambient_threads() noexcept {
   return value;
 }
 
-// PoolCounters accumulators. Relaxed is enough: the values are monotonic
-// tallies read by observability snapshots, never used for synchronization.
-std::atomic<std::uint64_t> g_pool_regions{0};
-std::atomic<std::uint64_t> g_pool_chunks{0};
-
 }  // namespace
 
 std::size_t ParallelConfig::effective() const noexcept {
@@ -162,8 +157,6 @@ void ThreadPool::run_chunks(std::size_t first, std::size_t last,
   const std::size_t g = grain == 0 ? 1 : grain;
   const std::size_t chunks = chunk_count(first, last, g);
   if (chunks == 0) return;
-  g_pool_regions.fetch_add(1, std::memory_order_relaxed);
-  g_pool_chunks.fetch_add(chunks, std::memory_order_relaxed);
 
   const std::size_t executors = std::min(std::max<std::size_t>(max_threads, 1),
                                          chunks);
@@ -233,11 +226,6 @@ ThreadPool& ThreadPool::shared() {
   // everywhere; sleeping workers cost nothing measurable.
   static ThreadPool pool(std::max<std::size_t>(3, hardware_threads() - 1));
   return pool;
-}
-
-PoolCounters pool_counters() noexcept {
-  return {g_pool_regions.load(std::memory_order_relaxed),
-          g_pool_chunks.load(std::memory_order_relaxed)};
 }
 
 void parallel_for(std::size_t first, std::size_t last, std::size_t grain,

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -131,19 +130,6 @@ class ThreadPool {
   // touched while workers run, so it needs no guard.
   std::vector<std::thread> workers_;
 };
-
-/// Cumulative accounting of parallel-region execution since process start,
-/// for observability snapshots (the serve `stats` verb reports the delta
-/// across a server's lifetime). Deterministic for a fixed workload: chunk
-/// partitions are static, so neither value depends on the thread count or
-/// on timing — only on which parallel regions ran.
-struct PoolCounters {
-  std::uint64_t regions = 0;  ///< run_chunks calls that executed >= 1 chunk
-  std::uint64_t chunks = 0;   ///< total chunks executed across all regions
-};
-
-/// Process-wide counter snapshot (covers inline and pooled execution).
-[[nodiscard]] PoolCounters pool_counters() noexcept;
 
 /// Chunked loop on the shared pool. `threads == 0` resolves through the
 /// ambient ParallelConfig.

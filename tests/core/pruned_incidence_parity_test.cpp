@@ -301,7 +301,7 @@ void check_session(const std::shared_ptr<const serve::ServeScenario>& scenario,
         full_index(weights, flows, *scenario->detours);
     const serve::WarmStartResult got = session.place(k);
     const serve::WarmStartResult want =
-        serve::warm_start_marginal_greedy(full, k, warm, &warm);
+        serve::warm_start_marginal_greedy(full, k, warm);
     const std::string at =
         scenario->summary + " round " + std::to_string(round);
     expect_same(got.placement, want.placement, at);

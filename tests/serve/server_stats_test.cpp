@@ -1,10 +1,10 @@
 // The stats verb's determinism contract (src/serve/server.h): under a
 // VirtualClockGuard the whole introspection snapshot — request and error
 // counts, uptime, cache rates, warm-start counts, per-verb latency
-// percentiles, pool utilization — is a pure function of the request
-// sequence. The same sequence must produce byte-identical stats responses
-// whether the pool runs serial or with four threads (the RAP_THREADS=4 CI
-// configuration), and repeated runs must reproduce the same bytes.
+// percentiles — is a pure function of the request sequence. The same
+// sequence must produce byte-identical stats responses at one and at four
+// ambient threads (the RAP_THREADS=4 CI configuration), and repeated runs
+// must reproduce the same bytes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -118,11 +118,6 @@ TEST(ServerStats, GoldenSnapshotFields) {
   EXPECT_EQ(verbs.at("evaluate").as_object().at("count").as_number(), 1.0);
   // The unknown op lands in the "other" bucket, still timed.
   EXPECT_EQ(verbs.at("other").as_object().at("count").as_number(), 1.0);
-
-  const JsonValue::Object& pool = object.at("pool").as_object();
-  EXPECT_GE(pool.at("regions").as_number(), 1.0);  // place_batch ran the pool
-  EXPECT_GE(pool.at("chunks").as_number(), pool.at("regions").as_number());
-  EXPECT_GE(pool.at("workers").as_number(), 3.0);  // shared-pool floor
 
   EXPECT_TRUE(object.at("clock").as_object().at("virtual").as_bool());
   EXPECT_FALSE(

@@ -89,26 +89,5 @@ TEST(ServeStress, ConcurrentClientsGetConsistentAnswers) {
   EXPECT_EQ(*place_answers.begin(), reference_nodes);
 }
 
-// place_batch on a 4-thread pool must equal the batch computed serially.
-TEST(ServeStress, ParallelBatchMatchesSerialBatch) {
-  ServerOptions parallel_options;
-  parallel_options.threads = 4;
-  Server parallel_server(parallel_options);
-  expect_ok(handle(parallel_server, kLoadRequest), "parallel load");
-
-  ServerOptions serial_options;
-  serial_options.threads = 1;
-  Server serial_server(serial_options);
-  expect_ok(handle(serial_server, kLoadRequest), "serial load");
-
-  const std::string batch = R"({"op":"place_batch","ks":[1,2,3,4,5,6,7,8]})";
-  const JsonValue parallel = handle(parallel_server, batch);
-  const JsonValue serial = handle(serial_server, batch);
-  expect_ok(parallel, "parallel batch");
-  expect_ok(serial, "serial batch");
-  EXPECT_EQ(to_json(parallel.as_object().at("results")),
-            to_json(serial.as_object().at("results")));
-}
-
 }  // namespace
 }  // namespace rap::serve

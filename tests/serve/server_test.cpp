@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/obs/events.h"
 #include "src/obs/trace_export.h"
@@ -103,27 +106,89 @@ TEST(ServeServer, DeltaThenWarmPlace) {
   EXPECT_TRUE(placed.at("result").as_object().at("warm_reused").as_bool());
 }
 
-TEST(ServeServer, PlaceBatchMatchesSequentialPlaces) {
-  Server batch_server;
-  expect_ok(handle(batch_server, load_request()));
-  const JsonValue::Object& batch = expect_ok(
-      handle(batch_server, R"({"op":"place_batch","ks":[1,2,3,4]})"));
-  const JsonValue::Array& results = batch.at("results").as_array();
-  ASSERT_EQ(results.size(), 4U);
+/// A fresh server that has answered every request of `history` with ok.
+std::unique_ptr<Server> replay(const std::vector<std::string>& history) {
+  auto server = std::make_unique<Server>();
+  for (const std::string& line : history) expect_ok(handle(*server, line));
+  return server;
+}
 
-  Server serial_server;
-  expect_ok(handle(serial_server, load_request()));
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const JsonValue::Object& entry = results[i].as_object();
-    EXPECT_EQ(entry.at("k").as_number(), static_cast<double>(i + 1));
-    const JsonValue::Object& one = expect_ok(handle(
-        serial_server,
-        R"({"op":"place","k":)" + std::to_string(i + 1) + "}"));
-    const JsonValue::Object& expected = one.at("result").as_object();
-    EXPECT_EQ(to_json(entry.at("nodes")), to_json(expected.at("nodes")));
-    EXPECT_EQ(entry.at("customers").as_number(),
-              expected.at("customers").as_number());
+std::string place_request(std::size_t k) {
+  return R"({"op":"place","k":)" + std::to_string(k) + "}";
+}
+
+/// Sends place_batch with `ks` after `history` and checks each item against
+/// a place at its k on a fresh server with the same history, and the batch's
+/// work fields against one place at max(ks). Returns the batch response.
+JsonValue::Object expect_batch_matches_places(
+    const std::vector<std::string>& history,
+    const std::vector<std::size_t>& ks) {
+  std::string request = R"({"op":"place_batch","ks":[)";
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    if (i > 0) request += ',';
+    request += std::to_string(ks[i]);
   }
+  request += "]}";
+  const std::unique_ptr<Server> batch_server = replay(history);
+  const JsonValue::Object batch = expect_ok(handle(*batch_server, request));
+  const JsonValue::Array& results = batch.at("results").as_array();
+  EXPECT_EQ(results.size(), ks.size());
+  for (std::size_t i = 0; i < std::min(results.size(), ks.size()); ++i) {
+    const JsonValue::Object& item = results[i].as_object();
+    EXPECT_EQ(item.size(), 3U) << "items are {k, nodes, customers}";
+    EXPECT_EQ(item.at("k").as_number(), static_cast<double>(ks[i]));
+    const std::unique_ptr<Server> one_server = replay(history);
+    const JsonValue::Object one =
+        expect_ok(handle(*one_server, place_request(ks[i])));
+    const JsonValue::Object& expected = one.at("result").as_object();
+    EXPECT_EQ(to_json(item.at("nodes")), to_json(expected.at("nodes")))
+        << "k=" << ks[i];
+    EXPECT_EQ(item.at("customers").as_number(),
+              expected.at("customers").as_number())
+        << "k=" << ks[i];
+  }
+
+  // The batch is one place at its largest budget: the same work, reported
+  // once, and one place in the session stats.
+  const std::size_t max_k = *std::max_element(ks.begin(), ks.end());
+  const std::unique_ptr<Server> max_server = replay(history);
+  const JsonValue::Object at_max =
+      expect_ok(handle(*max_server, place_request(max_k)));
+  const JsonValue::Object& run = at_max.at("result").as_object();
+  EXPECT_EQ(batch.at("gain_evaluations").as_number(),
+            run.at("gain_evaluations").as_number());
+  EXPECT_EQ(batch.at("warm_reused").as_bool(), run.at("warm_reused").as_bool());
+  EXPECT_EQ(batch.at("warm_fell_back").as_bool(),
+            run.at("warm_fell_back").as_bool());
+  const JsonValue::Object batch_stats =
+      expect_ok(handle(*batch_server, R"({"op":"stats"})"));
+  const JsonValue::Object max_stats =
+      expect_ok(handle(*max_server, R"({"op":"stats"})"));
+  EXPECT_EQ(to_json(batch_stats.at("session")),
+            to_json(max_stats.at("session")));
+  return batch;
+}
+
+TEST(ServeServer, PlaceBatchMatchesSequentialPlaces) {
+  const std::vector<std::string> cold = {load_request()};
+  expect_batch_matches_places(cold, {1, 2, 3, 4});
+  // Unsorted and duplicate budgets, and budgets above the 4 nodes (clamped).
+  expect_batch_matches_places(cold, {8, 1, 3, 3, 100});
+
+  // Greedy stops once no node gains anything: budgets past that point get
+  // the whole run, fewer nodes than k.
+  const JsonValue::Object stopped = expect_batch_matches_places(cold, {4, 2});
+  const JsonValue::Array& first = stopped.at("results").as_array();
+  EXPECT_LT(first[0].as_object().at("nodes").as_array().size(), 4U);
+
+  // A warm session after a delta.
+  const std::vector<std::string> warm = {
+      load_request(), place_request(2),
+      R"({"op":"delta","ops":[{"kind":"add_flow","origin":1,"destination":2,)"
+      R"("vehicles":8,"alpha":0.4},{"kind":"scale_flow","index":0,"factor":2}]})"};
+  const JsonValue::Object warm_batch =
+      expect_batch_matches_places(warm, {8, 1, 3, 3});
+  EXPECT_TRUE(warm_batch.at("warm_reused").as_bool());
 }
 
 TEST(ServeServer, StructuredErrors) {

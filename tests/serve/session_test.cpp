@@ -269,17 +269,6 @@ TEST(ServeSession, ExpiredDeadlineThrows) {
   EXPECT_THROW((void)session.place(3, expired), DeadlineExceeded);
 }
 
-TEST(ServeSession, PlaceConstMatchesPlaceWithoutMutating) {
-  Session session(make_scenario());
-  (void)session.place(2);
-  const auto stats_before = session.stats().places;
-  const WarmStartResult read_only = session.place_const(3);
-  EXPECT_EQ(session.stats().places, stats_before);  // no counter movement
-  const WarmStartResult mutating = session.place(3);
-  EXPECT_EQ(read_only.placement.nodes, mutating.placement.nodes);
-  EXPECT_EQ(read_only.placement.customers, mutating.placement.customers);
-}
-
 TEST(ServeSession, FlowsShareTheScenarioUntilTheFirstDelta) {
   const auto scenario = make_scenario();
   Session session(scenario);

@@ -1,7 +1,7 @@
 // Placement-as-a-service driver: line-delimited JSON over stdio, or over a
 // unix-domain socket serving many clients concurrently.
 //
-//   rap_serve [--threads=N] [--cache-mb=N] [--metrics-out=FILE]
+//   rap_serve [--cache-mb=N] [--metrics-out=FILE]
 //             [--trace-out=FILE] [--ring-capacity=N]
 //             [--log-out=FILE] [--log-level=debug|info|warn|error]
 //             [--virtual-ticks]
@@ -60,7 +60,6 @@
 #include "src/serve/server.h"
 #include "src/serve/transport.h"
 #include "src/util/cli.h"
-#include "src/util/thread_pool.h"
 #include "tools/version_info.h"
 
 int main(int argc, char** argv) {
@@ -73,7 +72,6 @@ int main(int argc, char** argv) {
     }
     const rap::util::CliFlags flags(argc, argv);
     rap::serve::ServerOptions options;
-    options.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
     options.cache_bytes =
         static_cast<std::size_t>(flags.get_int("cache-mb", 256)) * 1024 * 1024;
     const std::string metrics_out = flags.get_string("metrics-out", "");
@@ -88,9 +86,6 @@ int main(int argc, char** argv) {
     for (const std::string& unknown : flags.unused()) {
       std::cerr << "rap_serve: unknown flag --" << unknown << "\n";
       return 2;
-    }
-    if (options.threads != 0) {
-      rap::util::set_parallel_config({options.threads});
     }
 
     // Install the clock domain before any recorder or log writes a
