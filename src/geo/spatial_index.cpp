@@ -99,7 +99,24 @@ std::optional<std::size_t> SpatialIndex::nearest(const Point& query) const {
 
 std::optional<std::size_t> SpatialIndex::nearest_within(const Point& query,
                                                         double radius) const {
-  const auto best = nearest(query);
+  if (points_.empty()) return std::nullopt;
+  // A point in ring k lies more than (k - 1) cells from the query, so every
+  // point within `radius` lies in rings 0..ceil(radius / cell_size_). Those
+  // rings are a prefix of nearest()'s visit order, so the answer (ties
+  // included) is nearest()'s whenever that lies within the radius. A NaN
+  // radius scans every ring, as nearest() would.
+  const std::int64_t max_ring = std::max(cols_, rows_);
+  const double rings = std::ceil(radius / cell_size_);
+  const std::int64_t last =
+      rings < static_cast<double>(max_ring) ? static_cast<std::int64_t>(rings)
+                                             : max_ring;
+  double best_dist2 = std::numeric_limits<double>::infinity();
+  std::optional<std::size_t> best;
+  for (std::int64_t ring = 0; ring <= last; ++ring) {
+    if (const auto found = nearest_in_ring(query, ring, best_dist2)) {
+      best = found;
+    }
+  }
   if (!best) return std::nullopt;
   if (euclidean_distance(points_[*best], query) > radius) return std::nullopt;
   return best;

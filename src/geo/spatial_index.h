@@ -26,7 +26,9 @@ class SpatialIndex {
   /// Index of the nearest point to `query`; std::nullopt when empty.
   [[nodiscard]] std::optional<std::size_t> nearest(const Point& query) const;
 
-  /// Nearest point within `radius` of `query`, if any.
+  /// Nearest point within `radius` of `query`, if any: nearest() when that
+  /// lies within `radius`. Scans only the cell rings the radius reaches, so
+  /// a query far from every point costs no more than one near some.
   [[nodiscard]] std::optional<std::size_t> nearest_within(const Point& query,
                                                           double radius) const;
 

@@ -9,15 +9,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/citygen/grid_city.h"
-#include "src/citygen/partial_grid_city.h"
-#include "src/citygen/radial_city.h"
 #include "src/graph/io.h"
 #include "src/obs/events.h"
 #include "src/obs/telemetry.h"
+#include "src/trace/city_preset.h"
 #include "src/trace/classify.h"
-#include "src/trace/flow_extractor.h"
-#include "src/trace/generator.h"
 #include "src/trace/io.h"
 #include "src/util/rng.h"
 
@@ -117,50 +113,14 @@ std::string key_prefix(const ScenarioSpec& spec) {
   return prefix;
 }
 
-/// City generation mirrors rap_cli's presets exactly, so the CLI and the
-/// server agree on what "seattle seed 1" means.
+/// A generated city: the preset rap_cli also builds, its day streamed one
+/// journey at a time (DESIGN.md §11), so a load never holds the whole
+/// day's GPS samples.
 void generate_city_inputs(const ScenarioSpec& spec, ServeScenario& out) {
   util::Rng rng(spec.seed);
-  trace::TraceGenSpec gen;
-  gen.num_journeys = spec.journeys;
-  gen.alpha = 0.001;
-  double snap_radius = 0.0;
-  if (spec.city == "dublin") {
-    citygen::RadialSpec city;
-    city.rings = 12;
-    city.nodes_on_first_ring = 8;
-    city.nodes_per_ring_step = 5;
-    city.ring_spacing = 3'300.0;
-    out.net = citygen::build_radial_city(city, rng);
-    gen.mean_runs_per_journey = 40.0;
-    gen.sample_spacing = 900.0;
-    gen.gps_noise = 150.0;
-    gen.passengers_per_vehicle = 100.0;
-    snap_radius = 450.0;
-  } else if (spec.city == "seattle") {
-    citygen::PartialGridSpec city;
-    city.grid = {21, 21, 500.0, {0.0, 0.0}};
-    const citygen::PartialGridCity built(city, rng);
-    out.net = built.network();
-    gen.mean_runs_per_journey = 30.0;
-    gen.sample_spacing = 350.0;
-    gen.gps_noise = 60.0;
-    gen.passengers_per_vehicle = 200.0;
-    snap_radius = 230.0;
-  } else {
-    out.net = citygen::GridCity({15, 15, 500.0, {0.0, 0.0}}).network();
-    gen.mean_runs_per_journey = 30.0;
-    gen.sample_spacing = 350.0;
-    gen.gps_noise = 60.0;
-    gen.passengers_per_vehicle = 200.0;
-    snap_radius = 230.0;
-  }
-  const trace::SyntheticTrace day = trace::generate_trace(out.net, gen, rng);
-  const trace::MapMatcher matcher(out.net, snap_radius);
-  trace::ExtractionOptions extract;
-  extract.passengers_per_vehicle = gen.passengers_per_vehicle;
-  extract.alpha = gen.alpha;
-  out.flows = trace::extract_flows(matcher, day.records, extract);
+  trace::CityPreset city = trace::make_city(spec.city, spec.journeys, rng);
+  out.flows = trace::stream_flows(city, rng);
+  out.net = std::move(city.net);
 }
 
 graph::NodeId pick_shop(const ScenarioSpec& spec, const graph::RoadNetwork& net,

@@ -7,6 +7,7 @@
 // daily vehicle count.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,9 +26,18 @@ struct ExtractionOptions {
   std::size_t min_runs = 1;
 };
 
-/// Extracts one flow per journey id from sorted records. Runs that fail to
-/// match are skipped; journeys with < min_runs matched runs are dropped.
-/// Throws std::invalid_argument on unsorted input or bad options.
+/// Extracts the flow of one journey from its records, all of one journey id
+/// and sorted by (run, timestamp). Runs that fail to match are skipped;
+/// std::nullopt when fewer than max(min_runs, 1) runs match. Throws
+/// std::invalid_argument on unsorted input, mixed journey ids or bad
+/// options.
+[[nodiscard]] std::optional<traffic::TrafficFlow> extract_journey(
+    const MapMatcher& matcher, std::span<const TraceRecord> records,
+    const ExtractionOptions& options = {});
+
+/// Extracts one flow per journey id from sorted records: extract_journey
+/// over each journey's contiguous records, in ascending journey id. Throws
+/// std::invalid_argument on unsorted input or bad options.
 [[nodiscard]] std::vector<traffic::TrafficFlow> extract_flows(
     const MapMatcher& matcher, std::span<const TraceRecord> records,
     const ExtractionOptions& options = {});

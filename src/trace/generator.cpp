@@ -89,8 +89,8 @@ void emit_run(const graph::RoadNetwork& net,
 
 }  // namespace
 
-SyntheticTrace generate_trace(const graph::RoadNetwork& net,
-                              const TraceGenSpec& spec, util::Rng& rng) {
+void for_each_journey(const graph::RoadNetwork& net, const TraceGenSpec& spec,
+                      util::Rng& rng, const JourneyVisitor& visit) {
   validate_spec(spec);
   if (net.num_nodes() < 2) {
     throw std::invalid_argument("generate_trace: network too small");
@@ -100,8 +100,9 @@ SyntheticTrace generate_trace(const graph::RoadNetwork& net,
   const double min_trip =
       spec.min_trip_fraction * std::hypot(box.width(), box.height());
 
-  SyntheticTrace trace;
-  trace.planted_flows.reserve(spec.num_journeys);
+  // Run ids grow across the day and timestamps within a run, so each
+  // journey's records come out in canonical order without a sort.
+  std::vector<TraceRecord> records;
   std::uint32_t next_run_id = 0;
   std::uint32_t next_vehicle_id = 0;
 
@@ -137,14 +138,25 @@ SyntheticTrace generate_trace(const graph::RoadNetwork& net,
     flow.passengers_per_vehicle = spec.passengers_per_vehicle;
     flow.alpha = spec.alpha;
 
+    records.clear();
     for (std::uint32_t r = 0; r < runs; ++r) {
       emit_run(net, flow.path, spec, next_vehicle_id++, journey, next_run_id++,
-               rng, trace.records);
+               rng, records);
     }
-    trace.planted_flows.push_back(std::move(flow));
+    visit(flow, records);
   }
+}
 
-  sort_records(trace.records);
+SyntheticTrace generate_trace(const graph::RoadNetwork& net,
+                              const TraceGenSpec& spec, util::Rng& rng) {
+  SyntheticTrace trace;
+  for_each_journey(net, spec, rng,
+                   [&trace](const traffic::TrafficFlow& planted,
+                            std::span<const TraceRecord> records) {
+                     trace.records.insert(trace.records.end(), records.begin(),
+                                          records.end());
+                     trace.planted_flows.push_back(planted);
+                   });
   return trace;
 }
 

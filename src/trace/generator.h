@@ -7,8 +7,14 @@
 // subsampled GPS records. The planted flows are returned alongside the
 // records so tests can verify that the map-matching + extraction pipeline
 // recovers them.
+//
+// for_each_journey generates the day one journey at a time, so a consumer
+// that matches each journey as it arrives holds one journey's samples, not
+// the day's; generate_trace collects the same journeys into one trace.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "src/graph/road_network.h"
@@ -41,13 +47,27 @@ struct TraceGenSpec {
 };
 
 struct SyntheticTrace {
-  std::vector<TraceRecord> records;  ///< sorted (journey, run, time)
+  /// In the canonical (journey, run, timestamp) order split_runs expects.
+  std::vector<TraceRecord> records;
   /// Ground truth: one flow per journey pattern, daily_vehicles = run count.
   std::vector<traffic::TrafficFlow> planted_flows;
 };
 
-/// Generates a trace deterministically from `rng`. Throws
-/// std::invalid_argument on bad spec values or a network with < 2 nodes.
+/// Receives one generated journey: its planted flow and its records, all of
+/// that journey id, in (run, timestamp) order. The records live in a buffer
+/// the generator reuses for the next journey.
+using JourneyVisitor =
+    std::function<void(const traffic::TrafficFlow& planted,
+                       std::span<const TraceRecord> records)>;
+
+/// Generates the day deterministically from `rng` and hands `visit` each
+/// journey in ascending journey id. Throws std::invalid_argument on bad spec
+/// values or a network with < 2 nodes, before any draw.
+void for_each_journey(const graph::RoadNetwork& net, const TraceGenSpec& spec,
+                      util::Rng& rng, const JourneyVisitor& visit);
+
+/// Collects every journey of for_each_journey into one trace: the same
+/// draws from `rng`, the records concatenated, the planted flows in order.
 [[nodiscard]] SyntheticTrace generate_trace(const graph::RoadNetwork& net,
                                             const TraceGenSpec& spec,
                                             util::Rng& rng);

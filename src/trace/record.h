@@ -21,6 +21,8 @@ struct TraceRecord {
   std::uint32_t run_id = 0;      ///< one physical trip of one vehicle
   double timestamp = 0.0;        ///< seconds since the start of the day
   geo::Point position;           ///< feet
+
+  friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
 /// Sorts records by (journey, run, timestamp) — the canonical order the
@@ -34,8 +36,8 @@ struct RunView {
   std::span<const TraceRecord> records;
 };
 
-/// Splits sorted records into runs. The input must be sorted with
-/// sort_records; throws std::invalid_argument otherwise.
+/// Splits records into runs. The input must be in sort_records' order (the
+/// generator emits it); throws std::invalid_argument otherwise.
 [[nodiscard]] std::vector<RunView> split_runs(
     std::span<const TraceRecord> records);
 

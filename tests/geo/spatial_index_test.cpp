@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -80,6 +81,56 @@ TEST(SpatialIndex, FarQueryStillFindsNearest) {
   const SpatialIndex index(points, 1.0);
   EXPECT_EQ(index.nearest({1000.0, 1000.0}).value(), 1u);
   EXPECT_EQ(index.nearest({-1000.0, -1000.0}).value(), 0u);
+}
+
+// nearest_within scans only the rings its radius reaches. On random sets,
+// with radii below, at and above the cell size and queries both inside the
+// points' bounds and far outside them, it must answer what the unbounded
+// nearest() filtered by the radius answers, and what a brute-force scan
+// (lowest index among equal distances) answers.
+TEST(SpatialIndex, NearestWithinMatchesFilteredNearestAndBruteForce) {
+  util::Rng rng(7);
+  std::size_t found = 0;
+  std::size_t missed = 0;
+  for (int set = 0; set < 12; ++set) {
+    const auto points = random_points(1 + rng.next_below(400), rng, 100.0);
+    const double cell = rng.next_double(0.5, 20.0);
+    const SpatialIndex index(points, cell);
+    for (int q = 0; q < 400; ++q) {
+      const double reach = q % 4 == 0 ? 1'000.0 : 20.0;
+      const Point query{rng.next_double(-reach, 100.0 + reach),
+                        rng.next_double(-reach, 100.0 + reach)};
+      const double radius = cell * rng.next_double(0.1, 3.5);
+      const auto got = index.nearest_within(query, radius);
+
+      std::optional<std::size_t> filtered = index.nearest(query);
+      if (euclidean_distance(points[*filtered], query) > radius) {
+        filtered.reset();
+      }
+      std::optional<std::size_t> brute = brute_force_nearest(points, query);
+      if (euclidean_distance(points[*brute], query) > radius) brute.reset();
+
+      EXPECT_EQ(got, filtered) << "set " << set << " query " << q;
+      EXPECT_EQ(got, brute) << "set " << set << " query " << q;
+      ++(got ? found : missed);
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(found, 500u);
+  EXPECT_GT(missed, 500u);
+}
+
+TEST(SpatialIndex, NearestWithinEdgeRadii) {
+  const std::vector<Point> points{{0.0, 0.0}, {10.0, 0.0}};
+  const SpatialIndex index(points, 1.0);
+  EXPECT_FALSE(index.nearest_within({0.0, 0.0}, -1.0).has_value());
+  EXPECT_EQ(index.nearest_within({0.0, 0.0}, 0.0), 0u);
+  EXPECT_EQ(index.nearest_within({1e6, 0.0}, 1e300), 1u);
+  EXPECT_EQ(index.nearest_within({9.0, 0.0},
+                                 std::numeric_limits<double>::infinity()),
+            1u);
+  const SpatialIndex empty(std::vector<Point>{}, 1.0);
+  EXPECT_FALSE(empty.nearest_within({0.0, 0.0}, 5.0).has_value());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // The stats verb's determinism contract (src/serve/server.h): under a
 // VirtualClockGuard the whole introspection snapshot — request and error
 // counts, uptime, cache rates, warm-start counts, per-verb latency
-// percentiles — is a pure function of the request sequence. The same
-// sequence must produce byte-identical stats responses at one and at four
-// ambient threads (the RAP_THREADS=4 CI configuration), and repeated runs
-// must reproduce the same bytes.
+// percentiles — is a pure function of the request sequence. Repeated runs
+// must reproduce the same bytes. src/serve reaches no parallel call site
+// (every serve placement is one serial CELF run), so the comparison of one
+// with four ambient threads (the RAP_THREADS=4 CI configuration) cannot
+// fail for a threading reason today; it guards against a parallel site
+// coming back into the serve path.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -68,6 +70,8 @@ std::string stats_transcript(std::size_t threads) {
   return last;
 }
 
+// No serve path runs in parallel; this fails if one starts to and its
+// output depends on the thread count.
 TEST(ServerStats, ByteIdenticalSerialVsFourThreads) {
   const std::string serial = stats_transcript(1);
   const std::string parallel = stats_transcript(4);

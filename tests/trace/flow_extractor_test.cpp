@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "src/citygen/grid_city.h"
 #include "src/trace/generator.h"
@@ -90,6 +92,45 @@ TEST_F(ExtractionPipeline, MinRunsFiltersSparseJourneys) {
   ExtractionOptions strict;
   strict.min_runs = 1000;  // nothing has this many runs
   EXPECT_TRUE(extract_flows(matcher_, trace_.records, strict).empty());
+}
+
+TEST_F(ExtractionPipeline, ExtractJourneyOverEachJourneyIsExtractFlows) {
+  const std::span<const TraceRecord> all(trace_.records);
+  std::vector<traffic::TrafficFlow> per_journey;
+  for (std::size_t begin = 0; begin < all.size();) {
+    std::size_t end = begin;
+    while (end < all.size() && all[end].journey_id == all[begin].journey_id) {
+      ++end;
+    }
+    if (auto flow = extract_journey(matcher_, all.subspan(begin, end - begin))) {
+      per_journey.push_back(std::move(*flow));
+    }
+    begin = end;
+  }
+  EXPECT_EQ(per_journey.size(), trace_.planted_flows.size());
+  EXPECT_TRUE(per_journey == extract_flows(matcher_, trace_.records));
+}
+
+TEST_F(ExtractionPipeline, ExtractJourneyRejectsMixedJourneys) {
+  EXPECT_THROW(extract_journey(matcher_, trace_.records),
+               std::invalid_argument);
+}
+
+TEST(ExtractJourney, NoMatchedRunGivesNoFlow) {
+  const auto net = test_city();
+  const MapMatcher matcher(net, 200.0);
+  EXPECT_FALSE(extract_journey(matcher, {}).has_value());
+  // Every sample lies far outside the snap radius of any intersection.
+  std::vector<TraceRecord> records(3);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].journey_id = 4;
+    records[i].timestamp = static_cast<double>(i);
+    records[i].position = {-50'000.0, -50'000.0};
+  }
+  EXPECT_FALSE(extract_journey(matcher, records).has_value());
+  ExtractionOptions bad;
+  bad.alpha = -1.0;
+  EXPECT_THROW(extract_journey(matcher, records, bad), std::invalid_argument);
 }
 
 TEST(ExtractFlows, EmptyRecords) {

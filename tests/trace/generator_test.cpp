@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 #include "src/citygen/grid_city.h"
 #include "src/geo/bbox.h"
@@ -168,6 +170,28 @@ TEST(GenerateTrace, TinyNetworkRejected) {
   const graph::RoadNetwork net = std::move(builder).build();
   util::Rng rng(1);
   EXPECT_THROW(generate_trace(net, small_spec(), rng), std::invalid_argument);
+}
+
+TEST(ForEachJourney, JourneysAreTheCollectedTraceInOrder) {
+  const auto net = test_city();
+  util::Rng streamed_rng(9);
+  std::vector<TraceRecord> records;
+  std::vector<traffic::TrafficFlow> planted;
+  for_each_journey(net, small_spec(), streamed_rng,
+                   [&](const traffic::TrafficFlow& flow,
+                       std::span<const TraceRecord> journey) {
+                     for (const TraceRecord& record : journey) {
+                       EXPECT_EQ(record.journey_id, planted.size());
+                     }
+                     records.insert(records.end(), journey.begin(),
+                                    journey.end());
+                     planted.push_back(flow);
+                   });
+  util::Rng collected_rng(9);
+  const SyntheticTrace trace = generate_trace(net, small_spec(), collected_rng);
+  EXPECT_TRUE(records == trace.records);
+  EXPECT_TRUE(planted == trace.planted_flows);
+  EXPECT_EQ(streamed_rng.next_u64(), collected_rng.next_u64());
 }
 
 }  // namespace

@@ -47,9 +47,6 @@
 #include <string>
 #include <utility>
 
-#include "src/citygen/grid_city.h"
-#include "src/citygen/partial_grid_city.h"
-#include "src/citygen/radial_city.h"
 #include "src/core/baselines.h"
 #include "src/core/composite_greedy.h"
 #include "src/core/greedy.h"
@@ -60,10 +57,10 @@
 #include "src/graph/io.h"
 #include "src/obs/json.h"
 #include "src/obs/telemetry.h"
+#include "src/trace/city_preset.h"
 #include "src/trace/classify.h"
-#include "src/trace/flow_extractor.h"
-#include "src/trace/generator.h"
 #include "src/trace/io.h"
+#include "src/trace/map_matcher.h"
 #include "src/util/cli.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
@@ -81,61 +78,25 @@ struct Inputs {
 Inputs generate_city(const std::string& kind, std::uint64_t seed,
                      std::size_t journeys) {
   util::Rng rng(seed);
-  Inputs inputs;
-  trace::TraceGenSpec spec;
-  spec.num_journeys = journeys;
-  spec.alpha = 0.001;
-  double snap_radius = 0.0;
+  trace::CityPreset city;
   {
     const obs::Span span("city_gen");
-    if (kind == "dublin") {
-      citygen::RadialSpec city;
-      city.rings = 12;
-      city.nodes_on_first_ring = 8;
-      city.nodes_per_ring_step = 5;
-      city.ring_spacing = 3'300.0;
-      inputs.net = citygen::build_radial_city(city, rng);
-      spec.mean_runs_per_journey = 40.0;
-      spec.sample_spacing = 900.0;
-      spec.gps_noise = 150.0;
-      spec.passengers_per_vehicle = 100.0;
-      snap_radius = 450.0;
-    } else if (kind == "seattle") {
-      citygen::PartialGridSpec city;
-      city.grid = {21, 21, 500.0, {0.0, 0.0}};
-      const citygen::PartialGridCity built(city, rng);
-      inputs.net = built.network();
-      spec.mean_runs_per_journey = 30.0;
-      spec.sample_spacing = 350.0;
-      spec.gps_noise = 60.0;
-      spec.passengers_per_vehicle = 200.0;
-      snap_radius = 230.0;
-    } else if (kind == "grid") {
-      inputs.net = citygen::GridCity({15, 15, 500.0, {0.0, 0.0}}).network();
-      spec.mean_runs_per_journey = 30.0;
-      spec.sample_spacing = 350.0;
-      spec.gps_noise = 60.0;
-      spec.passengers_per_vehicle = 200.0;
-      snap_radius = 230.0;
-    } else {
-      throw std::invalid_argument("unknown --city '" + kind +
-                                  "' (dublin|seattle|grid)");
-    }
+    city = trace::make_city(kind, journeys, rng);
   }
-  std::optional<trace::SyntheticTrace> day;
+  trace::SyntheticTrace day;
   {
     const obs::Span span("trace_synthesis");
-    day = trace::generate_trace(inputs.net, spec, rng);
-    obs::add_counter("trace.records", day->records.size());
+    day = trace::generate_trace(city.net, city.gen, rng);
+    obs::add_counter("trace.records", day.records.size());
   }
+  Inputs inputs;
   {
     const obs::Span span("flow_extraction");
-    const trace::MapMatcher matcher(inputs.net, snap_radius);
-    trace::ExtractionOptions extract;
-    extract.passengers_per_vehicle = spec.passengers_per_vehicle;
-    extract.alpha = spec.alpha;
-    inputs.flows = trace::extract_flows(matcher, day->records, extract);
+    const trace::MapMatcher matcher(city.net, city.snap_radius);
+    inputs.flows =
+        trace::extract_flows(matcher, day.records, city.extraction());
   }
+  inputs.net = std::move(city.net);
   return inputs;
 }
 
