@@ -59,7 +59,10 @@ int main(int argc, char** argv) {
             << traffic::total_population(flows) << " potential customers)\n";
 
   // Pick a shop location in the "city" band (not the congested centre).
-  const auto classes = trace::classify_intersections(net, flows);
+  // One walk of the paths ranks the intersections for the shop pick and
+  // for the two traffic baselines below.
+  const traffic::PassingTraffic passing = traffic::passing_traffic(net, flows);
+  const auto classes = trace::classify_intersections(passing);
   const auto city_nodes =
       trace::nodes_in_class(classes, trace::LocationClass::kCity);
   const graph::NodeId shop = city_nodes[rng.next_below(city_nodes.size())];
@@ -80,9 +83,9 @@ int main(int argc, char** argv) {
   report("Algorithm 2", core::composite_greedy_placement(problem, k));
   report("Algorithm 1", core::greedy_coverage_placement(problem, k));
   report("MaxCustomers", core::max_customers_placement(problem, k));
-  report("MaxVehicles", core::max_vehicles_placement(problem, flows, k));
+  report("MaxVehicles", core::max_vehicles_placement(problem, passing, k));
   report("MaxCardinality",
-         core::max_cardinality_placement(problem, flows, k));
+         core::max_cardinality_placement(problem, passing, k));
   util::Rng random_rng(seed + 1);
   report("Random", core::random_placement(problem, k, random_rng));
   return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/core/evaluator.h"
 #include "src/core/k_policy.h"
@@ -29,25 +30,32 @@ PlacementResult top_k_by(const CoverageModel& model, std::size_t k,
   return {nodes, evaluate_placement(model, nodes)};
 }
 
+void check_passing(const CoverageModel& model,
+                   const traffic::PassingTraffic& passing, const char* who) {
+  if (passing.flows.size() != model.num_nodes() ||
+      passing.vehicles.size() != model.num_nodes()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": passing traffic does not match the model");
+  }
+}
+
 }  // namespace
 
 PlacementResult max_cardinality_placement(
-    const CoverageModel& model, const std::vector<traffic::TrafficFlow>& flows,
+    const CoverageModel& model, const traffic::PassingTraffic& passing,
     std::size_t k) {
   k = checked_budget(model, k, "max_cardinality_placement");
-  const traffic::PassingTraffic passing =
-      traffic::passing_traffic(model.network(), flows);
+  check_passing(model, passing, "max_cardinality_placement");
   return top_k_by(model, k, [&](graph::NodeId v) {
     return static_cast<double>(passing.flows[v]);
   });
 }
 
 PlacementResult max_vehicles_placement(
-    const CoverageModel& model, const std::vector<traffic::TrafficFlow>& flows,
+    const CoverageModel& model, const traffic::PassingTraffic& passing,
     std::size_t k) {
   k = checked_budget(model, k, "max_vehicles_placement");
-  const traffic::PassingTraffic passing =
-      traffic::passing_traffic(model.network(), flows);
+  check_passing(model, passing, "max_vehicles_placement");
   return top_k_by(model, k,
                   [&](graph::NodeId v) { return passing.vehicles[v]; });
 }

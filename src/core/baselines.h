@@ -9,8 +9,10 @@
 // "Passing" is a property of the trace, not of the coverage table: the two
 // traffic rankings read traffic::passing_traffic over the flows' recorded
 // paths, in the general and the Manhattan scenario alike, and value their
-// placement on `model`. All rankings break ties towards the lowest node id
-// for determinism, and all take k through core::checked_budget.
+// placement on `model`. The caller computes that ranking once per flow set
+// (it does not depend on the shop) and passes it in. All rankings break
+// ties towards the lowest node id for determinism, and all take k through
+// core::checked_budget.
 #pragma once
 
 #include <vector>
@@ -21,15 +23,16 @@
 
 namespace rap::core {
 
-/// `flows` are the flows `model` was built from. Throws
-/// std::invalid_argument on a bad flow.
+/// `passing` is traffic::passing_traffic over the flows `model` was built
+/// from. Throws std::invalid_argument when it does not have one entry per
+/// node of `model`.
 [[nodiscard]] PlacementResult max_cardinality_placement(
-    const CoverageModel& model, const std::vector<traffic::TrafficFlow>& flows,
+    const CoverageModel& model, const traffic::PassingTraffic& passing,
     std::size_t k);
 
 /// As max_cardinality_placement, ranked by passing daily vehicles.
 [[nodiscard]] PlacementResult max_vehicles_placement(
-    const CoverageModel& model, const std::vector<traffic::TrafficFlow>& flows,
+    const CoverageModel& model, const traffic::PassingTraffic& passing,
     std::size_t k);
 
 [[nodiscard]] PlacementResult max_customers_placement(

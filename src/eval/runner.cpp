@@ -28,9 +28,9 @@ bool is_two_stage(AlgorithmId id) noexcept {
 
 // Placement order of a nested algorithm at budget max_k. MaxCardinality
 // and MaxVehicles rank by the traffic passing each node on the flows'
-// recorded paths, in the Manhattan scenario too.
+// recorded paths (`passing`), in the Manhattan scenario too.
 core::Placement nested_order(AlgorithmId id, const core::CoverageModel& model,
-                             const std::vector<traffic::TrafficFlow>& flows,
+                             const traffic::PassingTraffic& passing,
                              std::size_t max_k, util::Rng& rng) {
   switch (id) {
     case AlgorithmId::kGreedyCoverage:
@@ -40,9 +40,9 @@ core::Placement nested_order(AlgorithmId id, const core::CoverageModel& model,
     case AlgorithmId::kNaiveGreedy:
       return core::naive_marginal_greedy_placement(model, max_k).nodes;
     case AlgorithmId::kMaxCardinality:
-      return core::max_cardinality_placement(model, flows, max_k).nodes;
+      return core::max_cardinality_placement(model, passing, max_k).nodes;
     case AlgorithmId::kMaxVehicles:
-      return core::max_vehicles_placement(model, flows, max_k).nodes;
+      return core::max_vehicles_placement(model, passing, max_k).nodes;
     case AlgorithmId::kMaxCustomers:
       return core::max_customers_placement(model, max_k).nodes;
     case AlgorithmId::kRandom:
@@ -61,7 +61,8 @@ Workload make_workload(const graph::RoadNetwork& net,
                        std::string name) {
   Workload workload;
   workload.net = &net;
-  workload.classes = trace::classify_intersections(net, flows);
+  workload.passing = traffic::passing_traffic(net, flows);
+  workload.classes = trace::classify_intersections(workload.passing);
   workload.flows = std::move(flows);
   workload.name = std::move(name);
   return workload;
@@ -147,7 +148,7 @@ ExperimentResult run_experiment(const Workload& workload,
       }
       util::Rng alg_rng = rng.fork(1000 + a);
       const core::Placement order =
-          nested_order(id, model, workload.flows, max_k, alg_rng);
+          nested_order(id, model, workload.passing, max_k, alg_rng);
       const std::vector<double> prefixes = core::prefix_values(model, order);
       for (std::size_t ki = 0; ki < config.ks.size(); ++ki) {
         // Orders shorter than k repeat their final value.

@@ -8,7 +8,8 @@
 // uniform sample. The two-stage algorithms are not nested and run per k.
 // MaxCardinality and MaxVehicles rank by the traffic on the flows' recorded
 // paths (traffic::passing_traffic) in both scenarios; the Manhattan one
-// values their placements on its flexible-route table.
+// values their placements on its flexible-route table. The workload walks
+// those paths once, and every repetition reads that one ranking.
 #pragma once
 
 #include "src/eval/experiment.h"
@@ -21,11 +22,14 @@ namespace rap::eval {
 struct Workload {
   const graph::RoadNetwork* net = nullptr;
   std::vector<traffic::TrafficFlow> flows;
+  /// Per intersection: ranks MaxCardinality/MaxVehicles and sets `classes`.
+  traffic::PassingTraffic passing;
   std::vector<trace::LocationClass> classes;  ///< per intersection
   std::string name;
 };
 
-/// Builds a workload, classifying intersections from the flows.
+/// Builds a workload, classifying intersections from the flows' passing
+/// traffic. Throws std::invalid_argument on a bad flow.
 [[nodiscard]] Workload make_workload(const graph::RoadNetwork& net,
                                      std::vector<traffic::TrafficFlow> flows,
                                      std::string name);

@@ -51,25 +51,38 @@ void Session::apply_delta(const DeltaOp& op) {
       }
       break;
   }
-  apply_delta_bound(warm_, op, current, *scenario_->utility);
-  if (!flows_.has_value()) flows_ = scenario_->flows;  // the one copy
-  std::vector<traffic::TrafficFlow>& own = *flows_;
-  switch (op.kind) {
-    case DeltaOp::Kind::kAddFlow:
-      own.push_back(op.flow);
-      break;
-    case DeltaOp::Kind::kRemoveFlow:
-      own.erase(own.begin() + static_cast<std::ptrdiff_t>(op.index));
-      break;
-    case DeltaOp::Kind::kScaleFlow:
-      own[op.index].daily_vehicles *= op.factor;
-      break;
+  // Every check has run, so only std::bad_alloc can escape from here on. It
+  // returns the session to the scenario's base state: flows() and model()
+  // never disagree, and no warm bound outlives the flows it was made for.
+  try {
+    apply_delta_bound(warm_, op, current, *scenario_->utility);
+    if (!flows_.has_value()) flows_ = scenario_->flows;  // the one copy
+    std::vector<traffic::TrafficFlow>& own = *flows_;
+    switch (op.kind) {
+      case DeltaOp::Kind::kAddFlow:
+        own.push_back(op.flow);
+        break;
+      case DeltaOp::Kind::kRemoveFlow:
+        own.erase(own.begin() + static_cast<std::ptrdiff_t>(op.index));
+        break;
+      case DeltaOp::Kind::kScaleFlow:
+        own[op.index].daily_vehicles *= op.factor;
+        break;
+    }
+    // The old table goes before the new one is priced, so a delta never
+    // holds two. The expensive inputs — network and the shop's two Dijkstra
+    // trees — are shared from the scenario; only the coverage table is
+    // rebuilt here.
+    delta_problem_.reset();
+    delta_problem_ = std::make_unique<core::PlacementProblem>(
+        scenario_->net, own, scenario_->shop, *scenario_->utility,
+        std::make_unique<SharedDetours>(scenario_->detours));
+  } catch (...) {
+    delta_problem_.reset();
+    flows_.reset();
+    warm_ = WarmState{};
+    throw;
   }
-  // The expensive inputs — network and the shop's two Dijkstra trees — are
-  // shared from the scenario; only the coverage table is rebuilt here.
-  delta_problem_ = std::make_unique<core::PlacementProblem>(
-      scenario_->net, own, scenario_->shop, *scenario_->utility,
-      std::make_unique<SharedDetours>(scenario_->detours));
   ++stats_.deltas;
   obs::add_counter("serve.deltas_applied");
 }

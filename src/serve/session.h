@@ -6,11 +6,13 @@
 // them; every delta then rebuilds a private PlacementProblem over its own
 // flows — cheaply, because the scenario's shop detour
 // engine (two Dijkstras) is shared via SharedDetours and only the coverage
-// table is rebuilt. Between placements the session carries the warm-start
-// state (src/serve/delta.h): the first `place` runs cold and records exact
-// round-0 gains; every delta loosens them by an audited upper bound; later
-// `place` calls re-optimize warm and fall back to a full run only when the
-// bound check fails. A place_batch request is one place at its largest
+// table is rebuilt. A delta frees the previous private table before it
+// prices the new one, so a session holds at most one coverage table of its
+// own (the scenario's base table is shared, never copied). Between
+// placements the session carries the warm-start state (src/serve/delta.h):
+// the first `place` runs cold and records exact round-0 gains; every delta
+// loosens them by an audited upper bound; later `place` calls re-optimize
+// warm and fall back to a full run only when the bound check fails. A place_batch request is one place at its largest
 // budget (src/serve/server.h), so it moves these counters as one place.
 #pragma once
 
@@ -57,7 +59,11 @@ class Session {
   /// std::invalid_argument / std::out_of_range on a bad op, including a
   /// scale_flow whose product is not finite), loosens the warm bounds, and
   /// rebuilds the private problem. Every check runs before any mutation, so
-  /// a rejected op leaves flows() and model() unchanged.
+  /// a rejected op leaves flows() and model() unchanged. After the checks
+  /// only std::bad_alloc can escape (the old private table is already
+  /// freed by then); it returns the session to the scenario's base state —
+  /// no private flows or problem, warm state invalid — before it is
+  /// rethrown, so flows() and model() never disagree.
   void apply_delta(const DeltaOp& op);
 
   /// Warm-start lazy greedy placement — bit-identical to

@@ -5,14 +5,12 @@
 namespace rap::trace {
 
 std::vector<LocationClass> classify_intersections(
-    const graph::RoadNetwork& net,
-    const std::vector<traffic::TrafficFlow>& flows) {
-  const std::vector<double> vehicles =
-      traffic::passing_traffic(net, flows).vehicles;
+    const traffic::PassingTraffic& passing) {
+  const std::vector<double>& vehicles = passing.vehicles;
 
   // Rank only intersections with traffic; traffic-free ones are suburb.
   std::vector<graph::NodeId> ranked;
-  for (graph::NodeId v = 0; v < net.num_nodes(); ++v) {
+  for (graph::NodeId v = 0; v < vehicles.size(); ++v) {
     if (vehicles[v] > 0.0) ranked.push_back(v);
   }
   std::sort(ranked.begin(), ranked.end(), [&](graph::NodeId a, graph::NodeId b) {
@@ -20,7 +18,7 @@ std::vector<LocationClass> classify_intersections(
     return a < b;
   });
 
-  std::vector<LocationClass> classes(net.num_nodes(), LocationClass::kSuburb);
+  std::vector<LocationClass> classes(vehicles.size(), LocationClass::kSuburb);
   const auto center_cut = static_cast<std::size_t>(
       kCenterFraction * static_cast<double>(ranked.size()));
   const auto city_cut = static_cast<std::size_t>(

@@ -21,12 +21,19 @@ inline constexpr double kCenterFraction = 0.10;
 /// intersections) are suburb.
 inline constexpr double kCityFraction = 0.40;
 
-/// Class per intersection, ranked by daily vehicles passing it
-/// (traffic::passing_traffic, the rule MaxVehicles ranks by). Throws
-/// std::invalid_argument on a bad flow.
+/// Class per intersection, ranked by daily vehicles passing it. `passing`
+/// is traffic::passing_traffic over the flows, the ranking MaxVehicles
+/// reads, so a caller that needs both walks the paths once.
 [[nodiscard]] std::vector<LocationClass> classify_intersections(
+    const traffic::PassingTraffic& passing);
+
+/// The same from the flows themselves. Throws std::invalid_argument on a
+/// bad flow.
+[[nodiscard]] inline std::vector<LocationClass> classify_intersections(
     const graph::RoadNetwork& net,
-    const std::vector<traffic::TrafficFlow>& flows);
+    const std::vector<traffic::TrafficFlow>& flows) {
+  return classify_intersections(traffic::passing_traffic(net, flows));
+}
 
 /// All intersections of one class.
 [[nodiscard]] std::vector<graph::NodeId> nodes_in_class(

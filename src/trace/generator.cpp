@@ -53,12 +53,13 @@ std::vector<double> demand_weights(const graph::RoadNetwork& net) {
 }
 
 // Emits GPS samples for one run along `path`, spaced along the travelled
-// distance with noise and random drop-out.
+// distance with noise and random drop-out. `cum` is
+// graph::cumulative_lengths(net, path), shared by every run of a journey.
 void emit_run(const graph::RoadNetwork& net,
-              std::span<const graph::NodeId> path, const TraceGenSpec& spec,
-              std::uint32_t vehicle, std::uint32_t journey, std::uint32_t run,
-              util::Rng& rng, std::vector<TraceRecord>& out) {
-  const std::vector<double> cum = graph::cumulative_lengths(net, path);
+              std::span<const graph::NodeId> path, std::span<const double> cum,
+              const TraceGenSpec& spec, std::uint32_t vehicle,
+              std::uint32_t journey, std::uint32_t run, util::Rng& rng,
+              std::vector<TraceRecord>& out) {
   const double total = cum.back();
   // Sample positions at s = 0, spacing, 2*spacing, ..., total.
   std::size_t segment = 0;
@@ -139,9 +140,10 @@ void for_each_journey(const graph::RoadNetwork& net, const TraceGenSpec& spec,
     flow.alpha = spec.alpha;
 
     records.clear();
+    const std::vector<double> cum = graph::cumulative_lengths(net, flow.path);
     for (std::uint32_t r = 0; r < runs; ++r) {
-      emit_run(net, flow.path, spec, next_vehicle_id++, journey, next_run_id++,
-               rng, records);
+      emit_run(net, flow.path, cum, spec, next_vehicle_id++, journey,
+               next_run_id++, rng, records);
     }
     visit(flow, records);
   }

@@ -23,7 +23,10 @@ namespace rap::trace {
     std::string_view source_name = "<string>");
 
 /// File forms (throw std::runtime_error naming the path on any I/O failure,
-/// the final flush and close included).
+/// the final flush and close included). read_flows_csv reads the file
+/// twice, a chunk at a time: once to count its line breaks, so that the
+/// flows vector is reserved once and never regrows (as flows_from_csv does
+/// with the text), then to parse it.
 void write_flows_csv(const std::filesystem::path& path,
                      std::span<const traffic::TrafficFlow> flows);
 [[nodiscard]] std::vector<traffic::TrafficFlow> read_flows_csv(

@@ -28,22 +28,34 @@ class BaselinesFig4 : public ::testing::Test {
   Fig4 fig_;
   traffic::ThresholdUtility utility_;
   PlacementProblem problem_;
+  traffic::PassingTraffic passing_ =
+      traffic::passing_traffic(fig_.net, fig_.flows);
 };
 
 TEST_F(BaselinesFig4, AllRejectZeroK) {
   util::Rng rng(1);
-  EXPECT_THROW(max_cardinality_placement(problem_, fig_.flows, 0),
+  EXPECT_THROW(max_cardinality_placement(problem_, passing_, 0),
                std::invalid_argument);
-  EXPECT_THROW(max_vehicles_placement(problem_, fig_.flows, 0),
+  EXPECT_THROW(max_vehicles_placement(problem_, passing_, 0),
                std::invalid_argument);
   EXPECT_THROW(max_customers_placement(problem_, 0), std::invalid_argument);
   EXPECT_THROW(random_placement(problem_, 0, rng), std::invalid_argument);
 }
 
+TEST_F(BaselinesFig4, TrafficRankingsRejectPassingTrafficOfAnotherSize) {
+  traffic::PassingTraffic short_by_one = passing_;
+  short_by_one.flows.pop_back();
+  short_by_one.vehicles.pop_back();
+  EXPECT_THROW(max_cardinality_placement(problem_, short_by_one, 2),
+               std::invalid_argument);
+  EXPECT_THROW(max_vehicles_placement(problem_, short_by_one, 2),
+               std::invalid_argument);
+}
+
 TEST_F(BaselinesFig4, MaxCardinalityRanking) {
   // Flow counts: V3 and V5 see 3 flows, V2/V4/V6 one, V1 none.
   const PlacementResult result =
-      max_cardinality_placement(problem_, fig_.flows, 3);
+      max_cardinality_placement(problem_, passing_, 3);
   EXPECT_EQ(result.nodes[0], Fig4::V3);  // tie with V5 broken by id
   EXPECT_EQ(result.nodes[1], Fig4::V5);
 }
@@ -51,7 +63,7 @@ TEST_F(BaselinesFig4, MaxCardinalityRanking) {
 TEST_F(BaselinesFig4, MaxVehiclesRanking) {
   // Vehicles: V3 = 15, V5 = 11, V2 = 6, V4 = 6, V6 = 2, V1 = 0.
   const PlacementResult result =
-      max_vehicles_placement(problem_, fig_.flows, 4);
+      max_vehicles_placement(problem_, passing_, 4);
   EXPECT_EQ(result.nodes,
             (Placement{Fig4::V3, Fig4::V5, Fig4::V2, Fig4::V4}));
 }
@@ -80,7 +92,7 @@ TEST_F(BaselinesFig4, ValueIsEvaluatedJointly) {
 
 TEST_F(BaselinesFig4, KLargerThanNetworkIsClamped) {
   util::Rng rng(2);
-  EXPECT_EQ(max_cardinality_placement(problem_, fig_.flows, 100).nodes.size(),
+  EXPECT_EQ(max_cardinality_placement(problem_, passing_, 100).nodes.size(),
             6u);
   EXPECT_EQ(random_placement(problem_, 100, rng).nodes.size(), 6u);
 }
@@ -93,9 +105,9 @@ TEST_F(BaselinesFig4, KClampIsRecordedOncePerCall) {
   const std::vector<std::pair<const char*, std::function<PlacementResult()>>>
       baselines{
           {"max cardinality",
-           [&] { return max_cardinality_placement(problem_, fig_.flows, k); }},
+           [&] { return max_cardinality_placement(problem_, passing_, k); }},
           {"max vehicles",
-           [&] { return max_vehicles_placement(problem_, fig_.flows, k); }},
+           [&] { return max_vehicles_placement(problem_, passing_, k); }},
           {"max customers",
            [&] { return max_customers_placement(problem_, k); }},
           {"random", [&] { return random_placement(problem_, k, rng); }},
@@ -182,9 +194,10 @@ TEST(Baselines, GreedyDominatesBaselinesOnAverage) {
     const PlacementProblem problem(net, flows, 12, utility);
     greedy_total +=
         exhaustive_optimal_placement(problem, 2, {1'000'000}).customers;
+    const traffic::PassingTraffic passing = traffic::passing_traffic(net, flows);
     const double card =
-        max_cardinality_placement(problem, flows, 2).customers;
-    const double veh = max_vehicles_placement(problem, flows, 2).customers;
+        max_cardinality_placement(problem, passing, 2).customers;
+    const double veh = max_vehicles_placement(problem, passing, 2).customers;
     const double cust = max_customers_placement(problem, 2).customers;
     best_baseline_total += std::max({card, veh, cust});
   }

@@ -113,8 +113,8 @@ TEST_F(Fig4Example, MaxCustomersEqualsOptimumAtKOne) {
 TEST_F(Fig4Example, MaxCardinalityPrefersBusyIntersections) {
   // V3 and V5 both see 3 flows; MaxCardinality picks them first (ids
   // break the tie).
-  const PlacementResult result =
-      max_cardinality_placement(threshold_problem_, fig_.flows, 2);
+  const PlacementResult result = max_cardinality_placement(
+      threshold_problem_, traffic::passing_traffic(fig_.net, fig_.flows), 2);
   Placement sorted = result.nodes;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (Placement{Fig4::V3, Fig4::V5}));
@@ -122,8 +122,8 @@ TEST_F(Fig4Example, MaxCardinalityPrefersBusyIntersections) {
 
 TEST_F(Fig4Example, MaxVehiclesPicksV3First) {
   // V3 passes 15 vehicles/day — the busiest intersection.
-  const PlacementResult result =
-      max_vehicles_placement(threshold_problem_, fig_.flows, 1);
+  const PlacementResult result = max_vehicles_placement(
+      threshold_problem_, traffic::passing_traffic(fig_.net, fig_.flows), 1);
   EXPECT_EQ(result.nodes, Placement{Fig4::V3});
 }
 

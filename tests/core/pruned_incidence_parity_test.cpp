@@ -198,11 +198,13 @@ void check_algorithms(const PlacementProblem& pruned,
     EXPECT_EQ(lazy_pruned.gain_evaluations, lazy_full.gain_evaluations) << at;
     EXPECT_EQ(lazy_pruned.heap_pops, lazy_full.heap_pops) << at;
 
-    expect_same(max_cardinality_placement(pruned, flows, k),
-                max_cardinality_placement(full, flows, k),
+    const traffic::PassingTraffic passing =
+        traffic::passing_traffic(pruned.network(), flows);
+    expect_same(max_cardinality_placement(pruned, passing, k),
+                max_cardinality_placement(full, passing, k),
                 at + " max cardinality");
-    expect_same(max_vehicles_placement(pruned, flows, k),
-                max_vehicles_placement(full, flows, k), at + " max vehicles");
+    expect_same(max_vehicles_placement(pruned, passing, k),
+                max_vehicles_placement(full, passing, k), at + " max vehicles");
     expect_same(max_customers_placement(pruned, k),
                 max_customers_placement(full, k), at + " max customers");
 

@@ -137,10 +137,12 @@ core::PlacementResult run_algorithm(
   if (name == "local") return core::greedy_with_local_search(problem, k).placement;
   if (name == "maxcustomers") return core::max_customers_placement(problem, k);
   if (name == "maxcardinality") {
-    return core::max_cardinality_placement(problem, flows, k);
+    return core::max_cardinality_placement(
+        problem, traffic::passing_traffic(problem.network(), flows), k);
   }
   if (name == "maxvehicles") {
-    return core::max_vehicles_placement(problem, flows, k);
+    return core::max_vehicles_placement(
+        problem, traffic::passing_traffic(problem.network(), flows), k);
   }
   if (name == "random") return core::random_placement(problem, k, rng);
   throw std::invalid_argument("unknown --algorithm '" + name + "'");
